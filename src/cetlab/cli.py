@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import atomic_no_decay_check, decay_bound_check
-from .config import parse_config
+from .config import parse_atoms, parse_config
 from .dispersion import DEFAULT_K_GRID, mode_stability_scan, solve_branch
 from .errors import NumericalError, ValidationError
 from .pheno import signature_report
@@ -115,13 +115,7 @@ def _density_from_args(a) -> object:
         return BreitWigner(a.alpha, a.gamma, a.mu0)
     if not a.atoms:
         raise ValidationError("diraccomb needs --atoms 'a1 m1; a2 m2; ...'")
-    pairs = []
-    for chunk in a.atoms.split(";"):
-        parts = chunk.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ValidationError(f"bad atom entry '{chunk.strip()}'")
-        pairs.append((float(parts[0]), float(parts[1])))
-    return DiracComb(tuple(pairs))
+    return DiracComb(parse_atoms(a.atoms))
 
 
 def _cmd_kernel(a) -> int:

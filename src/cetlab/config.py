@@ -31,6 +31,7 @@ _SOLVER_KEYS = {"r_max", "n_r", "cfl", "t_final", "epsilon", "a_null",
                 "b_bad", "c_grad", "d_quad", "r_c", "sigma", "velocity_mode",
                 "delta0", "cadence", "snapshot_times"}
 _OUTPUT_KEYS = {"directory", "formats"}
+_INTEGER_KEYS = {"n_nodes", "n_r", "cadence"}
 
 
 @dataclass
@@ -73,6 +74,29 @@ def _parse_scalar(raw: str):
         return float(word)
     except ValueError:
         return word
+
+
+def _number(path: str, line: int, key: str, raw: str):
+    """Parse a numeric value; integer keys must be written as integers."""
+    v = _parse_scalar(raw)
+    if key in _INTEGER_KEYS:
+        if not isinstance(v, int):
+            raise _err(path, line, f"{key} must be an integer")
+    elif not isinstance(v, (int, float)):
+        raise _err(path, line, f"{key} must be a number")
+    return v
+
+
+def parse_atoms(raw: str) -> tuple:
+    """Parse atom pairs "alpha mu; alpha mu; ..." into float tuples."""
+    pairs = []
+    for chunk in raw.split(";"):
+        try:
+            alpha, mu = map(float, chunk.replace(",", " ").split())
+        except ValueError:
+            raise ValidationError(f"bad atom entry '{chunk.strip()}'") from None
+        pairs.append((alpha, mu))
+    return tuple(pairs)
 
 
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
@@ -127,10 +151,7 @@ def _density_from(sec: dict, lines: dict, path: str) -> SpectralDensity | None:
             if default is None:
                 raise _err(path, line, f"family {fam} needs {key}")
             return default
-        v = _parse_scalar(sec[key])
-        if not isinstance(v, (int, float)):
-            raise _err(path, lines[("density", key)], f"{key} must be a number")
-        return float(v)
+        return float(_number(path, lines[("density", key)], key, sec[key]))
 
     try:
         if fam == "powerlaw":
@@ -141,14 +162,11 @@ def _density_from(sec: dict, lines: dict, path: str) -> SpectralDensity | None:
             raw = sec.get("atoms")
             if raw is None:
                 raise _err(path, line, "diraccomb needs atoms")
-            pairs = []
-            for chunk in raw.split(";"):
-                parts = chunk.replace(",", " ").split()
-                if len(parts) != 2:
-                    raise _err(path, lines[("density", "atoms")],
-                               f"bad atom entry '{chunk.strip()}'")
-                pairs.append((float(parts[0]), float(parts[1])))
-            return DiracComb(tuple(pairs))
+            try:
+                pairs = parse_atoms(raw)
+            except ValidationError as exc:
+                raise _err(path, lines[("density", "atoms")], str(exc)) from None
+            return DiracComb(pairs)
     except ValidationError:
         raise
     except ValueError as exc:
@@ -158,9 +176,10 @@ def _density_from(sec: dict, lines: dict, path: str) -> SpectralDensity | None:
 
 def _build(sections, lines, path, text) -> RunConfig:
     density = _density_from(sections["density"], lines, path)
-    qsec = sections["quadrature"]
-    n_nodes = int(_parse_scalar(qsec.get("n_nodes", str(DEFAULT_N_NODES))))
-    quad_tol = float(_parse_scalar(qsec.get("tol", "1e-10")))
+    quad = {key: _number(path, lines[("quadrature", key)], key, raw)
+            for key, raw in sections["quadrature"].items()}
+    n_nodes = quad.get("n_nodes", DEFAULT_N_NODES)
+    quad_tol = float(quad.get("tol", 1e-10))
 
     solver = {}
     s = sections["solver"]
@@ -175,10 +194,7 @@ def _build(sections, lines, path, text) -> RunConfig:
                 raise _err(path, line, "snapshot_times must be a comma list "
                                        "of numbers")
         else:
-            v = _parse_scalar(raw)
-            if not isinstance(v, (int, float)):
-                raise _err(path, line, f"{key} must be a number")
-            solver[key] = v
+            solver[key] = _number(path, line, key, raw)
     if s and "epsilon" not in solver:
         raise ValidationError(f"{path}: [solver] needs epsilon")
 

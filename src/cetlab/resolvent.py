@@ -5,7 +5,10 @@ with mass mu and wavenumber xi responds to a source f through
 
     v'' + (xi**2 + mu) v = f,   v(0) = v'(0) = 0,
 
-integrated with classical RK4 on the sample grid.  The memory operator
+integrated with classical RK4 on the sample grid.  RK4 is linear, so
+the same scheme is evaluated per mode as an exact phasor recurrence
+solved with cumulative sums (see `_kg_solve`), not stepped sample by
+sample; it matches the stepwise loop to rounding.  The memory operator
 is the weight-ordered sum of mode responses over a mass quadrature; the
 double-resolvent variant applies each mode response twice with weight
 w_j * mu_j.  Midpoint source values for RK4 come from a cubic stencil
@@ -80,12 +83,14 @@ def _midpoints(f: np.ndarray) -> np.ndarray:
 
     Stencil for the midpoint of [j, j+1] is {j-2, j-1, j, j+1}; indices
     before the start repeat f[0].  Using only samples <= j+1 keeps the
-    integrator causal sample-by-sample.
+    integrator causal sample-by-sample.  Works along the last axis.
     """
-    fm2 = np.concatenate((f[:1], f[:1], f[:-3])) if f.size >= 3 else np.repeat(f[0], f.size - 1)
-    fm1 = np.concatenate((f[:1], f[:-2]))
-    f0 = f[:-1]
-    fp1 = f[1:]
+    n = f.shape[-1]
+    first = f[..., :1]
+    fm2 = np.concatenate((first, first, f[..., :-3]), axis=-1)[..., :n - 1]
+    fm1 = np.concatenate((first, f[..., :-2]), axis=-1)
+    f0 = f[..., :-1]
+    fp1 = f[..., 1:]
     return (fm2 - 5.0 * fm1 + 15.0 * f0 + 5.0 * fp1) / 16.0
 
 
@@ -97,34 +102,98 @@ def _check_stability(dt: float, omega2_max: float, label: str = "") -> None:
             + (f" at {label}" if label else "") + "; subsample the signal")
 
 
+def _rk4_increment(omega2, v, vd, f0, fm, f1, dt: float):
+    """Increments (dv, dvd) of one classical RK4 step of v'' + omega2 v = f."""
+    half = 0.5 * dt
+    k1v = vd
+    k1a = f0 - omega2 * v
+    k2v = vd + half * k1a
+    k2a = fm - omega2 * (v + half * k1v)
+    k3v = vd + half * k2a
+    k3a = fm - omega2 * (v + half * k2v)
+    k4v = vd + dt * k3a
+    k4a = f1 - omega2 * (v + dt * k3v)
+    return ((dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a))
+
+
+def _recurrence(a, u: np.ndarray) -> np.ndarray:
+    """x[1..n] of x[0] = 0, x[j+1] = a x[j] + u[j], for a nonzero scalar a.
+
+    The samples are cut into blocks of length L with |a|**-L <= 2.  In
+    each block the zero-start solution is the cumulative sum of
+    u[j] / a**(j+1) scaled back by a**k, the powers a running product;
+    the state at each block start is carried in by a scalar recurrence.
+    Zero input up to some sample gives an output exactly zero up to
+    there.
+    """
+    n = u.size
+    decay = -math.log(abs(a))
+    block = n if decay <= 0.0 else max(1, min(n, int(math.log(2.0) / decay)))
+    n_blocks = -(-n // block)
+    up = np.cumprod(np.full(block, a))
+    seg = np.zeros(n_blocks * block, dtype=u.dtype)
+    seg[:n] = u
+    local = np.cumsum(seg.reshape(n_blocks, block) / up, axis=1) * up
+    if n_blocks > 1:
+        a_block, carry = up[-1].item(), [0.0]
+        for end in local[:-1, -1].tolist():
+            carry.append(a_block * carry[-1] + end)
+        local += np.array(carry)[:, None] * up
+    return local.reshape(-1)[:n]
+
+
 def _kg_solve(omega2: np.ndarray, f: np.ndarray,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 solve of v'' + omega2 v = f per mode; returns (v, vdot).
 
-    omega2 has shape (m,); output arrays have shape (m, n_t).
+    omega2 has shape (m,); f is one source of shape (n_t,) shared by all
+    modes or one source per mode, shape (m, n_t); outputs have shape
+    (m, n_t).  The scheme is classical RK4 with `_midpoints` sources,
+    evaluated as an exact linear recurrence instead of a loop.  RK4 is
+    linear, so in the phasor w = vdot + i omega v one step is
+
+        w[j+1] = R w[j] + c0 f[j] + cm fmid[j] + c1 f[j+1]
+
+    with R, c0, cm, c1 read off `_rk4_increment` on unit inputs, and
+    vdot = Re w.  v is then summed from its own RK4 increments,
+
+        v[j+1] = v[j] + dv_v v[j] + dv_vd vdot[j] + d0 f[j] + dm fmid[j]
+
+    (f[j+1] moves only vdot within a step, so c1 is real), with
+    v[j] = Im w[j] / omega on the right.  The increment is small, so the
+    error of Im w / omega hardly enters it; the sum keeps rounding as
+    smooth in j as the stepwise loop does (the commutator check
+    differentiates v, which amplifies rough rounding by t / dt); and the
+    zero mode, where dv_v = 0, needs no division by omega.
     """
-    m = omega2.size
-    n = f.size
-    v = np.zeros((m, n))
-    vd = np.zeros((m, n))
-    fmid = _midpoints(f)
-    half = 0.5 * dt
-    cur_v = np.zeros(m)
-    cur_vd = np.zeros(m)
-    for j in range(n - 1):
-        f0, fm, f1 = f[j], fmid[j], f[j + 1]
-        k1v = cur_vd
-        k1a = f0 - omega2 * cur_v
-        k2v = cur_vd + half * k1a
-        k2a = fm - omega2 * (cur_v + half * k1v)
-        k3v = cur_vd + half * k2a
-        k3a = fm - omega2 * (cur_v + half * k2v)
-        k4v = cur_vd + dt * k3a
-        k4a = f1 - omega2 * (cur_v + dt * k3v)
-        cur_v = cur_v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        cur_vd = cur_vd + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        v[:, j + 1] = cur_v
-        vd[:, j + 1] = cur_vd
+    omega2 = np.asarray(omega2, dtype=float)
+    n = f.shape[-1]
+    omega = np.sqrt(omega2)
+    zero, one = np.zeros_like(omega2), np.ones_like(omega2)
+    dv_v, _ = _rk4_increment(omega2, one, zero, zero, zero, zero, dt)
+    dv_vd, dvd_vd = _rk4_increment(omega2, zero, one, zero, zero, zero, dt)
+    d0, e0 = _rk4_increment(omega2, zero, zero, one, zero, zero, dt)
+    dm, em = _rk4_increment(omega2, zero, zero, zero, one, zero, dt)
+    _, c1 = _rk4_increment(omega2, zero, zero, zero, zero, one, dt)
+    rot = 1.0 + dvd_vd + 1j * omega * dv_vd
+    c0, cm = e0 + 1j * omega * d0, em + 1j * omega * dm
+    fmid = _midpoints(f) if f.ndim == 1 else None
+    v = np.zeros((omega2.size, n))
+    vd = np.zeros((omega2.size, n))
+    for i in range(omega2.size):
+        fi = f if f.ndim == 1 else f[i]
+        fm = fmid if f.ndim == 1 else _midpoints(fi)
+        f0, f1 = fi[:-1], fi[1:]
+        w = _recurrence(rot[i], c0[i] * f0 + cm[i] * fm + c1[i] * f1)
+        vd[i, 1:] = w.real
+        if omega[i] > 0.0:
+            v[i, 1:] = w.imag / omega[i]
+        step = dv_v[i] * v[i, :-1]
+        step += dv_vd[i] * vd[i, :-1]
+        step += d0[i] * f0
+        step += dm[i] * fm
+        np.cumsum(step, out=v[i, 1:])
     return v, vd
 
 
@@ -165,11 +234,8 @@ def apply_memory2(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
     _check_stability(f.dt, float(omega2.max()),
                      label=f"node mu={float(quad.nodes.max()):.6g}")
     first, _ = _kg_solve(omega2, f.samples, f.dt)
-    out = np.zeros_like(f.samples)
-    for j in range(len(quad)):
-        second, _ = _kg_solve(omega2[j:j + 1], first[j], f.dt)
-        out = out + quad.weights[j] * quad.nodes[j] * second[0]
-    return TimeSeries(f.t0, f.dt, out)
+    second, _ = _kg_solve(omega2, first, f.dt)
+    return TimeSeries(f.t0, f.dt, (quad.weights * quad.nodes) @ second)
 
 
 def _derivative_4(g: np.ndarray, dt: float) -> np.ndarray:

@@ -30,6 +30,9 @@ class DecayFit:
     amplitude: float
     r_squared: float
     window: tuple
+    # (t, value) pairs behind the fit where they are costly to recompute
+    # (scattering_residual_fit); not part of as_dict
+    points: tuple = ()
 
     def as_dict(self) -> dict:
         return {"exponent": self.exponent, "amplitude": self.amplitude,
@@ -203,4 +206,5 @@ def scattering_residual_fit(run: RunOutput, t_list,
         raise InsufficientSamplesError("insufficient-samples: nonpositive "
                                        "residuals cannot be fitted")
     slope, amp, r2 = fit_loglog(t, v)
-    return DecayFit(slope, amp, r2, (float(t.min()), float(t.max())))
+    return DecayFit(slope, amp, r2, (float(t.min()), float(t.max())),
+                    tuple(pts))

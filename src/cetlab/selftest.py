@@ -24,9 +24,8 @@ from . import (DiracComb, Grid, ModelConfig, PowerLawExp, TimeSeries,
                free_wave_exact, ligo_bound, mass_weighted_bound_check,
                memory_limit, mode_stability_scan, one_atom_root,
                padded_r_max, phase_shift, positivity_functional,
-               pulsar_timing_bound, scattering_residual,
-               scattering_residual_fit, solve_branch, spectral_constants,
-               tail_crossing)
+               pulsar_timing_bound, scattering_residual_fit, solve_branch,
+               spectral_constants, tail_crossing)
 from .resolvent import ModeParams
 
 EPS_SWEEP = (0.005, 0.01, 0.02)
@@ -274,9 +273,9 @@ def criterion_9() -> CriterionResult:
                       and all(abs(r - 1.0) <= 0.20 for r in ratios))
         out = _sweep_run(0.01)
         base_times = (25.0, 50.0, 100.0)
-        d_vals = [scattering_residual(out, t1, 2 * t1) for t1 in base_times]
-        decreasing = d_vals[0] > d_vals[1] > d_vals[2]
         fit = scattering_residual_fit(out, base_times)
+        d_vals = [d for _, d in fit.points]
+        decreasing = d_vals[0] > d_vals[1] > d_vals[2]
         exponent_ok = -fit.exponent >= RESIDUAL_EXPONENT_MIN
         ok = scaling_ok and decreasing and exponent_ok
         sqrt_t_d = [math.sqrt(t1) * d for t1, d in zip(base_times, d_vals)]

@@ -110,6 +110,25 @@ class TestCli:
         assert lines[1] == "mu,weight"
         assert [float(x) for x in lines[2].split(",")] == [1.0, 0.5]
 
+    def test_bad_atom_number_exit_2(self, capsys):
+        rc = main(["dispersion", "--family", "diraccomb", "--atoms", "a b"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert "bad atom entry 'a b'" in err["message"]
+
+    @pytest.mark.parametrize("good, bad", [
+        ("n_nodes = 8", "n_nodes = abc"), ("n_nodes = 8", "n_nodes = 2.5"),
+        ("n_r = 128", "n_r = inf"), ("cadence = 5", "cadence = 1e400")])
+    def test_non_integer_count_exit_2(self, tmp_path, capsys, good, bad):
+        text = GOOD.format(out=tmp_path / "out").replace(good, bad)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert main(["evolve", "--config", str(cfgfile)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert "must be an integer" in err["message"]
+
     def test_evolve_missing_config_exit_2(self, capsys):
         assert main(["evolve", "--config", "does-not-exist.cfg"]) == 2
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,37 @@ from cetlab import (MassQuadrature, PowerLawExp, ValidationError,
                     commutator_residual, duhamel_ratio, kg_retarded,
                     mass_weighted_bound_check, positivity_functional)
 from cetlab.errors import CommutatorInputError, ModeStepUnstableError
-from cetlab.resolvent import ModeParams, TimeSeries, kg_retarded_with_velocity
+from cetlab.resolvent import (ModeParams, TimeSeries, _kg_solve, _midpoints,
+                              kg_retarded_with_velocity)
 
 ONE_ATOM = MassQuadrature(np.array([1.0]), np.array([1.0]), "diraccomb")
+
+
+def loop_kg_solve(omega2, f, dt):
+    """Reference: the RK4 scheme stepped sample by sample (1-d source)."""
+    m = omega2.size
+    n = f.size
+    v = np.zeros((m, n))
+    vd = np.zeros((m, n))
+    fmid = _midpoints(f)
+    half = 0.5 * dt
+    cur_v = np.zeros(m)
+    cur_vd = np.zeros(m)
+    for j in range(n - 1):
+        f0, fm, f1 = f[j], fmid[j], f[j + 1]
+        k1v = cur_vd
+        k1a = f0 - omega2 * cur_v
+        k2v = cur_vd + half * k1a
+        k2a = fm - omega2 * (cur_v + half * k1v)
+        k3v = cur_vd + half * k2a
+        k3a = fm - omega2 * (cur_v + half * k2v)
+        k4v = cur_vd + dt * k3a
+        k4a = f1 - omega2 * (cur_v + dt * k3v)
+        cur_v = cur_v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        cur_vd = cur_vd + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        v[:, j + 1] = cur_v
+        vd[:, j + 1] = cur_vd
+    return v, vd
 
 
 def series(dt, n, fn):
@@ -51,6 +83,25 @@ class TestModeResponse:
         assert np.all(v.samples[t <= 5.0] == 0.0)
         assert v.sup() > 0
 
+    def test_causal_support_bitwise_multi_mode(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        dt = 0.01
+        t = dt * np.arange(2001)
+        f = np.where(t > 5.0, np.exp(-(t - 8) ** 2), 0.0)
+        v, vd = _kg_solve(np.concatenate(([0.0], quad.nodes + 0.09)), f, dt)
+        assert np.all(v[:, t <= 5.0] == 0.0)
+        assert np.all(vd[:, t <= 5.0] == 0.0)
+        assert np.all(np.max(np.abs(v), axis=1) > 0)
+
+    def test_zero_mode_solves_when_allowed(self):
+        dt = 0.01
+        f = series(dt, 1001, np.ones_like)
+        v, vd = kg_retarded_with_velocity(
+            ModeParams(0.0, 0.0, allow_zero_mode=True), f)
+        # v'' = 1: RK4 with the exact midpoint source is exact here
+        assert np.max(np.abs(v.samples - 0.5 * v.times ** 2)) < 1e-10
+        assert np.max(np.abs(vd.samples - vd.times)) < 1e-10
+
     def test_stability_guard(self):
         f = series(0.5, 100, np.ones_like)
         with pytest.raises(ModeStepUnstableError):
@@ -60,6 +111,47 @@ class TestModeResponse:
         with pytest.raises(ValidationError):
             ModeParams(0.0, 0.0)
         ModeParams(0.0, 0.0, allow_zero_mode=True)
+
+
+DT = 0.01
+OMEGA2_GRID = (0.0, 1e-4, 0.25, 1.0, 100.0, (2.4 / DT) ** 2)
+
+
+def switched_bump(n):
+    t = DT * np.arange(n)
+    return np.where(t > 4.3, np.exp(-(t - 7.3) ** 2), 0.0)
+
+
+def sign_signal(n):
+    return np.random.default_rng(11).choice([-1.0, 1.0], size=n)
+
+
+class TestRecurrenceAgainstLoop:
+    """The recurrence evaluation of RK4 matches the stepwise loop."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        for g, r in zip(got, ref):
+            for row_g, row_r in zip(g, r):
+                scale = np.max(np.abs(row_r))
+                assert np.max(np.abs(row_g - row_r)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("source", [switched_bump(12001),
+                                        sign_signal(800)],
+                             ids=["bump-12001", "sign-800"])
+    def test_one_source_all_modes(self, source):
+        omega2 = np.array(OMEGA2_GRID)
+        self.assert_close(_kg_solve(omega2, source, DT),
+                          loop_kg_solve(omega2, source, DT))
+
+    def test_one_source_per_mode(self):
+        omega2 = np.array(OMEGA2_GRID)
+        rows = np.stack([np.roll(sign_signal(800), 37 * i)
+                         for i in range(omega2.size)])
+        v, vd = _kg_solve(omega2, rows, DT)
+        for i, row in enumerate(rows):
+            rv, rvd = loop_kg_solve(omega2[i:i + 1], row, DT)
+            self.assert_close((v[i:i + 1], vd[i:i + 1]), (rv, rvd))
 
 
 class TestMemoryOperator:
@@ -214,3 +306,14 @@ class TestBounds:
         f = TimeSeries(0.0, dt, np.exp(-(t - 3) ** 2))
         for mu in (0.0, 0.25, 1.0, 10.0, 100.0):
             assert duhamel_ratio(ModeParams(mu, 0.3), f) <= 1.02
+
+
+def test_import_does_not_load_scipy_signal():
+    """The solver is numpy only; scipy.signal would add ~1 s to import."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import cetlab, sys; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

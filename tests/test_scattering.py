@@ -104,6 +104,11 @@ class TestScatteringResidual:
     def test_fit_reports_decay(self, memory_run):
         fit = scattering_residual_fit(memory_run, (25.0, 50.0))
         assert fit.exponent < 0.0
+        # the fitted residuals are handed back, so callers need not
+        # re-evolve them
+        assert fit.points == tuple(
+            (t, scattering_residual(memory_run, t, 2.0 * t))
+            for t in (25.0, 50.0))
 
     def test_uncorrected_residual_misses_exponent_floor(self, memory_run):
         # Classical scattering (no memory profile subtracted) must fail
