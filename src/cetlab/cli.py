@@ -5,8 +5,8 @@ scatter, pheno, selftest.  Every numeric output is printed with 17
 significant digits and '.' decimals; CSV and JSON files start with a
 header comment carrying the tool version and a digest of the inputs, so
 identical invocations produce byte-identical files.  Exit codes: 0 on
-success, 2 on validation errors, 3 on numerical failures, with a JSON
-error object on stderr.
+success, 2 on validation errors (malformed arguments included), 3 on
+numerical failures, with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from . import __version__
 from .averaging import atomic_no_decay_check, decay_bound_check
 from .config import parse_atoms, parse_config
 from .dispersion import DEFAULT_K_GRID, mode_stability_scan, solve_branch
-from .errors import NumericalError, ValidationError
+from .errors import CetlabError, NumericalError, ValidationError
 from .pheno import signature_report
 from .quadrature import build_quadrature
-from .radial import evolve
+from .radial import DiagnosticsRecord, evolve
 from .resolvent import TimeSeries, apply_memory, apply_memory2
 from .scattering import decay_fit, memory_limit, scattering_residual_fit
 from .spectral import (BreitWigner, DiracComb, PowerLawExp, check_conditions,
@@ -93,14 +93,50 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, indent=1, default=_json_default))
 
 
+# memory-test holds a few (n_nodes, samples) arrays; this cap on
+# n_nodes * samples keeps each one at 64 MiB
+MAX_MODE_SAMPLES = 2 ** 23
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as a validation error (exit 2)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: '{text}'")
+    return value
+
+
+def _comma_list(item):
+    """argparse type: a nonempty comma list of `item` values."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(item(x) for x in text.split(",") if x.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"bad comma list '{text}': {exc}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("empty comma list")
+        return values
+    return parse
+
+
 def _density_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    choices=("powerlaw", "breitwigner", "diraccomb"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--mu0", type=float)
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
+    p.add_argument("--lambda", dest="lam", type=_finite_float)
+    p.add_argument("--gamma", type=_finite_float)
+    p.add_argument("--mu0", type=_finite_float)
     p.add_argument("--atoms", help="semicolon list of 'alpha mu' pairs")
 
 
@@ -142,10 +178,16 @@ def _cmd_quad(a) -> int:
 
 
 def _cmd_memory_test(a) -> int:
+    dt = a.dt
+    if dt <= 0:
+        raise ValidationError("--dt must be positive")
+    span = a.t_final / dt
+    if a.n_nodes * (span + 1) > MAX_MODE_SAMPLES:
+        raise ValidationError(f"--n-nodes * (--t-final / --dt + 1) exceeds "
+                              f"{MAX_MODE_SAMPLES} mode samples")
     rho = _density_from_args(a)
     quad = build_quadrature(rho, a.n_nodes, 1e-10)
-    dt = a.dt
-    n = int(round(a.t_final / dt)) + 1
+    n = int(round(span)) + 1
     t = dt * np.arange(n)
     src = np.where(t > a.t_on,
                    np.exp(-((t - a.t_on - 3.0) ** 2)), 0.0)
@@ -191,8 +233,7 @@ def _cmd_avg_decay(a) -> int:
 
 def _cmd_dispersion(a) -> int:
     rho = _density_from_args(a)
-    k_grid = tuple(float(x) for x in a.k_grid.split(",")) if a.k_grid \
-        else DEFAULT_K_GRID
+    k_grid = a.k_grid or DEFAULT_K_GRID
     points = [solve_branch(rho, k, tol=a.tol) for k in k_grid]
     scan = mode_stability_scan(rho, k_grid)
     src = repr((rho, k_grid, a.tol))
@@ -221,10 +262,8 @@ def _cmd_evolve(a) -> int:
     rc, cfg, grid, out = _run_from_config(a.config)
     os.makedirs(rc.output_dir, exist_ok=True)
     src = rc.source_text
-    names = ("t", "E_std", "E_ghost", "flux", "sup_u", "u_origin",
-             "mem_norm", "src_norm")
     if "csv" in rc.formats:
-        cols = {n: out.series(n) for n in names}
+        cols = {n: out.series(n) for n in DiagnosticsRecord.FIELDS}
         write_csv(os.path.join(rc.output_dir, "diagnostics.csv"), cols, src)
         for ts, snap in sorted(out.snapshots.items()):
             write_csv(os.path.join(rc.output_dir,
@@ -257,8 +296,7 @@ def _cmd_scatter(a) -> int:
               "observation_radius": rep.observation_radius,
               "node_beat_period": rep.beat_period,
               "decay_fits": fits}
-    bases = [float(x) for x in a.residual_times.split(",") if x.strip()]
-    usable = [b for b in bases if b in out.snapshots
+    usable = [b for b in a.residual_times if b in out.snapshots
               and 2.0 * b in out.snapshots]
     if usable:
         sfit = scattering_residual_fit(out, usable)
@@ -285,11 +323,11 @@ def _cmd_selftest(a) -> int:
     from .selftest import ALL_CRITERIA, prewarm_sweep, run_all
     wanted = ALL_CRITERIA
     if a.only:
-        ids = {int(x) for x in a.only.split(",")}
         wanted = tuple(fn for i, fn in enumerate(ALL_CRITERIA, start=1)
-                       if i in ids)
+                       if i in a.only)
         if not wanted:
-            raise ValidationError(f"no criteria match --only {a.only}")
+            raise ValidationError("no criteria match --only "
+                                  + ",".join(map(str, a.only)))
     if any(fn.__name__ in ("criterion_8", "criterion_9") for fn in wanted):
         prewarm_sweep()
     results = run_all(wanted)
@@ -302,7 +340,7 @@ def _cmd_selftest(a) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cetlab",
         description="causal retarded-memory wave laboratory")
     ap.add_argument("--version", action="version",
@@ -311,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="spectral constants and conditions")
     _density_args(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("quad", help="mass quadrature nodes and weights")
     _density_args(p)
     p.add_argument("--n-nodes", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
     p.set_defaults(fn=_cmd_quad)
@@ -326,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
                                            "fixed wavenumber")
     _density_args(p)
     p.add_argument("--n-nodes", type=int, default=32)
-    p.add_argument("--xi", type=float, default=0.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-final", type=float, default=20.0)
-    p.add_argument("--t-on", type=float, default=5.0)
+    p.add_argument("--xi", type=_finite_float, default=0.0)
+    p.add_argument("--dt", type=_finite_float, default=0.01)
+    p.add_argument("--t-final", type=_finite_float, default=20.0)
+    p.add_argument("--t-on", type=_finite_float, default=5.0)
     p.add_argument("--out-csv")
     p.set_defaults(fn=_cmd_memory_test)
 
@@ -340,9 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", help="dispersion branch and mode scan")
     _density_args(p)
-    p.add_argument("--k-grid", help="comma list, default "
-                                    + ",".join(map(str, DEFAULT_K_GRID)))
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--k-grid", type=_comma_list(_finite_float),
+                   help="comma list, default "
+                   + ",".join(map(str, DEFAULT_K_GRID)))
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out-csv")
     p.set_defaults(fn=_cmd_dispersion)
 
@@ -352,44 +391,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="memory limit and scattering fits")
     p.add_argument("--config", required=True)
-    p.add_argument("--residual-times", default="25,50,100",
+    p.add_argument("--residual-times", type=_comma_list(_finite_float),
+                   default="25,50,100",
                    help="base times t for the D(t,2t) fit")
-    p.add_argument("--fit-lo", type=float, default=20.0)
+    p.add_argument("--fit-lo", type=_finite_float, default=20.0)
     p.set_defaults(fn=_cmd_scatter)
 
     p = sub.add_parser("pheno", help="observational signature formulas")
-    p.add_argument("--d-mpc", type=float, required=True)
-    p.add_argument("--omega-hz", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mstar", type=float, required=True)
-    p.add_argument("--l1", type=float)
+    p.add_argument("--d-mpc", type=_finite_float, required=True)
+    p.add_argument("--omega-hz", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--mstar", type=_finite_float, required=True)
+    p.add_argument("--l1", type=_finite_float)
     p.set_defaults(fn=_cmd_pheno)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--only", help="comma list of criterion numbers")
+    p.add_argument("--only", type=_comma_list(int),
+                   help="comma list of criterion numbers")
     p.set_defaults(fn=_cmd_selftest)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the contract
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ValidationError as exc:
+    except SystemExit as exc:
+        # argparse exits only for --help and --version
+        return int(exc.code or 0)
+    except CetlabError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc),
                           "detail": exc.detail}, default=_json_default),
               file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc),
-                          "detail": exc.detail}, default=_json_default),
-              file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ ValidationError carrying file and line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -84,6 +85,8 @@ def _number(path: str, line: int, key: str, raw: str):
             raise _err(path, line, f"{key} must be an integer")
     elif not isinstance(v, (int, float)):
         raise _err(path, line, f"{key} must be a number")
+    elif not math.isfinite(v):
+        raise _err(path, line, f"{key} must be finite")
     return v
 
 
@@ -93,8 +96,11 @@ def parse_atoms(raw: str) -> tuple:
     for chunk in raw.split(";"):
         try:
             alpha, mu = map(float, chunk.replace(",", " ").split())
+            finite = math.isfinite(alpha) and math.isfinite(mu)
         except ValueError:
-            raise ValidationError(f"bad atom entry '{chunk.strip()}'") from None
+            finite = False
+        if not finite:
+            raise ValidationError(f"bad atom entry '{chunk.strip()}'")
         pairs.append((alpha, mu))
     return tuple(pairs)
 
@@ -189,10 +195,14 @@ def _build(sections, lines, path, text) -> RunConfig:
             solver[key] = raw
         elif key == "snapshot_times":
             try:
-                solver[key] = tuple(float(x) for x in raw.split(",") if x.strip())
+                times = tuple(float(x) for x in raw.split(",") if x.strip())
+                finite = all(map(math.isfinite, times))
             except ValueError:
+                finite = False
+            if not finite:
                 raise _err(path, line, "snapshot_times must be a comma list "
-                                       "of numbers")
+                                       "of finite numbers")
+            solver[key] = times
         else:
             solver[key] = _number(path, line, key, raw)
     if s and "epsilon" not in solver:

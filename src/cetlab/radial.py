@@ -117,11 +117,10 @@ class ModelConfig:
         return float(self.quad.nodes.max())
 
     def validate_against(self, grid: Grid, dt: float) -> None:
-        if grid.r_max + 1e-9 < self.support_radius + self.t_final + 2.0:
-            raise PaddingViolatedError(
-                "padding-violated: need r_max >= "
-                f"{self.support_radius + self.t_final + 2.0:.6g}, "
-                f"got {grid.r_max:.6g}")
+        need = padded_r_max(self)
+        if grid.r_max + 1e-9 < need:
+            raise PaddingViolatedError(f"padding-violated: need r_max >= "
+                                       f"{need:.6g}, got {grid.r_max:.6g}")
         guard = dt * math.sqrt(self.mu_max() + (math.pi / grid.dr) ** 2)
         if guard > STIFFNESS_LIMIT:
             raise ValidationError(
@@ -136,13 +135,22 @@ def padded_r_max(cfg: ModelConfig) -> float:
 
 @dataclass
 class FieldState:
+    """Field rows Q = (V, P, X_0 .. X_{m-1}), shape (m+2, n_r+1), and Q_dot.
+
+    Every row obeys Q_tt = Q_rr - mu Q + source, with mu = 0 on V and P
+    and mu = mu_j on X_j.  V, V_dot, P, P_dot, X and X_dot are read-only
+    properties that return views of the rows.
+    """
     t: float
-    V: np.ndarray
-    V_dot: np.ndarray
-    X: np.ndarray        # shape (n_modes, n_r+1)
-    X_dot: np.ndarray
-    P: np.ndarray
-    P_dot: np.ndarray
+    Q: np.ndarray
+    Q_dot: np.ndarray
+
+    V = property(lambda self: self.Q[0])
+    V_dot = property(lambda self: self.Q_dot[0])
+    P = property(lambda self: self.Q[1])
+    P_dot = property(lambda self: self.Q_dot[1])
+    X = property(lambda self: self.Q[2:])
+    X_dot = property(lambda self: self.Q_dot[2:])
 
 
 @dataclass(frozen=True)
@@ -212,31 +220,26 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
     else:
         # u1 = -du0/dr - u0/r, i.e. V_dot = -dV/dr, evaluated analytically
         V_dot = -(u0 + r * _profile_derivative(cfg, r))
-    V[0] = V_dot[0] = 0.0
-    V[-1] = V_dot[-1] = 0.0
     n_modes = 0 if cfg.quad is None else len(cfg.quad)
-    shape = (n_modes, grid.n_r + 1)
-    return FieldState(t=0.0, V=V, V_dot=V_dot,
-                      X=np.zeros(shape), X_dot=np.zeros(shape),
-                      P=np.zeros_like(V), P_dot=np.zeros_like(V))
+    Q = np.zeros((n_modes + 2, grid.n_r + 1))
+    Q_dot = np.zeros_like(Q)
+    Q[0], Q_dot[0] = V, V_dot
+    _pin_boundaries(Q, Q_dot)
+    return FieldState(0.0, Q, Q_dot)
 
 
 class _Workspace:
-    """Precomputed grid quantities shared by the RHS evaluations."""
+    """Precomputed grid quantities shared by the `accel` evaluations."""
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
         self.cfg = cfg
-        self.grid = grid
         self.r = grid.r
         self.dr = grid.dr
         self.inv_r = np.zeros_like(self.r)
         self.inv_r[1:] = 1.0 / self.r[1:]
-        if cfg.quad is None or len(cfg.quad) == 0:
-            self.w = np.zeros((0, 1))
-            self.mu = np.zeros((0, 1))
-        else:
-            self.w = cfg.quad.weights[:, None]
-            self.mu = cfg.quad.nodes[:, None]
+        quad = cfg.quad
+        self.w = np.zeros((0, 1)) if quad is None else quad.weights[:, None]
+        self.mu = np.zeros((0, 1)) if quad is None else quad.nodes[:, None]
 
     def laplacian(self, Y: np.ndarray) -> np.ndarray:
         out = np.zeros_like(Y)
@@ -278,49 +281,43 @@ class _Workspace:
             N2 = cfg.c_grad * (ud ** 2 + ur ** 2) + cfg.d_quad * u ** 2
         return u, ud, ur, F, N2
 
-    def rhs(self, t, V, V_dot, X, X_dot, P, P_dot):
-        _, _, _, F, N2 = self.sources(V, V_dot, t)
-        M = self.memory_term(X)
-        rF = self.r * (F + M)
-        rF[0] = rF[-1] = 0.0
-        aV = self.laplacian(V) + rF
-        rN = self.r * N2
-        rN[0] = rN[-1] = 0.0
-        aX = self.laplacian(X) - self.mu * X + rN
-        if aX.size:
-            aX[:, 0] = aX[:, -1] = 0.0
-        rM = self.r * M
-        rM[0] = rM[-1] = 0.0
-        aP = self.laplacian(P) + rM
-        return V_dot, aV, X_dot, aX, P_dot, aP
+    def accel(self, t: float, Q: np.ndarray, Q_dot: np.ndarray) -> np.ndarray:
+        """Q_tt of every row: one stencil, -mu on the mode rows, sources."""
+        _, _, _, F, N2 = self.sources(Q[0], Q_dot[0], t)
+        M = self.memory_term(Q[2:])
+        acc = self.laplacian(Q)
+        acc[2:] -= self.mu * Q[2:]
+        acc[0] += self.r * (F + M)
+        acc[1] += self.r * M
+        acc[2:] += self.r * N2
+        _pin_boundaries(acc)
+        return acc
+
+
+def _pin_boundaries(*stacks: np.ndarray) -> None:
+    for Y in stacks:
+        Y[:, 0] = Y[:, -1] = 0.0
 
 
 def _rk4_step(ws: _Workspace, st: FieldState, dt: float) -> FieldState:
+    """Classical RK4 on the second-order system (Q, Q_dot)."""
+    t, Q, Qd = st.t, st.Q, st.Q_dot
+    h = 0.5 * dt
     # overflow during a developing blow-up is expected and detected
     # afterwards; keep the march itself quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rk4_step_raw(ws, st, dt)
-
-
-def _rk4_step_raw(ws: _Workspace, st: FieldState, dt: float) -> FieldState:
-    y = (st.V, st.V_dot, st.X, st.X_dot, st.P, st.P_dot)
-    t = st.t
-    k1 = ws.rhs(t, *y)
-    y2 = tuple(a + 0.5 * dt * b for a, b in zip(y, k1))
-    k2 = ws.rhs(t + 0.5 * dt, *y2)
-    y3 = tuple(a + 0.5 * dt * b for a, b in zip(y, k2))
-    k3 = ws.rhs(t + 0.5 * dt, *y3)
-    y4 = tuple(a + dt * b for a, b in zip(y, k3))
-    k4 = ws.rhs(t + dt, *y4)
-    new = tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-    V, V_dot, X, X_dot, P, P_dot = new
-    for arr in (V, V_dot, P, P_dot):
-        arr[0] = arr[-1] = 0.0
-    if X.size:
-        X[:, 0] = X[:, -1] = 0.0
-        X_dot[:, 0] = X_dot[:, -1] = 0.0
-    return FieldState(st.t + dt, V, V_dot, X, X_dot, P, P_dot)
+        a1 = ws.accel(t, Q, Qd)
+        Qd2 = Qd + h * a1
+        a2 = ws.accel(t + h, Q + h * Qd, Qd2)
+        Qd3 = Qd + h * a2
+        a3 = ws.accel(t + h, Q + h * Qd2, Qd3)
+        Qd4 = Qd + dt * a3
+        a4 = ws.accel(t + dt, Q + dt * Qd3, Qd4)
+        c = dt / 6.0
+        Q_new = Q + c * (Qd + 2.0 * Qd2 + 2.0 * Qd3 + Qd4)
+        Qd_new = Qd + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    _pin_boundaries(Q_new, Qd_new)
+    return FieldState(t + dt, Q_new, Qd_new)
 
 
 def step(state: FieldState, cfg: ModelConfig, grid: Grid,
@@ -335,18 +332,19 @@ def step(state: FieldState, cfg: ModelConfig, grid: Grid,
 
 
 def _check_finite(st: FieldState, grid: Grid) -> None:
-    if not np.all(np.isfinite(st.V)):
-        idx = int(np.argmax(~np.isfinite(st.V)))
+    # X_dot is left out: a nonfinite mode velocity reaches X a step later
+    if np.isfinite(st.Q).all() and np.isfinite(st.Q_dot[:2]).all():
+        return
+    bad = ~np.isfinite(st.V)
+    if bad.any():
+        radius = float(grid.r[int(np.argmax(bad))])
         raise BlowUpError(
             f"blow-up-detected: nonfinite value at t={st.t:.6g}, "
-            f"r={grid.r[idx]:.6g}", time=st.t, radius=float(grid.r[idx]))
-    for arr in (st.V_dot, st.P, st.P_dot):
-        if not np.all(np.isfinite(arr)):
-            raise BlowUpError(f"blow-up-detected: nonfinite value at "
-                              f"t={st.t:.6g}", time=st.t, radius=None)
-    if st.X.size and not np.all(np.isfinite(st.X)):
-        raise BlowUpError(f"blow-up-detected: nonfinite memory mode at "
-                          f"t={st.t:.6g}", time=st.t, radius=None)
+            f"r={radius:.6g}", time=st.t, radius=radius)
+    rest_finite = np.isfinite(st.P).all() and np.isfinite(st.Q_dot[:2]).all()
+    what = "memory mode" if rest_finite else "value"
+    raise BlowUpError(f"blow-up-detected: nonfinite {what} at t={st.t:.6g}",
+                      time=st.t, radius=None)
 
 
 def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig) -> DiagnosticsRecord:
@@ -384,12 +382,9 @@ def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig) -> DiagnosticsRe
 
 
 def _snapshot(ws: _Workspace, st: FieldState) -> dict:
-    u = ws.u_of(st.V)
-    M = ws.memory_term(st.X)
-    phi = ws.u_of(st.P)
     return {"t": st.t, "V": st.V.copy(), "V_dot": st.V_dot.copy(),
-            "P": st.P.copy(), "P_dot": st.P_dot.copy(),
-            "u": u, "M": M, "Phi": phi}
+            "P": st.P.copy(), "P_dot": st.P_dot.copy(), "u": ws.u_of(st.V),
+            "M": ws.memory_term(st.X), "Phi": ws.u_of(st.P)}
 
 
 def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
@@ -404,47 +399,25 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     if cadence < 1:
         raise ValidationError("cadence must be a positive integer")
     if cfg.t_final == 0.0:
-        ws = _Workspace(cfg, grid)
-        st = initialize(cfg, grid)
-        rec = _diagnose(ws, st, cfg)
-        return RunOutput(cfg, grid, 0.0, [rec], np.array([0.0]),
-                         np.array([ws.u_of(st.V)]),
-                         np.array([ws.memory_term(st.X)]),
-                         np.array([ws.u_of(st.P)]),
-                         {0.0: _snapshot(ws, st)}, True)
-    n_steps = 2 * max(1, math.ceil(cfg.t_final / (2.0 * cfg.cfl * grid.dr)))
-    dt = cfg.t_final / n_steps
+        # the initial state is the only record and the only snapshot
+        n_steps, dt = 0, 0.0
+        snap_steps = {0: 0.0}
+    else:
+        n_steps = 2 * max(1, math.ceil(cfg.t_final / (2.0 * cfg.cfl * grid.dr)))
+        dt = cfg.t_final / n_steps
+        snap_steps = {}
+        for ts in snapshot_times:
+            idx = int(round(ts / dt))
+            if 0 <= idx <= n_steps:
+                snap_steps.setdefault(idx, float(ts))
     cfg.validate_against(grid, dt)
     ws = _Workspace(cfg, grid)
     st = initialize(cfg, grid)
 
-    snap_steps = {}
-    for ts in snapshot_times:
-        idx = int(round(ts / dt))
-        if 0 <= idx <= n_steps:
-            snap_steps.setdefault(idx, float(ts))
-
-    records = [_diagnose(ws, st, cfg)]
-    ptimes = [0.0]
-    uprofs = [ws.u_of(st.V)]
-    mprofs = [ws.memory_term(st.X)]
-    phiprofs = [ws.u_of(st.P)]
+    records, ptimes, uprofs, mprofs, phiprofs = [], [], [], [], []
     snapshots = {}
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = _snapshot(ws, st)
 
-    completed = True
-    blow_time = None
-    blow_radius = None
-    for n in range(1, n_steps + 1):
-        st = _rk4_step(ws, st, dt)
-        try:
-            _check_finite(st, grid)
-        except BlowUpError as exc:
-            completed = False
-            blow_time = exc.detail.get("time", st.t)
-            blow_radius = exc.detail.get("radius")
-            break
+    def record(st: FieldState, n: int) -> None:
         if n % cadence == 0 or n == n_steps:
             records.append(_diagnose(ws, st, cfg))
             ptimes.append(st.t)
@@ -454,9 +427,21 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
         if n in snap_steps:
             snapshots[snap_steps[n]] = _snapshot(ws, st)
 
+    record(st, 0)
+    blow_up = {}                # the BlowUpError detail: time and radius
+    for n in range(1, n_steps + 1):
+        st = _rk4_step(ws, st, dt)
+        try:
+            _check_finite(st, grid)
+        except BlowUpError as exc:
+            blow_up = exc.detail
+            break
+        record(st, n)
+
     return RunOutput(cfg, grid, dt, records, np.array(ptimes),
                      np.array(uprofs), np.array(mprofs), np.array(phiprofs),
-                     snapshots, completed, blow_time, blow_radius)
+                     snapshots, not blow_up, blow_up.get("time"),
+                     blow_up.get("radius"))
 
 
 def free_wave_exact(cfg: ModelConfig, r: np.ndarray, t: float) -> np.ndarray:

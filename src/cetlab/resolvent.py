@@ -228,13 +228,10 @@ def apply_memory(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
 
 def apply_memory2(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
     """Double-resolvent operator: sum of w_j mu_j R_j(R_j f)."""
-    omega2 = quad.nodes + xi ** 2
     if not len(quad):
         return TimeSeries(f.t0, f.dt, np.zeros_like(f.samples))
-    _check_stability(f.dt, float(omega2.max()),
-                     label=f"node mu={float(quad.nodes.max()):.6g}")
-    first, _ = _kg_solve(omega2, f.samples, f.dt)
-    second, _ = _kg_solve(omega2, first, f.dt)
+    first, _ = _memory_modes(quad, xi, f)
+    second, _ = _kg_solve(quad.nodes + xi ** 2, first, f.dt)
     return TimeSeries(f.t0, f.dt, (quad.weights * quad.nodes) @ second)
 
 

@@ -13,15 +13,14 @@ its scheme-dispersion mismatch floors the residual at second order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (InsufficientSamplesError, MemoryBelowNoiseError,
                      SnapshotUnavailableError, ValidationError)
 from .fitting import fit_loglog
-from .radial import (FieldState, Grid, ModelConfig, RunOutput, _rk4_step,
-                     _Workspace)
+from .radial import FieldState, Grid, RunOutput, _rk4_step, _Workspace
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,11 @@ def memory_limit(run: RunOutput) -> MemoryLimitReport:
 
 def _free_evolve_discrete(run: RunOutput, W: np.ndarray, W_dot: np.ndarray,
                           n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    cfg = run.cfg
-    free_cfg = ModelConfig(
-        epsilon=cfg.epsilon, a_null=0.0, b_bad=0.0, c_grad=0.0, d_quad=0.0,
-        quad=None, cfl=cfg.cfl, t_final=cfg.t_final, r_c=cfg.r_c,
-        sigma=cfg.sigma, velocity_mode=cfg.velocity_mode, delta0=cfg.delta0)
+    free_cfg = replace(run.cfg, a_null=0.0, b_bad=0.0, c_grad=0.0,
+                       d_quad=0.0, quad=None, n2_override=None)
     ws = _Workspace(free_cfg, run.grid)
-    zero = np.zeros((0, run.grid.n_r + 1))
-    st = FieldState(0.0, W.copy(), W_dot.copy(), zero, zero.copy(),
-                    np.zeros_like(W), np.zeros_like(W))
+    zero = np.zeros_like(W)
+    st = FieldState(0.0, np.stack([W, zero]), np.stack([W_dot, zero]))
     for _ in range(n_steps):
         st = _rk4_step(ws, st, run.dt)
     return st.V, st.V_dot

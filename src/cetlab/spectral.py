@@ -54,6 +54,16 @@ class PowerLawExp:
                 "beta = 0 has a divergent infrared moment (c_m1 = +inf); "
                 "admitted only as a sharpness case",
                 stacklevel=2)
+        try:
+            c = _powerlaw_closed(self)
+            consts = (c.l1, c.c_p1, c.c_prime, c.c_mhalf) \
+                + ((c.c_m1,) if self.beta > 0 else ())
+            representable = all(0.0 < v < math.inf for v in consts)
+        except OverflowError:
+            representable = False
+        if not representable:
+            raise ValidationError("powerlaw constants overflow or underflow "
+                                  "double precision")
 
     def density(self, mu):
         mu = np.asarray(mu, dtype=float)

@@ -98,6 +98,8 @@ class TestCli:
 
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["kernel", "--bogus"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "validation-error"
 
     def test_quad_csv_roundtrip(self, tmp_path, capsys):
         csv_path = tmp_path / "nodes.csv"
@@ -128,6 +130,43 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation-error"
         assert "must be an integer" in err["message"]
+
+    @pytest.mark.parametrize("good, bad", [
+        ("t_final = 4.0", "t_final = inf"), ("sigma = 1.0", "sigma = nan"),
+        ("epsilon = 0.01", "epsilon = nan"), ("tol = 1e-10", "tol = nan")])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, good, bad):
+        text = GOOD.format(out=tmp_path / "out").replace(good, bad)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert main(["evolve", "--config", str(cfgfile)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert "must be finite" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["memory-test", "--dt", "0"], ["memory-test", "--dt", "nan"],
+        ["memory-test", "--xi", "nan"], ["memory-test", "--t-final", "inf"],
+        ["memory-test", "--t-final", "1e9"],
+        ["dispersion", "--k-grid", "a"], ["kernel", "--beta", "nan"],
+        ["quad", "--tol", "nan"], ["kernel", "--beta", "1e6"],
+        ["quad", "--beta", "300"]])
+    def test_malformed_density_command_exit_2(self, capsys, argv):
+        density = ["--family", "powerlaw", "--alpha", "1", "--beta", "1",
+                   "--lambda", "1"]
+        assert main(argv[:1] + density + argv[1:]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "--config", "run.cfg", "--residual-times", "a"],
+        ["selftest", "--only", "a"], ["selftest", "--only", ","],
+        ["pheno", "--d-mpc", "nan", "--omega-hz", "1", "--alpha", "1",
+         "--mstar", "1"]])
+    def test_malformed_flag_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert "argument --" in err["message"]
 
     def test_evolve_missing_config_exit_2(self, capsys):
         assert main(["evolve", "--config", "does-not-exist.cfg"]) == 2

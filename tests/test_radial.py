@@ -5,7 +5,8 @@ import pytest
 
 from cetlab import (Grid, MassQuadrature, ModelConfig, PowerLawExp,
                     ValidationError, build_quadrature, convergence_study,
-                    evolve, free_wave_exact, initialize, padded_r_max, step)
+                    evolve, free_wave_exact, initialize, padded_r_max,
+                    scattering_residual, step)
 from cetlab.errors import NotInAsymptoticRegimeError, PaddingViolatedError
 from cetlab.radial import ghost_q, ghost_q_prime
 from cetlab.resolvent import ModeParams, TimeSeries, kg_retarded
@@ -111,6 +112,20 @@ class TestStep:
         assert st.P[0] == 0.0 and st.P[-1] == 0.0
         assert np.all(st.X[:, 0] == 0.0) and np.all(st.X[:, -1] == 0.0)
 
+    def test_named_fields_are_rows_of_the_stack(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+        cfg = free_cfg(quad=quad, t_final=2.0)
+        grid = Grid(21.0, 128)
+        st = step(initialize(cfg, grid), cfg, grid)
+        assert st.Q.shape == st.Q_dot.shape == (len(quad) + 2, grid.n_r + 1)
+        for name, stack, rows in (("V", st.Q, 0), ("P", st.Q, 1),
+                                  ("X", st.Q, slice(2, None)),
+                                  ("V_dot", st.Q_dot, 0),
+                                  ("P_dot", st.Q_dot, 1),
+                                  ("X_dot", st.Q_dot, slice(2, None))):
+            view = getattr(st, name)
+            assert view.base is stack and np.array_equal(view, stack[rows])
+
     def test_stiffness_guard(self):
         stiff = MassQuadrature(np.array([1e6]), np.array([1.0]), "diraccomb")
         cfg = free_cfg(quad=stiff, t_final=1.0)
@@ -161,6 +176,24 @@ class TestEvolve:
         assert len(out.records) == 1
         assert out.records[0].t == 0.0
         assert out.completed
+        assert out.dt == 0.0 and list(out.snapshots) == [0.0]
+
+    def test_memory_run_pinned(self):
+        # pinned end-of-run values: a change to the order of the
+        # evolution's floating-point operations shows here
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+        cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
+        out = evolve(cfg, Grid(padded_r_max(cfg), 256), cadence=8,
+                     snapshot_times=(4.0, 8.0, 16.0))
+        last = out.records[-1]
+        rel = 1e-12
+        assert last.E_std == pytest.approx(0.32042614918648127, rel=rel)
+        assert last.sup_u == pytest.approx(0.006594218905534643, rel=rel)
+        assert last.mem_norm == pytest.approx(0.00508795420635396, rel=rel)
+        assert scattering_residual(out, 4.0, 8.0) == pytest.approx(
+            0.01875976326709065, rel=rel)
+        assert scattering_residual(out, 8.0, 16.0) == pytest.approx(
+            0.001525215801349807, rel=rel)
 
     def test_diagnostics_invariants(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 16)

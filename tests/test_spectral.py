@@ -58,6 +58,15 @@ class TestPowerLaw:
         with pytest.warns(UserWarning):
             PowerLawExp(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (1.0, 1e6, 1.0), (1.0, 300.0, 1.0), (1.0, 160.0, 1.0),
+        (1.0, 1.0, 1e200), (1e-300, 1.0, 1e-100)])
+    def test_unrepresentable_constants_rejected(self, alpha, beta, lam):
+        # Gamma(beta + 2), lambda^(beta + 2) or the peak value
+        # (beta lambda)^beta overflows; or the mass l1 underflows to 0
+        with pytest.raises(ValidationError, match="double precision"):
+            PowerLawExp(alpha, beta, lam)
+
     def test_adaptive_flags_beta_zero_divergence(self):
         c = spectral_constants(flat_exponential(), method="adaptive")
         assert math.isinf(c.c_m1)
