@@ -35,10 +35,15 @@ from .spectral import (BreitWigner, DiracComb, PowerLawExp, check_conditions,
                        spectral_constants)
 
 
+def _nonfinite_name(x: float) -> str:
+    """'inf', '-inf' or 'nan': how every output writes a nonfinite float."""
+    return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
+        if not math.isfinite(x):
+            return _nonfinite_name(x)
         return format(x, ".17g")
     return str(x)
 
@@ -75,22 +80,30 @@ def write_json(path: str, obj: dict, digest_src: str) -> None:
     obj = dict(obj)
     obj["_tool"] = {"name": "cetlab", "version": __version__,
                     "digest": _digest(digest_src)}
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=1,
-                                   default=_json_default) + "\n")
+    _atomic_write(path, _dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    raise TypeError(f"not JSON serializable: {type(x)}")
+def _jsonable(x):
+    """x with numpy scalars and arrays as Python values and every
+    nonfinite float as its `_nonfinite_name` string."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return _nonfinite_name(x)
+    return x
+
+
+def _dumps(obj, **kw) -> str:
+    """Strict JSON: a nonfinite number never reaches the encoder."""
+    return json.dumps(_jsonable(obj), allow_nan=False, **kw)
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=1, default=_json_default))
+    print(_dumps(obj, sort_keys=True, indent=1))
 
 
 # memory-test holds a few (n_nodes, samples) arrays; this cap on
@@ -272,7 +285,9 @@ def _cmd_evolve(a) -> int:
                        "Phi": snap["Phi"]}, src)
     summary = {"completed": out.completed,
                "integrated_flux": out.integrated_flux,
-               "n_records": len(out.records), "dt": out.dt}
+               "n_records": len(out.records), "dt": out.dt,
+               "n_steps": out.n_steps, "stiffness_guard": out.stiffness_guard,
+               "n_modes": 0 if cfg.quad is None else len(cfg.quad)}
     if out.blow_up_time is not None:
         summary["blow_up_time"] = out.blow_up_time
         summary["blow_up_radius"] = out.blow_up_radius
@@ -420,9 +435,8 @@ def main(argv=None) -> int:
         # argparse exits only for --help and --version
         return int(exc.code or 0)
     except CetlabError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc),
-                          "detail": exc.detail}, default=_json_default),
-              file=sys.stderr)
+        print(_dumps({"error": exc.code, "message": str(exc),
+                      "detail": exc.detail}), file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
 
 

@@ -116,12 +116,16 @@ class ModelConfig:
             return 0.0
         return float(self.quad.nodes.max())
 
+    def stiffness_guard(self, grid: Grid, dt: float) -> float:
+        """dt * sqrt(mu_max + (pi/dr)^2): dt times the grid's top frequency."""
+        return dt * math.sqrt(self.mu_max() + (math.pi / grid.dr) ** 2)
+
     def validate_against(self, grid: Grid, dt: float) -> None:
         need = padded_r_max(self)
         if grid.r_max + 1e-9 < need:
             raise PaddingViolatedError(f"padding-violated: need r_max >= "
                                        f"{need:.6g}, got {grid.r_max:.6g}")
-        guard = dt * math.sqrt(self.mu_max() + (math.pi / grid.dr) ** 2)
+        guard = self.stiffness_guard(grid, dt)
         if guard > STIFFNESS_LIMIT:
             raise ValidationError(
                 f"stiffness guard violated: dt*sqrt(mu_max + (pi/dr)^2) = "
@@ -182,6 +186,10 @@ class RunOutput:
     completed: bool
     blow_up_time: float | None = None
     blow_up_radius: float | None = None
+    # RK4 steps taken, the blowing-up one included, and the value of
+    # ModelConfig.stiffness_guard at the run's dt
+    n_steps: int = 0
+    stiffness_guard: float = 0.0
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records])
@@ -229,7 +237,11 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
 
 
 class _Workspace:
-    """Precomputed grid quantities shared by the `accel` evaluations."""
+    """Grid quantities and stage buffers for the RK4 march of one stack.
+
+    The buffers have the stack's shape (m+2, n_r+1) and are reused by
+    every step, so a step allocates nothing of that size.
+    """
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
         self.cfg = cfg
@@ -240,11 +252,25 @@ class _Workspace:
         quad = cfg.quad
         self.w = np.zeros((0, 1)) if quad is None else quad.weights[:, None]
         self.mu = np.zeros((0, 1)) if quad is None else quad.nodes[:, None]
+        shape = (len(self.w) + 2, grid.n_r + 1)
+        # stage field, stage velocity, stage acceleration, scratch
+        self.S, self.D, self.a, self.tmp = (np.empty(shape) for _ in range(4))
 
-    def laplacian(self, Y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(Y)
-        out[..., 1:-1] = (Y[..., 2:] - 2.0 * Y[..., 1:-1] + Y[..., :-2]) \
-            / self.dr ** 2
+    def laplacian(self, Y: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """Centered second difference of every row, zero at both ends.
+
+        The stencil runs over the flattened stack; only the boundary
+        columns straddle two rows, and those are zeroed afterwards.  `out`
+        must be C-contiguous.
+        """
+        out = np.empty(Y.shape) if out is None else out
+        y, inner = Y.reshape(-1), out.reshape(-1)[1:-1]
+        np.multiply(y[1:-1], 2.0, out=inner)
+        np.subtract(y[2:], inner, out=inner)
+        np.add(inner, y[:-2], out=inner)
+        np.divide(inner, self.dr ** 2, out=inner)
+        out[..., 0] = out[..., -1] = 0.0
         return out
 
     def u_of(self, V: np.ndarray) -> np.ndarray:
@@ -264,7 +290,8 @@ class _Workspace:
     def memory_term(self, X: np.ndarray) -> np.ndarray:
         if self.w.size == 0:
             return np.zeros_like(self.r)
-        S = np.sum(self.w * X, axis=0)
+        # a plain row sum, not a matvec: BLAS would reorder the additions
+        S = np.sum(np.multiply(self.w, X, out=self.tmp[2:]), axis=0)
         M = S * self.inv_r
         M[0] = float(np.sum(self.w[:, 0] * X[:, 1])) / self.dr
         return M
@@ -281,17 +308,20 @@ class _Workspace:
             N2 = cfg.c_grad * (ud ** 2 + ur ** 2) + cfg.d_quad * u ** 2
         return u, ud, ur, F, N2
 
-    def accel(self, t: float, Q: np.ndarray, Q_dot: np.ndarray) -> np.ndarray:
-        """Q_tt of every row: one stencil, -mu on the mode rows, sources."""
+    def accel(self, t: float, Q: np.ndarray, Q_dot: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """Q_tt of every row into `out`: stencil, -mu on the mode rows,
+        sources."""
         _, _, _, F, N2 = self.sources(Q[0], Q_dot[0], t)
         M = self.memory_term(Q[2:])
-        acc = self.laplacian(Q)
-        acc[2:] -= self.mu * Q[2:]
-        acc[0] += self.r * (F + M)
-        acc[1] += self.r * M
-        acc[2:] += self.r * N2
-        _pin_boundaries(acc)
-        return acc
+        self.laplacian(Q, out)
+        acc_X = out[2:]
+        acc_X -= np.multiply(self.mu, Q[2:], out=self.tmp[2:])
+        out[0] += self.r * (F + M)
+        out[1] += self.r * M
+        acc_X += self.r * N2
+        _pin_boundaries(out)
+        return out
 
 
 def _pin_boundaries(*stacks: np.ndarray) -> None:
@@ -299,30 +329,69 @@ def _pin_boundaries(*stacks: np.ndarray) -> None:
         Y[:, 0] = Y[:, -1] = 0.0
 
 
-def _rk4_step(ws: _Workspace, st: FieldState, dt: float) -> FieldState:
-    """Classical RK4 on the second-order system (Q, Q_dot)."""
+def _axpy(y: np.ndarray, alpha: float, x: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """out = y + alpha*x; `out` may be `x` but not `y`."""
+    np.add(y, np.multiply(x, alpha, out=out), out=out)
+    return out
+
+
+def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
+              out: tuple | None = None) -> FieldState:
+    """Classical RK4 on the second-order system (Q, Q_dot).
+
+    The new (Q, Q_dot) is written into the pair `out` (fresh arrays when
+    None); `st` is never written.  The sums
+    Q + dt/6 (Qd + 2 Qd2 + 2 Qd3 + Qd4) and Qd + dt/6 (a1 + 2 a2 + 2 a3 + a4)
+    are accumulated in `out` as the stages come in, left to right as
+    written, so the result is bitwise that of the written-out formula.
+    """
     t, Q, Qd = st.t, st.Q, st.Q_dot
+    K, A = (np.empty(Q.shape), np.empty(Q.shape)) if out is None else out
+    S, D, a, tmp = ws.S, ws.D, ws.a, ws.tmp
     h = 0.5 * dt
     # overflow during a developing blow-up is expected and detected
     # afterwards; keep the march itself quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = ws.accel(t, Q, Qd)
-        Qd2 = Qd + h * a1
-        a2 = ws.accel(t + h, Q + h * Qd, Qd2)
-        Qd3 = Qd + h * a2
-        a3 = ws.accel(t + h, Q + h * Qd2, Qd3)
-        Qd4 = Qd + dt * a3
-        a4 = ws.accel(t + dt, Q + dt * Qd3, Qd4)
+        ws.accel(t, Q, Qd, A)                   # A = a1
+        _axpy(Qd, h, A, D)                      # D = Qd2
+        ws.accel(t + h, _axpy(Q, h, Qd, S), D, a)           # a = a2
+        np.add(Qd, np.multiply(D, 2.0, out=K), out=K)       # K = Qd + 2 Qd2
+        _axpy(Q, h, D, S)           # stage-3 field: Qd2 is read before D = Qd3
+        _axpy(Qd, h, a, D)                      # D = Qd3
+        A += np.multiply(a, 2.0, out=a)         # A = a1 + 2 a2
+        ws.accel(t + h, S, D, a)                # a = a3
+        K += np.multiply(D, 2.0, out=tmp)
+        _axpy(Q, dt, D, S)
+        _axpy(Qd, dt, a, D)                     # D = Qd4
+        A += np.multiply(a, 2.0, out=a)
+        ws.accel(t + dt, S, D, a)               # a = a4
+        K += D
+        A += a
         c = dt / 6.0
-        Q_new = Q + c * (Qd + 2.0 * Qd2 + 2.0 * Qd3 + Qd4)
-        Qd_new = Qd + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    _pin_boundaries(Q_new, Qd_new)
-    return FieldState(t + dt, Q_new, Qd_new)
+        _axpy(Q, c, K, K)
+        _axpy(Qd, c, A, A)
+    _pin_boundaries(K, A)
+    return FieldState(t + dt, K, A)
+
+
+def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
+    """Yield the state after each of `n_steps` RK4 steps from `st`.
+
+    Two (Q, Q_dot) pairs alternate, `st`'s own arrays and a spare pair,
+    so `st` is overwritten from the second step on and a yielded state
+    holds only until the next one is yielded.
+    """
+    spare = (np.empty(st.Q.shape), np.empty(st.Q.shape))
+    for _ in range(n_steps):
+        st, spare = _rk4_step(ws, st, dt, spare), (st.Q, st.Q_dot)
+        yield st
 
 
 def step(state: FieldState, cfg: ModelConfig, grid: Grid,
          dt: float | None = None) -> FieldState:
-    """One RK4 step of the full system; raises on nonfinite values."""
+    """One RK4 step of the full system into fresh arrays; raises on
+    nonfinite values."""
     dt = cfg.cfl * grid.dr if dt is None else dt
     cfg.validate_against(grid, dt)
     ws = _Workspace(cfg, grid)
@@ -429,8 +498,8 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
 
     record(st, 0)
     blow_up = {}                # the BlowUpError detail: time and radius
-    for n in range(1, n_steps + 1):
-        st = _rk4_step(ws, st, dt)
+    n = 0
+    for n, st in enumerate(_march(ws, st, dt, n_steps), start=1):
         try:
             _check_finite(st, grid)
         except BlowUpError as exc:
@@ -441,7 +510,8 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     return RunOutput(cfg, grid, dt, records, np.array(ptimes),
                      np.array(uprofs), np.array(mprofs), np.array(phiprofs),
                      snapshots, not blow_up, blow_up.get("time"),
-                     blow_up.get("radius"))
+                     blow_up.get("radius"), n,
+                     cfg.stiffness_guard(grid, dt))
 
 
 def free_wave_exact(cfg: ModelConfig, r: np.ndarray, t: float) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (InsufficientSamplesError, MemoryBelowNoiseError,
                      SnapshotUnavailableError, ValidationError)
 from .fitting import fit_loglog
-from .radial import FieldState, Grid, RunOutput, _rk4_step, _Workspace
+from .radial import FieldState, Grid, RunOutput, _march, _Workspace
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def _free_evolve_discrete(run: RunOutput, W: np.ndarray, W_dot: np.ndarray,
     ws = _Workspace(free_cfg, run.grid)
     zero = np.zeros_like(W)
     st = FieldState(0.0, np.stack([W, zero]), np.stack([W_dot, zero]))
-    for _ in range(n_steps):
-        st = _rk4_step(ws, st, run.dt)
+    for st in _march(ws, st, run.dt, n_steps):
+        pass
     return st.V, st.V_dot
 
 

@@ -1,11 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cetlab import PowerLawExp, ValidationError
-from cetlab.cli import main
+from cetlab.cli import _dumps, main, write_json
 from cetlab.config import parse_config_text
+
+
+def strict_loads(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"nonstandard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 GOOD = """
 # run configuration
@@ -202,6 +210,49 @@ class TestCli:
             blobs.append((d / "diagnostics.csv").read_bytes()
                          + (d / "summary.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_evolve_summary_run_facts(self, tmp_path, capsys):
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d))
+        assert main(["evolve", "--config", str(cfgfile)]) == 0
+        printed = strict_loads(capsys.readouterr().out)
+        summary = strict_loads((d / "summary.json").read_text())
+        assert printed == {k: v for k, v in summary.items() if k != "_tool"}
+        assert summary["n_modes"] == 8
+        assert summary["n_steps"] * summary["dt"] == pytest.approx(4.0)
+        assert 0.0 < summary["stiffness_guard"] <= 2.5
+
+    def test_nonfinite_error_detail_is_strict_json(self, capsys):
+        rc = main(["dispersion", "--family", "powerlaw", "--alpha", "1",
+                   "--beta", "1", "--lambda", "1", "--k-grid", "1e300"])
+        assert rc == 3
+        err = strict_loads(capsys.readouterr().err)
+        assert err["detail"]["achieved_error"] == "nan"
+
+    def test_write_json_names_nonfinite_numbers(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(str(path), {"a": math.inf, "b": [-math.inf, np.nan],
+                               "c": np.float64(np.inf), "d": 0.5}, "src")
+        obj = strict_loads(path.read_text())
+        assert (obj["a"], obj["b"], obj["c"], obj["d"]) == \
+            ("inf", ["-inf", "nan"], "inf", 0.5)
+
+    def test_finite_json_unchanged(self):
+        def numpy_default(x):
+            if isinstance(x, (np.floating, np.integer)):
+                return x.item()
+            if isinstance(x, np.ndarray):
+                return x.tolist()
+            raise TypeError(type(x))
+
+        obj = {"f": np.float64(0.1), "g": 1 / 3, "i": np.int64(7),
+               "t": (1, 2.5e-300), "a": np.linspace(0.0, 1.0, 7),
+               "m": np.eye(2), "n": {"b": True, "s": "x", "z": None},
+               "f32": np.float32(0.1), "e": []}
+        for kw in ({}, {"sort_keys": True, "indent": 1}):
+            assert _dumps(obj, **kw) == json.dumps(obj, default=numpy_default,
+                                                   **kw)
 
     def test_memory_test_verdicts(self, capsys):
         rc = main(["memory-test", "--family", "powerlaw", "--alpha", "1",

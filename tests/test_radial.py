@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from cetlab import (Grid, MassQuadrature, ModelConfig, PowerLawExp,
                     ValidationError, build_quadrature, convergence_study,
                     evolve, free_wave_exact, initialize, padded_r_max,
                     scattering_residual, step)
+from cetlab import radial
 from cetlab.errors import NotInAsymptoticRegimeError, PaddingViolatedError
-from cetlab.radial import ghost_q, ghost_q_prime
+from cetlab.radial import (FieldState, _march, _Workspace, ghost_q,
+                           ghost_q_prime)
 from cetlab.resolvent import ModeParams, TimeSeries, kg_retarded
 
 
@@ -17,6 +20,111 @@ def free_cfg(**kw):
                 quad=None, cfl=0.5, t_final=10.0, r_c=5.0, sigma=1.0)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The allocating stencil, memory sum, acceleration and RK4 step that the
+# buffered march replaced, kept as the oracle it must match bitwise.
+
+def reference_laplacian(ws, Y):
+    out = np.zeros_like(Y)
+    out[..., 1:-1] = (Y[..., 2:] - 2.0 * Y[..., 1:-1] + Y[..., :-2]) \
+        / ws.dr ** 2
+    return out
+
+
+def reference_memory_term(ws, X):
+    if ws.w.size == 0:
+        return np.zeros_like(ws.r)
+    S = np.sum(ws.w * X, axis=0)
+    M = S * ws.inv_r
+    M[0] = float(np.sum(ws.w[:, 0] * X[:, 1])) / ws.dr
+    return M
+
+
+def reference_accel(ws, t, Q, Q_dot):
+    _, _, _, F, N2 = ws.sources(Q[0], Q_dot[0], t)
+    M = reference_memory_term(ws, Q[2:])
+    acc = reference_laplacian(ws, Q)
+    acc[2:] -= ws.mu * Q[2:]
+    acc[0] += ws.r * (F + M)
+    acc[1] += ws.r * M
+    acc[2:] += ws.r * N2
+    acc[:, 0] = acc[:, -1] = 0.0
+    return acc
+
+
+def reference_rk4_step(ws, st, dt):
+    t, Q, Qd = st.t, st.Q, st.Q_dot
+    h = 0.5 * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = reference_accel(ws, t, Q, Qd)
+        Qd2 = Qd + h * a1
+        a2 = reference_accel(ws, t + h, Q + h * Qd, Qd2)
+        Qd3 = Qd + h * a2
+        a3 = reference_accel(ws, t + h, Q + h * Qd2, Qd3)
+        Qd4 = Qd + dt * a3
+        a4 = reference_accel(ws, t + dt, Q + dt * Qd3, Qd4)
+        c = dt / 6.0
+        Q_new = Q + c * (Qd + 2.0 * Qd2 + 2.0 * Qd3 + Qd4)
+        Qd_new = Qd + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    for Y in (Q_new, Qd_new):
+        Y[:, 0] = Y[:, -1] = 0.0
+    return FieldState(t + dt, Q_new, Qd_new)
+
+
+def separable_override(grid):
+    """A prescribed memory source sin(k r)/r, k = 3 pi / r_max, times a
+    Gaussian in t."""
+    kk = 3 * math.pi / grid.r_max
+
+    def override(t, r):
+        prof = np.zeros_like(r)
+        prof[1:] = np.sin(kk * r[1:]) / r[1:]
+        prof[0] = kk
+        return math.exp(-((t - 4.0)) ** 2) * prof
+    return override
+
+
+def stack_input(kind, n_r=256):
+    """(cfg, grid, state) for the buffered-step oracle tests."""
+    rng = np.random.default_rng(7)
+    if kind == "modes32":
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
+        grid = Grid(padded_r_max(cfg), n_r)
+    elif kind == "free":
+        cfg, grid = free_cfg(), Grid(21.0, 256)
+    else:
+        quad = MassQuadrature(np.array([0.7, 2.5]), np.array([0.4, 0.2]),
+                              "diraccomb")
+        grid = Grid(21.0, 256)
+        cfg = ModelConfig(epsilon=0.02, a_null=1.0, c_grad=0.0, d_quad=0.0,
+                          quad=quad, cfl=0.4, t_final=10.0,
+                          n2_override=separable_override(grid))
+    st = initialize(cfg, grid)
+    # smooth nonzero rows everywhere, the memory modes included
+    bump = grid.r * np.exp(-((grid.r - 6.0) / 2.0) ** 2)
+    st.Q[1:] = 1e-3 * rng.standard_normal((len(st.Q) - 1, 1)) * bump
+    st.Q_dot[1:] = 1e-3 * rng.standard_normal((len(st.Q) - 1, 1)) * bump
+    st.Q[:, 0] = st.Q[:, -1] = st.Q_dot[:, 0] = st.Q_dot[:, -1] = 0.0
+    return cfg, grid, st
+
+
+def run_arrays(out):
+    """Every array of a RunOutput, by name."""
+    arrays = {"records": np.array([[getattr(rec, f) for f in rec.FIELDS]
+                                   for rec in out.records]),
+              "profile_times": out.profile_times, "u": out.u_profiles,
+              "m": out.m_profiles, "phi": out.phi_profiles}
+    for ts, snap in out.snapshots.items():
+        for key, value in snap.items():
+            if isinstance(value, np.ndarray):
+                arrays[f"snap{ts:g}.{key}"] = value
+    return arrays
 
 
 class TestGhostWeight:
@@ -134,6 +242,102 @@ class TestStep:
             step(initialize(free_cfg(t_final=1.0), grid), cfg, grid)
 
 
+class TestLaplacian:
+    def test_flat_stencil_matches_rows_and_nothing_crosses(self):
+        grid = Grid(21.0, 64)
+        ws = _Workspace(free_cfg(), grid)
+        Y = np.random.default_rng(3).standard_normal((6, grid.n_r + 1))
+        # nonfinite values on the columns the flat stencil shares
+        # between rows 1|2 and 3|4, and inside row 3
+        Y[1, -1] = np.inf
+        Y[4, 0] = np.nan
+        Y[3, 5] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got = ws.laplacian(Y)
+            want = np.zeros_like(Y)
+            for i, row in enumerate(Y):
+                want[i, 1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) \
+                    / grid.dr ** 2
+        assert np.array_equal(got, want, equal_nan=True)
+        for i in (0, 2, 5):
+            assert np.isfinite(got[i]).all() and same_bits(got[i], want[i])
+        boundary = got[:, [0, -1]]
+        assert same_bits(boundary, np.zeros_like(boundary))
+        assert same_bits(ws.laplacian(Y[0]), reference_laplacian(ws, Y[0]))
+
+
+class TestBufferedStep:
+    @pytest.mark.parametrize("kind", ["modes32", "free", "n2_override"])
+    def test_matches_reference_step_bitwise(self, kind):
+        cfg, grid, st = stack_input(kind)
+        dt = cfg.cfl * grid.dr
+        ws = _Workspace(cfg, grid)
+        ref = FieldState(st.t, st.Q.copy(), st.Q_dot.copy())
+        n = 0
+        for n, new in enumerate(_march(ws, st, dt, 20), start=1):
+            ref = reference_rk4_step(ws, ref, dt)
+            assert new.t == ref.t
+            assert same_bits(new.Q, ref.Q) and same_bits(new.Q_dot, ref.Q_dot)
+        assert n == 20
+        assert kind == "free" or np.all(np.abs(ref.X).max(axis=1) > 0.0)
+
+    def test_evolve_matches_reference_march(self, monkeypatch):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+        cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=6.0)
+        grid = Grid(padded_r_max(cfg), 128)
+
+        def run():
+            return evolve(cfg, grid, cadence=3, snapshot_times=(2.0, 6.0))
+
+        buffered = run()
+        monkeypatch.setattr(radial, "_rk4_step",
+                            lambda ws, st, dt, out=None:
+                            reference_rk4_step(ws, st, dt))
+        reference = run()
+        got, want = run_arrays(buffered), run_arrays(reference)
+        assert got.keys() == want.keys() and len(want) == 5 + 2 * 7
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+        assert (buffered.dt, buffered.completed, buffered.n_steps) == \
+            (reference.dt, reference.completed, reference.n_steps)
+
+    def test_step_leaves_its_input_alone(self):
+        cfg, grid, st = stack_input("modes32")
+        Q, Q_dot = st.Q.copy(), st.Q_dot.copy()
+        new = step(st, cfg, grid)
+        assert same_bits(st.Q, Q) and same_bits(st.Q_dot, Q_dot)
+        assert not np.shares_memory(new.Q, st.Q)
+        assert not np.shares_memory(new.Q_dot, st.Q_dot)
+        assert not same_bits(new.Q, Q)
+
+    def test_buffered_step_allocates_no_stack(self):
+        # desk-sized stack, 34 x 2049; what a step may allocate is a few
+        # grid rows and numpy's 64 KiB ufunc buffer
+        cfg, grid, st = stack_input("modes32", n_r=2048)
+        march = _march(_Workspace(cfg, grid), st, cfg.cfl * grid.dr, 4)
+        next(march)                     # the spare pair is allocated here
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert sum(1 for _ in march) == 3
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < st.Q.nbytes
+
+    def test_run_arrays_share_no_memory(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+        cfg = free_cfg(a_null=1.0, c_grad=1.0, d_quad=0.25, quad=quad,
+                       t_final=4.0)
+        out = evolve(cfg, Grid(21.0, 128), cadence=4,
+                     snapshot_times=(0.0, 2.0, 4.0))
+        arrays = list(run_arrays(out).items())
+        assert len(arrays) == 5 + 3 * 7
+        for i, (name_a, a) in enumerate(arrays):
+            for name_b, b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b), (name_a, name_b)
+
+
 class TestFreeWave:
     def test_matches_closed_form_second_order(self):
         cfg = free_cfg()
@@ -177,6 +381,20 @@ class TestEvolve:
         assert out.records[0].t == 0.0
         assert out.completed
         assert out.dt == 0.0 and list(out.snapshots) == [0.0]
+        assert out.n_steps == 0 and out.stiffness_guard == 0.0
+
+    def test_run_facts(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+        cfg = free_cfg(quad=quad, t_final=3.0)
+        grid = Grid(21.0, 128)
+        out = evolve(cfg, grid, cadence=5)
+        assert out.n_steps == round(cfg.t_final / out.dt)
+        assert out.n_steps % 2 == 0 and out.n_steps * out.dt == \
+            pytest.approx(cfg.t_final, rel=1e-14)
+        guard = out.dt * math.sqrt(quad.nodes.max()
+                                   + (math.pi / grid.dr) ** 2)
+        assert out.stiffness_guard == guard
+        assert 0.0 < out.stiffness_guard <= radial.STIFFNESS_LIMIT
 
     def test_memory_run_pinned(self):
         # pinned end-of-run values: a change to the order of the
@@ -234,6 +452,9 @@ class TestEvolve:
         assert not out.completed
         assert out.blow_up_time is not None
         assert len(out.records) >= 1
+        # the step that produced the nonfinite value is counted
+        assert out.n_steps * out.dt == pytest.approx(out.blow_up_time,
+                                                      rel=1e-12)
 
 
 class TestSeparableSourceOracle:
@@ -242,16 +463,10 @@ class TestSeparableSourceOracle:
                               "diraccomb")
         grid = Grid(21.0, 256)
         kk = 3 * math.pi / grid.r_max
-
-        def override(t, r):
-            prof = np.zeros_like(r)
-            prof[1:] = np.sin(kk * r[1:]) / r[1:]
-            prof[0] = kk
-            return math.exp(-((t - 4.0)) ** 2) * prof
-
         cfg = ModelConfig(epsilon=0.0, a_null=0.0, b_bad=0.0, c_grad=0.0,
                           d_quad=0.0, quad=quad, cfl=0.4, t_final=10.0,
-                          r_c=5.0, sigma=1.0, n2_override=override)
+                          r_c=5.0, sigma=1.0,
+                          n2_override=separable_override(grid))
         out = evolve(cfg, grid, cadence=10 ** 9, snapshot_times=(10.0,))
         dt = out.dt
         n = int(round(10.0 / dt)) + 1
