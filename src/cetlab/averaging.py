@@ -21,6 +21,7 @@ from scipy.special import gammaincc
 
 from .errors import OscillatoryBudgetError, S5RequiredError, ValidationError
 from .fitting import fit_loglog
+from .integrals import gauss_panels
 from .spectral import (BreitWigner, DiracComb, PowerLawExp, SpectralConstants,
                        SpectralDensity, density_at_zero)
 
@@ -30,7 +31,6 @@ DEFAULT_XI_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 _PANELS_PER_PERIOD = 8
 _PANEL_ORDER = 8
 _MAX_PANELS = 4_000_000
-_GLX, _GLW = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
 
 def _tail_cut(rho: SpectralDensity, xi: float, tol: float) -> float:
@@ -69,11 +69,8 @@ def _half_symbol(rho: SpectralDensity, t: float, xi: float,
             "oscillatory-quadrature-budget: "
             f"{n_panels} panels exceed the budget at t={t}")
     edges = np.linspace(xi, w_hi, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    w = (mids[:, None] + halfs[:, None] * _GLX[None, :]).ravel()
-    vals = (rho.density(w * w - xi * xi) * np.sin(t * w)).reshape(-1, _PANEL_ORDER)
-    return float(np.sum(halfs * (vals @ _GLW)))
+    return gauss_panels(lambda w: rho.density(w * w - xi * xi) * np.sin(t * w),
+                        edges, _PANEL_ORDER)
 
 
 def averaged_symbol(rho: SpectralDensity, t: float, xi: float,

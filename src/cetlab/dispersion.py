@@ -69,9 +69,11 @@ def self_energy(rho: SpectralDensity, omega: float, k: float,
                 f"{-y:.6g} inside the support")
     edges = (_powerlaw_core_edges(rho) if isinstance(rho, PowerLawExp)
              else _bw_core_edges(rho))
-    out = flagged_integral(lambda mu: rho.density(mu) * k * k / (y + mu),
-                           edges, tol)
-    return out.value
+    # k*k overflows for k beyond ~1e154; the integral then fails its
+    # budget with a coded error, and numpy's warning would only add noise.
+    with np.errstate(over="ignore"):
+        return flagged_integral(lambda mu: rho.density(mu) * k * k / (y + mu),
+                                edges, tol)
 
 
 def _sigma_nodes(quad: MassQuadrature, omega: complex, k: float) -> complex:

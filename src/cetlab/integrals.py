@@ -1,8 +1,10 @@
 """Deterministic panel quadrature with explicit divergence flagging.
 
-Integrals of nonnegative weights over (0, inf) are computed as a core
-region resolved by fixed-order Gauss-Legendre panels plus dyadic slabs
-marching toward 0 and toward infinity.  A slab sequence whose
+This is the one home of the Gauss-Legendre rule: `leggauss` caches the
+nodes and weights per order, and `panel_rule` / `gauss_panels` lay them
+over composite panels.  Integrals of nonnegative weights over (0, inf)
+are computed as a core region resolved by fixed-order panels plus dyadic
+slabs marching toward 0 and toward infinity.  A slab sequence whose
 contributions stop decaying geometrically is declared divergent and the
 integral is reported as +inf instead of a silently truncated number.
 """
@@ -10,50 +12,58 @@ integral is reported as +inf instead of a silently truncated number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import QuadratureBudgetError
+
 _GL_ORDER = 32
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 # Slab contributions whose successive ratios stay above this are treated
 # as non-decaying (log-divergent or worse).
 _DIVERGENCE_RATIO = 0.97
 _DIVERGENCE_RUN = 4
+# Slabs each march may take before it reports a budget error.
+_IR_BUDGET = 160
+_UV_BUDGET = 400
 
 
-def gauss_panel(f, a: float, b: float) -> float:
-    """Fixed-order Gauss-Legendre integral of vectorized f over [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.dot(_GL_W, f(mid + half * _GL_X)))
+@lru_cache(maxsize=None)
+def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def gauss_panels(f, edges) -> float:
+def panel_rule(edges, order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (panels, order) of the composite rule and each panel's half-width.
+
+    Panel p's weights are ``halfs[p] * leggauss(order)[1]``.
+    """
     edges = np.asarray(edges, dtype=float)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mids[:, None] + halfs[:, None] * _GL_X[None, :]
+    return mids[:, None] + halfs[:, None] * leggauss(order)[0], halfs
+
+
+def gauss_panels(f, edges, order: int = _GL_ORDER) -> float:
+    """Composite Gauss-Legendre integral of vectorized f over the edges."""
+    nodes, halfs = panel_rule(edges, order)
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(halfs * (vals @ _GL_W)))
-
-
-@dataclass(frozen=True)
-class FlaggedIntegral:
-    value: float            # math.inf when divergence was detected
-    error_estimate: float
-    converged: bool
-    slabs_used: int
+    return float(np.sum(halfs * (vals @ leggauss(order)[1])))
 
 
 def _march(f, start: float, factor: float, accum: float, tol: float,
-           budget: int) -> tuple[float, bool, bool, int]:
+           budget: int) -> tuple[float, bool]:
     """Sum dyadic slabs from `start`, shrinking (factor<1) or growing.
 
-    Returns (sum, diverged, converged, slabs).  Divergence means the slab
-    contributions failed to decay; the caller maps that to +inf.
+    Returns (sum, diverged).  Divergence means the slab contributions
+    failed to decay; the caller maps that to +inf.  A march that neither
+    settles nor diverges within `budget` slabs raises.
     """
+    x, w = leggauss(_GL_ORDER)
     total = 0.0
     prev = None
     high_ratio_run = 0
@@ -62,7 +72,9 @@ def _march(f, start: float, factor: float, accum: float, tol: float,
     for k in range(budget):
         nxt = edge * factor
         lo, hi = (nxt, edge) if factor < 1.0 else (edge, nxt)
-        slab = gauss_panel(f, lo, hi)
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        slab = float(half * np.dot(w, f(mid + half * x)))
         total += slab
         scale = max(abs(accum) + abs(total), 1e-300)
         if prev is not None and prev > 0.0:
@@ -72,58 +84,36 @@ def _march(f, start: float, factor: float, accum: float, tol: float,
             else:
                 high_ratio_run = 0
             if high_ratio_run >= _DIVERGENCE_RUN:
-                return total, True, False, k + 1
+                return total, True
         if slab <= tol * scale:
             small_run += 1
             if small_run >= 2:
-                return total, False, True, k + 1
+                return total, False
         else:
             small_run = 0
         prev = slab
         edge = nxt
-    return total, False, False, budget
+    side = "infrared" if factor < 1.0 else "ultraviolet"
+    raise QuadratureBudgetError(
+        f"quadrature-budget-exceeded: {side} march did not settle",
+        achieved_error=total, slabs=budget)
 
 
-def flagged_integral(f, core_edges, tol: float = 1e-10,
-                     ir_budget: int = 160, uv_budget: int = 400,
-                     ir: bool = True, uv: bool = True) -> FlaggedIntegral:
-    """Integrate nonnegative f over (0, inf) with divergence detection.
+def flagged_integral(f, core_edges, tol: float = 1e-10) -> float:
+    """Integrate nonnegative f over (0, inf); +inf on detected divergence.
 
     `core_edges` must bracket any interior structure (peaks, kinks); the
     dyadic marches only see the monotone-ish tails.
     """
     core_edges = np.asarray(core_edges, dtype=float)
-    core = gauss_panels(f, core_edges)
-    total = core
-    slabs = 0
-
-    if ir:
-        s, diverged, converged, k = _march(f, float(core_edges[0]), 0.5,
-                                           total, tol, ir_budget)
-        slabs += k
+    total = gauss_panels(f, core_edges)
+    for start, factor, budget in ((core_edges[0], 0.5, _IR_BUDGET),
+                                  (core_edges[-1], 2.0, _UV_BUDGET)):
+        s, diverged = _march(f, float(start), factor, total, tol, budget)
         if diverged:
-            return FlaggedIntegral(math.inf, math.inf, True, slabs)
-        if not converged:
-            from .errors import QuadratureBudgetError
-            raise QuadratureBudgetError(
-                "quadrature-budget-exceeded: infrared march did not settle",
-                achieved_error=s, slabs=k)
+            return math.inf
         total += s
-
-    if uv:
-        s, diverged, converged, k = _march(f, float(core_edges[-1]), 2.0,
-                                           total, tol, uv_budget)
-        slabs += k
-        if diverged:
-            return FlaggedIntegral(math.inf, math.inf, True, slabs)
-        if not converged:
-            from .errors import QuadratureBudgetError
-            raise QuadratureBudgetError(
-                "quadrature-budget-exceeded: ultraviolet march did not settle",
-                achieved_error=s, slabs=k)
-        total += s
-
-    return FlaggedIntegral(total, abs(total) * tol, True, slabs)
+    return total
 
 
 def trapezoid_oracle(f, a: float, b: float, panels: int = 1_000_000) -> float:

@@ -51,18 +51,25 @@ def ligo_bound(dphi_max: float, d: float, omega: float,
     return dphi_max / phase_shift(d, omega, 1.0, units=units)
 
 
+def _mass_squared(m_star: float) -> float:
+    try:
+        return m_star ** 2
+    except OverflowError:
+        raise ValidationError("m_star**2 overflows double precision") from None
+
+
 def memory_excess_ratio(alpha: float, m_star: float) -> float:
     """Event-dependent memory excess relative to the standard effect."""
     if alpha <= 0 or m_star <= 0:
         raise ValidationError("alpha and m_star must be positive")
-    return alpha * m_star ** 2
+    return alpha * _mass_squared(m_star)
 
 
 def pulsar_timing_bound(eta: float, m_star: float) -> float:
     """Upper bound on the infrared moment from timing sensitivity eta."""
     if eta <= 0 or m_star <= 0:
         raise ValidationError("eta and m_star must be positive")
-    return eta / m_star ** 2
+    return eta / _mass_squared(m_star)
 
 
 def tail_crossing(l1: float) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import QuadratureConstructionError, ValidationError
+from .integrals import leggauss, panel_rule
 from .spectral import (BreitWigner, DiracComb, PowerLawExp, SpectralConstants,
                        SpectralDensity, spectral_constants)
 
@@ -116,18 +117,15 @@ def _build_breitwigner(rho: BreitWigner, n: int,
     # In theta = arctan((mu-mu0)/gamma) the density integrates flat:
     # int f rho dmu = alpha * int f(mu(theta)) dtheta.
     n_panels = max(1, n // 8)
-    sizes = np.full(n_panels, n // n_panels)
-    sizes[: n % n_panels] += 1
+    k, n_long = divmod(n, n_panels)
     edges = np.linspace(theta_lo, theta_hi, n_panels + 1)
-    nodes, weights = [], []
-    for p in range(n_panels):
-        x, w = np.polynomial.legendre.leggauss(int(sizes[p]))
-        mid = 0.5 * (edges[p] + edges[p + 1])
-        half = 0.5 * (edges[p + 1] - edges[p])
-        theta = mid + half * x
-        nodes.append(rho.mu0 + rho.gamma * np.tan(theta))
-        weights.append(rho.alpha * half * w)
-    nodes = np.concatenate(nodes)
+    # the first n % n_panels panels take one node more than the rest
+    theta, weights = [], []
+    for panel_edges, m in ((edges[:n_long + 1], k + 1), (edges[n_long:], k)):
+        t, halfs = panel_rule(panel_edges, m)
+        theta.append(t.ravel())
+        weights.append((rho.alpha * halfs[:, None] * leggauss(m)[1]).ravel())
+    nodes = rho.mu0 + rho.gamma * np.tan(np.concatenate(theta))
     weights = np.concatenate(weights)
     order = np.argsort(nodes)
     return nodes[order], weights[order]
@@ -149,7 +147,7 @@ def build_quadrature(rho: SpectralDensity, n_nodes: int = DEFAULT_N_NODES,
         quad = MassQuadrature(nodes, weights, rho.family)
     else:
         raise ValidationError(f"unknown density {type(rho).__name__}")
-    consts = spectral_constants(rho, min(tol, 1e-10) if tol <= 1e-4 else 1e-10)
+    consts = spectral_constants(rho, min(tol, 1e-10))
     report = validate_moments(quad, consts)
     if dropped:
         report["dropped_underflow_nodes"] = dropped

@@ -212,7 +212,10 @@ def kg_retarded_with_velocity(params: ModeParams,
 
 
 def _memory_modes(quad: MassQuadrature, xi: float, f: TimeSeries):
-    omega2 = quad.nodes + xi ** 2
+    try:
+        omega2 = quad.nodes + xi ** 2
+    except OverflowError:
+        raise ValidationError("xi**2 overflows double precision") from None
     if omega2.size:
         _check_stability(f.dt, float(omega2.max()),
                          label=f"node mu={float(quad.nodes.max()):.6g}")
@@ -323,12 +326,8 @@ def mass_weighted_bound_check(mu: float, f: TimeSeries,
     """Check sup_t sqrt(mu) |v| <= sqrt(2) int |f| dt for the mode response."""
     if mu <= 0:
         raise ValidationError("mu must be positive")
-    v = kg_retarded(ModeParams(mu=mu, xi=0.0), f)
-    denom = f.l1()
-    if denom == 0.0:
-        return BoundReport(0.0, math.sqrt(2.0) * (1.0 + slack))
-    ratio = math.sqrt(mu) * v.sup() / denom
-    return BoundReport(ratio, math.sqrt(2.0) * (1.0 + slack))
+    return BoundReport(duhamel_ratio(ModeParams(mu=mu, xi=0.0), f),
+                       math.sqrt(2.0) * (1.0 + slack))
 
 
 def duhamel_ratio(params: ModeParams, f: TimeSeries) -> float:

@@ -88,6 +88,9 @@ class BreitWigner:
             raise ValidationError("breitwigner requires positive parameters")
         if not self.mu0 > self.gamma:
             raise ValidationError("breitwigner requires mu0 > gamma")
+        if not math.isfinite(self.mu0 * self.mu0 + self.gamma * self.gamma):
+            raise ValidationError("breitwigner mu0**2 + gamma**2 overflows "
+                                  "double precision")
 
     def density(self, mu):
         mu = np.asarray(mu, dtype=float)
@@ -239,13 +242,10 @@ def _constants_adaptive(rho: SpectralDensity, tol: float) -> SpectralConstants:
     def moment(p):
         return flagged_integral(lambda mu: d(mu) * mu ** p, edges, tol)
 
-    l1 = moment(0.0)
-    c_m1 = moment(-1.0)
-    c_p1 = moment(1.0)
-    c_mh = moment(-0.5)
-    c_pr = flagged_integral(dprime_abs, edges, tol)
-    vals = [f.value for f in (l1, c_m1, c_p1, c_pr, c_mh)]
-    return SpectralConstants(vals[0], vals[1], vals[2], vals[3], vals[4])
+    return SpectralConstants(
+        l1=moment(0.0), c_m1=moment(-1.0), c_p1=moment(1.0),
+        c_prime=flagged_integral(dprime_abs, edges, tol),
+        c_mhalf=moment(-0.5))
 
 
 def spectral_constants(rho: SpectralDensity, tol: float = DEFAULT_TOL,

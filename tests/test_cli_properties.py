@@ -2,9 +2,12 @@
 
 `cli.main` must end every invocation with exit 0, 2 or 3, and every
 nonzero exit must print a JSON object with an `error` code on stderr.
-Values come from a fixed token set of small numbers, signs, non-finite
-words, garbage and empty strings, so no generated run is heavy; the
-evolve, scatter and selftest commands are left out for the same reason.
+Values come from a fixed token set of small numbers, one huge finite
+number, signs, non-finite words, garbage and empty strings, so no
+generated run is heavy; the evolve, scatter and selftest commands are
+left out for the same reason.  A nonzero exit must not come with a
+numpy `RuntimeWarning`, which a real process would print on stderr
+ahead of the JSON object.
 """
 
 import contextlib
@@ -14,15 +17,15 @@ import math
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cetlab.cli import main
 from cetlab.config import parse_config_text
 from cetlab.errors import CetlabError
 
-TOKENS = ("1", "0.5", "2", "3", "1e-6", "0", "-1", "nan", "inf", "-inf",
-          "abc", "", "1,2", "2,,0.5", "1 1", "0.5 1; 2 3", "1;")
+TOKENS = ("1", "0.5", "2", "3", "1e-6", "1e200", "0", "-1", "nan", "inf",
+          "-inf", "abc", "", "1,2", "2,,0.5", "1 1", "0.5 1; 2 3", "1;")
 DROP = None
 DENSITIES = (
     {"--family": "powerlaw", "--alpha": "1", "--beta": "1", "--lambda": "1"},
@@ -59,6 +62,16 @@ CONFIG_KEYS = tuple(sorted(CONFIG)) + (
     ("solver", "bogus"))
 CONFIG_WORDS = TOKENS + ("powerlaw", "breitwigner", "diraccomb",
                          "ingoing", "csv", "64")
+
+
+def _call(cmd, density=0, **changed):
+    """The well-formed call of `cmd` with some flags replaced."""
+    base, density_flags = COMMANDS[cmd]
+    flags = dict(base, **(DENSITIES[density] if density_flags else {}))
+    flags.update({"--" + k.replace("_", "-"): v for k, v in changed.items()})
+    return [cmd] + [x for item in flags.items() for x in item]
+
+
 PROFILE = settings(max_examples=150, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
 
@@ -105,15 +118,23 @@ def config_texts(draw):
 
 @PROFILE
 @given(argv=argvs())
+# finite inputs whose squares overflow double precision
+@example(argv=_call("pheno", mstar="1e200"))
+@example(argv=_call("memory-test", xi="1e200"))
+@example(argv=_call("memory-test", dt="1e200", t_final="1e200"))
+@example(argv=_call("dispersion", k_grid="1e300"))
+@example(argv=_call("dispersion", density=1, mu0="1e200"))
 def test_cli_exit_codes_total(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
     assert code in (0, 2, 3)
     if code:
         assert isinstance(json.loads(err.getvalue())["error"], str)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.filterwarnings("ignore:beta = 0")

@@ -56,6 +56,11 @@ class TestMemoryExcess:
         assert pulsar_timing_bound(0.1, 1.0) == pytest.approx(0.1)
         assert pulsar_timing_bound(0.1, 2.0) == pytest.approx(0.025)
 
+    def test_overflowing_mass_is_a_validation_error(self):
+        for fn in (memory_excess_ratio, pulsar_timing_bound):
+            with pytest.raises(ValidationError, match="overflows"):
+                fn(1.0, 1e200)
+
 
 class TestTail:
     def test_crossing_values(self):

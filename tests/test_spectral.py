@@ -113,6 +113,8 @@ class TestBreitWigner:
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             BreitWigner(1.0, 1.0, 0.5)  # needs mu0 > gamma
+        with pytest.raises(ValidationError, match="double precision"):
+            BreitWigner(1.0, 0.5, 1e200)  # mu0**2 overflows
 
 
 class TestDiracComb:
