@@ -143,6 +143,11 @@ class StabilityScan:
                 "gaps": list(self.gaps)}
 
 
+# For k beyond ~1e154 or huge weights the symbol overflows; a nonfinite
+# g never passes the tolerance or the backtracking test, so the seed is
+# dropped, and numpy's warnings would only add noise.  One errstate for
+# the whole scan: entering one per symbol call costs a third of the call.
+@np.errstate(over="ignore", invalid="ignore")
 def mode_stability_scan(rho: SpectralDensity, k_grid=DEFAULT_K_GRID,
                         tol: float = 1e-11, n_seeds: int = 32,
                         seed: int = SCAN_SEED) -> StabilityScan:

@@ -129,7 +129,7 @@ class ModelConfig:
         if guard > STIFFNESS_LIMIT:
             raise ValidationError(
                 f"stiffness guard violated: dt*sqrt(mu_max + (pi/dr)^2) = "
-                f"{guard:.3f} > {STIFFNESS_LIMIT}")
+                f"{guard:.3g} > {STIFFNESS_LIMIT}")
 
 
 def padded_r_max(cfg: ModelConfig) -> float:
@@ -179,9 +179,7 @@ class RunOutput:
     dt: float
     records: list
     profile_times: np.ndarray
-    u_profiles: np.ndarray       # (n_records, n_r+1)
-    m_profiles: np.ndarray
-    phi_profiles: np.ndarray
+    m_profiles: np.ndarray       # (n_records, n_r+1)
     snapshots: dict              # time -> dict of field arrays
     completed: bool
     blow_up_time: float | None = None
@@ -416,7 +414,9 @@ def _check_finite(st: FieldState, grid: Grid) -> None:
                       time=st.t, radius=None)
 
 
-def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig) -> DiagnosticsRecord:
+def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig
+              ) -> tuple[DiagnosticsRecord, np.ndarray]:
+    """The diagnostics record of `st` and its memory term M."""
     r = ws.r
     u, ud, ur, F, N2 = ws.sources(st.V, st.V_dot, st.t)
     M = ws.memory_term(st.X)
@@ -447,7 +447,7 @@ def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig) -> DiagnosticsRe
     return DiagnosticsRecord(
         t=st.t, E_std=E_std, E_ghost=E_ghost, flux=flux,
         sup_u=float(np.max(np.abs(u))), u_origin=float(u[0]),
-        mem_norm=math.sqrt(norm2(M)), src_norm=math.sqrt(norm2(N2)))
+        mem_norm=math.sqrt(norm2(M)), src_norm=math.sqrt(norm2(N2))), M
 
 
 def _snapshot(ws: _Workspace, st: FieldState) -> dict:
@@ -483,16 +483,15 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     ws = _Workspace(cfg, grid)
     st = initialize(cfg, grid)
 
-    records, ptimes, uprofs, mprofs, phiprofs = [], [], [], [], []
+    records, ptimes, mprofs = [], [], []
     snapshots = {}
 
     def record(st: FieldState, n: int) -> None:
         if n % cadence == 0 or n == n_steps:
-            records.append(_diagnose(ws, st, cfg))
+            rec, M = _diagnose(ws, st, cfg)
+            records.append(rec)
             ptimes.append(st.t)
-            uprofs.append(ws.u_of(st.V))
-            mprofs.append(ws.memory_term(st.X))
-            phiprofs.append(ws.u_of(st.P))
+            mprofs.append(M)
         if n in snap_steps:
             snapshots[snap_steps[n]] = _snapshot(ws, st)
 
@@ -508,9 +507,8 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
         record(st, n)
 
     return RunOutput(cfg, grid, dt, records, np.array(ptimes),
-                     np.array(uprofs), np.array(mprofs), np.array(phiprofs),
-                     snapshots, not blow_up, blow_up.get("time"),
-                     blow_up.get("radius"), n,
+                     np.array(mprofs), snapshots, not blow_up,
+                     blow_up.get("time"), blow_up.get("radius"), n,
                      cfg.stiffness_guard(grid, dt))
 
 
@@ -539,18 +537,15 @@ class ConvergenceReport:
     resolutions: tuple
 
 
-def convergence_study(cfg: ModelConfig, grid: Grid,
-                      levels: int = 3) -> ConvergenceReport:
-    """Self-convergence order from `levels` grid halvings.
+def convergence_study(cfg: ModelConfig, grid: Grid) -> ConvergenceReport:
+    """Self-convergence order from three grids, n_r, 2 n_r and 4 n_r.
 
     Compares sup-norm differences of u at t_final/2 on shared points;
     non-decreasing differences raise not-in-asymptotic-regime.
     """
-    if levels != 3:
-        raise ValidationError("the Richardson estimate uses exactly 3 levels")
     half = cfg.t_final / 2.0
     fields = []
-    for lvl in range(levels):
+    for lvl in range(3):
         g = Grid(grid.r_max, grid.n_r * 2 ** lvl)
         out = evolve(cfg, g, cadence=10 ** 9, snapshot_times=(half,))
         if not out.completed or half not in out.snapshots:

@@ -98,7 +98,7 @@ def _check_stability(dt: float, omega2_max: float, label: str = "") -> None:
     if dt * math.sqrt(omega2_max) > STABILITY_LIMIT:
         raise ModeStepUnstableError(
             f"mode-step-unstable: dt*sqrt(xi^2+mu) = "
-            f"{dt * math.sqrt(omega2_max):.3f} > {STABILITY_LIMIT}"
+            f"{dt * math.sqrt(omega2_max):.3g} > {STABILITY_LIMIT}"
             + (f" at {label}" if label else "") + "; subsample the signal")
 
 

@@ -2,25 +2,25 @@
 
 The memory-corrected field v = u - Phi obeys the local-only wave
 equation, so its Cauchy residual between two late times measures how
-fast the solution settles onto free-plus-profile form.  Two free
-evolutions of v are available: the same discrete operator with sources
-off (default; the linear parts then cancel exactly and the residual is
-the accumulated local forcing), and the closed-form d'Alembert formula
-on the odd extension with linear interpolation (kept for cross-checks;
-its scheme-dispersion mismatch floors the residual at second order).
+fast the solution settles onto free-plus-profile form.  v is re-evolved
+with the run's own discrete operator, sources off, so the linear parts
+cancel exactly and the residual is the accumulated local forcing.  The
+type-I sine transform diagonalizes that operator, so any number of RK4
+steps is applied exactly by one transform pair and a power of each
+mode's RK4 amplification factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InsufficientSamplesError, MemoryBelowNoiseError,
                      SnapshotUnavailableError, ValidationError)
 from .fitting import fit_loglog
-from .radial import FieldState, Grid, RunOutput, _march, _Workspace
+from .radial import Grid, RunOutput
 
 
 @dataclass(frozen=True)
@@ -108,60 +108,46 @@ def memory_limit(run: RunOutput) -> MemoryLimitReport:
     return MemoryLimitReport(m_inf, m_inf_norm, fit, r_obs, beat)
 
 
-def _free_evolve_discrete(run: RunOutput, W: np.ndarray, W_dot: np.ndarray,
-                          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    free_cfg = replace(run.cfg, a_null=0.0, b_bad=0.0, c_grad=0.0,
-                       d_quad=0.0, quad=None, n2_override=None)
-    ws = _Workspace(free_cfg, run.grid)
-    zero = np.zeros_like(W)
-    st = FieldState(0.0, np.stack([W, zero]), np.stack([W_dot, zero]))
-    for st in _march(ws, st, run.dt, n_steps):
-        pass
-    return st.V, st.V_dot
+def _dst1(Y: np.ndarray) -> np.ndarray:
+    """Type-I sine transform of rows that vanish at both ends.
 
-
-def _odd_interp(grid_r: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the odd extension of g at points s."""
-    return np.sign(s) * np.interp(np.abs(s), grid_r, g, left=0.0, right=0.0)
-
-
-def _even_interp(grid_r: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.interp(np.abs(s), grid_r, g, left=0.0, right=0.0)
-
-
-def _free_evolve_dalembert(run: RunOutput, W: np.ndarray, W_dot: np.ndarray,
-                           delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form line evolution of the odd extensions of (W, W_dot).
-
-    W(d, s)  = [W~(s+d) + W~(s-d)]/2 + [A(s+d) - A(s-d)]/2
-    W'(d, s) = [W~'(s+d) - W~'(s-d)]/2 + [W_dot~(s+d) + W_dot~(s-d)]/2
-    with A the (even) antiderivative of the odd extension of W_dot.
+    Y_k = sum_j y_j sin(pi j k / n) over the interior points j, from the
+    real FFT of the odd extension; the inverse is the same map times 2/n.
     """
-    grid = run.grid
-    r = grid.r
-    anti = np.concatenate(([0.0], np.cumsum(
-        0.5 * (W_dot[1:] + W_dot[:-1]) * grid.dr)))
+    ext = np.concatenate([Y, -Y[..., -2:0:-1]], axis=-1)
+    return -0.5 * np.fft.rfft(ext, axis=-1).imag
 
-    def anti_even(s):
-        return np.interp(np.abs(s), r, anti, left=0.0, right=float(anti[-1]))
 
-    Wr = np.gradient(W, grid.dr)  # derivative of the odd extension is even
-    W2 = 0.5 * (_odd_interp(r, W, r + delta) + _odd_interp(r, W, r - delta)) \
-        + 0.5 * (anti_even(r + delta) - anti_even(r - delta))
-    W2_dot = 0.5 * (_even_interp(r, Wr, r + delta)
-                    - _even_interp(r, Wr, r - delta)) \
-        + 0.5 * (_odd_interp(r, W_dot, r + delta)
-                 + _odd_interp(r, W_dot, r - delta))
+def _free_evolve(run: RunOutput, W: np.ndarray, W_dot: np.ndarray,
+                 n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """`n_steps` RK4 steps of the run's free operator W_tt = W_rr, exactly.
+
+    The sine transform diagonalizes the Dirichlet second difference with
+    frequencies om_k = (2/dr) sin(pi k / 2 n_r).  One RK4 step of
+    y'' = -om^2 y multiplies the phasor y' + i om y by
+    g = 1 - (h om)^2/2 + (h om)^4/24 + i (h - h^3 om^2/6) om, so n steps
+    multiply it by g^n.
+    """
+    n_r = run.grid.n_r
+    h = run.dt
+    om = (2.0 / run.grid.dr) * np.sin(np.pi * np.arange(1, n_r) / (2 * n_r))
+    h2 = (h * om) ** 2
+    g = 1.0 - h2 / 2.0 + h2 * h2 / 24.0 + 1j * h * (1.0 - h2 / 6.0) * om
+    y, y_dot = _dst1(np.stack([W, W_dot]))[:, 1:-1]
+    w = (y_dot + 1j * om * y) * g ** n_steps
+    coef = np.zeros((2, n_r + 1))
+    coef[0, 1:-1] = w.imag / om
+    coef[1, 1:-1] = w.real
+    W2, W2_dot = _dst1(coef) * (2.0 / n_r)
+    W2[[0, -1]] = W2_dot[[0, -1]] = 0.0
     return W2, W2_dot
 
 
-def scattering_residual(run: RunOutput, t1: float, t2: float,
-                        method: str = "discrete") -> float:
+def scattering_residual(run: RunOutput, t1: float, t2: float) -> float:
     """Energy-norm Cauchy residual of v = u - Phi between t1 and t2.
 
-    Needs snapshots at both times.  method="discrete" re-evolves v with
-    the run's own linear operator (sources off); method="dalembert" uses
-    the closed-form formula with linear interpolation.
+    Needs snapshots at both times.  v is re-evolved from t1 to t2 with
+    the run's own free operator (sources off) and compared with the run.
     """
     t_end = run.records[-1].t
     if not (t2 > t1 > 0.0) or t2 < t_end / 4.0 - 1e-9:
@@ -175,13 +161,8 @@ def scattering_residual(run: RunOutput, t1: float, t2: float,
     W1d = s1["V_dot"] - s1["P_dot"]
     W2_run = s2["V"] - s2["P"]
     W2d_run = s2["V_dot"] - s2["P_dot"]
-    if method == "discrete":
-        n_steps = int(round((s2["t"] - s1["t"]) / run.dt))
-        W2, W2d = _free_evolve_discrete(run, W1, W1d, n_steps)
-    elif method == "dalembert":
-        W2, W2d = _free_evolve_dalembert(run, W1, W1d, s2["t"] - s1["t"])
-    else:
-        raise ValidationError(f"unknown method '{method}'")
+    n_steps = int(round((s2["t"] - s1["t"]) / run.dt))
+    W2, W2d = _free_evolve(run, W1, W1d, n_steps)
     dW = W2 - W2_run
     dWd = W2d - W2d_run
     dWr = np.gradient(dW, run.grid.dr)
@@ -189,11 +170,9 @@ def scattering_residual(run: RunOutput, t1: float, t2: float,
                                         dx=run.grid.dr)))
 
 
-def scattering_residual_fit(run: RunOutput, t_list,
-                            method: str = "discrete") -> DecayFit:
+def scattering_residual_fit(run: RunOutput, t_list) -> DecayFit:
     """Fit of D(t, 2t) ~ (1+t)^p over the given base times."""
-    pts = [(float(t), scattering_residual(run, float(t), 2.0 * float(t),
-                                          method=method))
+    pts = [(float(t), scattering_residual(run, float(t), 2.0 * float(t)))
            for t in t_list]
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])

@@ -94,7 +94,10 @@ class BreitWigner:
 
     def density(self, mu):
         mu = np.asarray(mu, dtype=float)
-        out = self.alpha * self.gamma / ((mu - self.mu0) ** 2 + self.gamma ** 2)
+        # far from mu0 the square may overflow; the density is then 0
+        with np.errstate(over="ignore"):
+            out = self.alpha * self.gamma / ((mu - self.mu0) ** 2
+                                             + self.gamma ** 2)
         return np.where(mu < 0, 0.0, out)
 
     def mass_below(self, mu: float) -> float:
@@ -234,8 +237,9 @@ def _constants_adaptive(rho: SpectralDensity, tol: float) -> SpectralConstants:
 
         def dprime_abs(mu):
             g, m0 = rho.gamma, rho.mu0
-            return np.abs(-2.0 * rho.alpha * g * (mu - m0)
-                          / ((mu - m0) ** 2 + g ** 2) ** 2)
+            with np.errstate(over="ignore"):    # as in BreitWigner.density
+                return np.abs(-2.0 * rho.alpha * g * (mu - m0)
+                              / ((mu - m0) ** 2 + g ** 2) ** 2)
     else:
         raise ValidationError("adaptive constants need a continuous family")
 

@@ -7,7 +7,8 @@ number, signs, non-finite words, garbage and empty strings, so no
 generated run is heavy; the evolve, scatter and selftest commands are
 left out for the same reason.  A nonzero exit must not come with a
 numpy `RuntimeWarning`, which a real process would print on stderr
-ahead of the JSON object.
+(ahead of the JSON object on a nonzero exit), and no error message may
+run to hundreds of characters.
 """
 
 import contextlib
@@ -124,6 +125,10 @@ def config_texts(draw):
 @example(argv=_call("memory-test", dt="1e200", t_final="1e200"))
 @example(argv=_call("dispersion", k_grid="1e300"))
 @example(argv=_call("dispersion", density=1, mu0="1e200"))
+# exit 0 with a symbol or density that overflows inside the computation
+@example(argv=_call("dispersion", k_grid="1e154"))
+@example(argv=_call("dispersion", alpha="1e200"))
+@example(argv=_call("kernel", density=1, mu0="1e150"))
 def test_cli_exit_codes_total(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -132,9 +137,10 @@ def test_cli_exit_codes_total(argv):
         code = main(argv)
     assert code in (0, 2, 3)
     if code:
-        assert isinstance(json.loads(err.getvalue())["error"], str)
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
+        error = json.loads(err.getvalue())
+        assert isinstance(error["error"], str)
+        assert len(error["message"]) < 200
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.filterwarnings("ignore:beta = 0")

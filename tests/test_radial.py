@@ -118,8 +118,7 @@ def run_arrays(out):
     """Every array of a RunOutput, by name."""
     arrays = {"records": np.array([[getattr(rec, f) for f in rec.FIELDS]
                                    for rec in out.records]),
-              "profile_times": out.profile_times, "u": out.u_profiles,
-              "m": out.m_profiles, "phi": out.phi_profiles}
+              "profile_times": out.profile_times, "m": out.m_profiles}
     for ts, snap in out.snapshots.items():
         for key, value in snap.items():
             if isinstance(value, np.ndarray):
@@ -240,6 +239,11 @@ class TestStep:
         grid = Grid(21.0, 128)
         with pytest.raises(ValidationError, match="stiffness"):
             step(initialize(free_cfg(t_final=1.0), grid), cfg, grid)
+        # a huge guard value prints in a few digits, not a few hundred
+        with pytest.raises(ValidationError, match="stiffness") as exc:
+            step(initialize(free_cfg(t_final=1.0), grid), cfg, grid,
+                 dt=1e200)
+        assert len(str(exc.value)) < 100
 
 
 class TestLaplacian:
@@ -295,7 +299,7 @@ class TestBufferedStep:
                             reference_rk4_step(ws, st, dt))
         reference = run()
         got, want = run_arrays(buffered), run_arrays(reference)
-        assert got.keys() == want.keys() and len(want) == 5 + 2 * 7
+        assert got.keys() == want.keys() and len(want) == 3 + 2 * 7
         for name in want:
             assert same_bits(got[name], want[name]), name
         assert (buffered.dt, buffered.completed, buffered.n_steps) == \
@@ -332,7 +336,7 @@ class TestBufferedStep:
         out = evolve(cfg, Grid(21.0, 128), cadence=4,
                      snapshot_times=(0.0, 2.0, 4.0))
         arrays = list(run_arrays(out).items())
-        assert len(arrays) == 5 + 3 * 7
+        assert len(arrays) == 3 + 3 * 7
         for i, (name_a, a) in enumerate(arrays):
             for name_b, b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b), (name_a, name_b)
@@ -428,7 +432,8 @@ class TestEvolve:
         cfg = free_cfg(t_final=4.0)
         a = evolve(cfg, Grid(21.0, 256), cadence=7)
         b = evolve(cfg, Grid(21.0, 256), cadence=7)
-        assert np.array_equal(a.u_profiles, b.u_profiles)
+        assert np.array_equal(a.m_profiles, b.m_profiles)
+        assert a.records == b.records
 
     def test_cfl_independence(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
@@ -494,7 +499,3 @@ class TestConvergenceStudy:
                        t_final=8.0)
         rep = convergence_study(cfg, Grid(21.0, 128))
         assert 1.7 <= rep.observed_order <= 2.3
-
-    def test_levels_fixed(self):
-        with pytest.raises(ValidationError):
-            convergence_study(free_cfg(), Grid(21.0, 128), levels=2)

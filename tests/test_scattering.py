@@ -6,10 +6,25 @@ import pytest
 
 from cetlab import (Grid, ModelConfig, PowerLawExp, ValidationError,
                     build_quadrature, decay_fit, evolve, memory_limit,
-                    scattering_residual, scattering_residual_fit)
+                    scattering, scattering_residual, scattering_residual_fit)
 from cetlab.errors import (InsufficientSamplesError, MemoryBelowNoiseError,
                            SnapshotUnavailableError)
+from cetlab.radial import FieldState, _march, _Workspace
 from cetlab.selftest import RESIDUAL_EXPONENT_MIN
+
+
+def march_free_evolve(run, W, W_dot, n_steps):
+    """The oracle for the sine-transform propagator: `n_steps` RK4 steps
+    of the run's own march with every coupling off, on a (W, 0) stack."""
+    free_cfg = dataclasses.replace(run.cfg, a_null=0.0, b_bad=0.0,
+                                   c_grad=0.0, d_quad=0.0, quad=None,
+                                   n2_override=None)
+    ws = _Workspace(free_cfg, run.grid)
+    zero = np.zeros_like(W)
+    st = FieldState(0.0, np.stack([W, zero]), np.stack([W_dot, zero]))
+    for st in _march(ws, st, run.dt, n_steps):
+        pass
+    return st.V, st.V_dot
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +106,25 @@ class TestScatteringResidual:
         d = scattering_residual(linear_run, 10.0, 20.0)
         assert d < 1e-14
 
-    def test_linear_run_dalembert_residual_is_second_order(self, linear_run):
-        d = scattering_residual(linear_run, 10.0, 20.0, method="dalembert")
-        # pure interpolation/dispersion error of the closed-form route
-        assert d < 10.0 * linear_run.grid.dr ** 2
+    # the linear run's residual is roundoff on both routes (the march
+    # reproduces that run exactly), so it is compared in absolute terms
+    @pytest.mark.parametrize("name, t1, d_abs", [("linear_run", 10.0, 1e-14),
+                                                 ("memory_run", 25.0, 0.0),
+                                                 ("memory_run", 50.0, 0.0)])
+    def test_propagator_matches_march(self, request, monkeypatch, name, t1,
+                                      d_abs):
+        run = request.getfixturevalue(name)
+        s1, s2 = run.snapshots[t1], run.snapshots[2.0 * t1]
+        W, W_dot = s1["V"] - s1["P"], s1["V_dot"] - s1["P_dot"]
+        n_steps = int(round((s2["t"] - s1["t"]) / run.dt))
+        got = scattering._free_evolve(run, W, W_dot, n_steps)
+        want = march_free_evolve(run, W, W_dot, n_steps)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        d = scattering_residual(run, t1, 2.0 * t1)
+        monkeypatch.setattr(scattering, "_free_evolve", march_free_evolve)
+        assert d == pytest.approx(scattering_residual(run, t1, 2.0 * t1),
+                                  rel=1e-10, abs=d_abs)
 
     def test_residuals_decrease(self, memory_run):
         d1 = scattering_residual(memory_run, 25.0, 50.0)
