@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: kernel, quad, memory-test, avg-decay, dispersion, evolve,
-scatter, pheno, selftest.  Every numeric output is printed with 17
-significant digits and '.' decimals; CSV and JSON files start with a
-header comment carrying the tool version and a digest of the inputs, so
-identical invocations produce byte-identical files.  Exit codes: 0 on
-success, 2 on validation errors (malformed arguments included), 3 on
-numerical failures, with a JSON error object on stderr.
+scatter, pheno, selftest.  Density flags and value types come from the
+grammar in `cetlab.config` that run files use too.  Every numeric output
+is printed with 17 significant digits and '.' decimals; CSV and JSON
+files start with a header comment carrying the tool version and a digest
+of the inputs, so identical invocations produce byte-identical files.
+Exit codes: 0 on success, 2 on validation errors (malformed arguments
+included), 3 on numerical failures, with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .averaging import atomic_no_decay_check, decay_bound_check
-from .config import parse_atoms, parse_config
+from .config import (FAMILIES, finite_float, float_list, make_density,
+                     parse_config)
 from .dispersion import DEFAULT_K_GRID, mode_stability_scan, solve_branch
 from .errors import CetlabError, NumericalError, ValidationError
 from .pheno import signature_report
@@ -31,8 +33,7 @@ from .quadrature import build_quadrature
 from .radial import DiagnosticsRecord, evolve
 from .resolvent import TimeSeries, apply_memory, apply_memory2
 from .scattering import decay_fit, memory_limit, scattering_residual_fit
-from .spectral import (BreitWigner, DiracComb, PowerLawExp, check_conditions,
-                       spectral_constants)
+from .spectral import DiracComb, check_conditions, spectral_constants
 
 
 def _nonfinite_name(x: float) -> str:
@@ -118,53 +119,36 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: '{text}'")
-    return value
-
-
-def _comma_list(item):
-    """argparse type: a nonempty comma list of `item` values."""
-    def parse(text: str) -> tuple:
+def _flag_type(parse):
+    """argparse type over a parser of `cetlab.config`: its ValueError is a
+    malformed argument, and so is an empty comma list."""
+    def convert(text: str):
         try:
-            values = tuple(item(x) for x in text.split(",") if x.strip())
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+            value = parse(text)
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(
-                f"bad comma list '{text}': {exc}") from None
-        if not values:
+                f"bad value '{text}': {exc}") from None
+        if value == ():
             raise argparse.ArgumentTypeError("empty comma list")
-        return values
-    return parse
+        return value
+    return convert
+
+
+_finite_float = _flag_type(finite_float)
 
 
 def _density_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
-                   choices=("powerlaw", "breitwigner", "diraccomb"))
-    p.add_argument("--alpha", type=_finite_float)
-    p.add_argument("--beta", type=_finite_float)
-    p.add_argument("--lambda", dest="lam", type=_finite_float)
-    p.add_argument("--gamma", type=_finite_float)
-    p.add_argument("--mu0", type=_finite_float)
-    p.add_argument("--atoms", help="semicolon list of 'alpha mu' pairs")
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    names = dict.fromkeys(n for _, params in FAMILIES.values() for n in params)
+    for name in names:
+        if name == "atoms":
+            p.add_argument("--atoms", help="semicolon list of 'alpha mu' pairs")
+        else:
+            p.add_argument(f"--{name}", type=_finite_float)
 
 
 def _density_from_args(a) -> object:
-    if a.family == "powerlaw":
-        if None in (a.alpha, a.beta, a.lam):
-            raise ValidationError("powerlaw needs --alpha --beta --lambda")
-        return PowerLawExp(a.alpha, a.beta, a.lam)
-    if a.family == "breitwigner":
-        if None in (a.alpha, a.gamma, a.mu0):
-            raise ValidationError("breitwigner needs --alpha --gamma --mu0")
-        return BreitWigner(a.alpha, a.gamma, a.mu0)
-    if not a.atoms:
-        raise ValidationError("diraccomb needs --atoms 'a1 m1; a2 m2; ...'")
-    return DiracComb(parse_atoms(a.atoms))
+    return make_density(a.family, vars(a))
 
 
 def _cmd_kernel(a) -> int:
@@ -394,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", help="dispersion branch and mode scan")
     _density_args(p)
-    p.add_argument("--k-grid", type=_comma_list(_finite_float),
+    p.add_argument("--k-grid", type=_flag_type(float_list),
                    help="comma list, default "
                    + ",".join(map(str, DEFAULT_K_GRID)))
     p.add_argument("--tol", type=_finite_float, default=1e-10)
@@ -407,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="memory limit and scattering fits")
     p.add_argument("--config", required=True)
-    p.add_argument("--residual-times", type=_comma_list(_finite_float),
+    p.add_argument("--residual-times", type=_flag_type(float_list),
                    default="25,50,100",
                    help="base times t for the D(t,2t) fit")
     p.add_argument("--fit-lo", type=_finite_float, default=20.0)
@@ -422,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pheno)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--only", type=_comma_list(int),
+    p.add_argument("--only", type=_flag_type(lambda t: float_list(t, int)),
                    help="comma list of criterion numbers")
     p.set_defaults(fn=_cmd_selftest)
     return ap

@@ -1,14 +1,21 @@
-"""Flat sectioned key=value run configuration.
+"""The input grammar shared by the run file and the command line.
 
-Grammar (one statement per line):
+`FAMILIES` lists each density family with its class and parameters;
+`make_density` builds one, and `finite_float`, `float_list` and
+`parse_atoms` read values.  `cetlab.cli` makes its density flags from
+the same table, so both front ends accept the same densities and word
+their errors alike.
+
+Run file grammar (one statement per line):
 
     # comment                 blank lines and '#' comments are skipped
     [section]                 section header: density, quadrature,
                               solver, output
-    key = value               scalar, word, comma list, or atom pairs
+    key = value               number, word, comma list, or atom pairs
 
-Values: floats and ints parse as numbers; `snapshot_times` is a comma
-list of floats; `atoms` is a semicolon list of "alpha mu" pairs, e.g.
+Values: `n_nodes`, `n_r` and `cadence` are integers, every other number
+a finite float; `snapshot_times` is a (possibly empty) comma list of
+them; `atoms` is a semicolon list of "alpha mu" pairs, e.g.
 `atoms = 0.5 1.0; 0.25 4.0`; `formats` is a comma list of words.
 Unknown sections or keys, and any violated model invariant, raise a
 ValidationError carrying file and line.
@@ -26,7 +33,14 @@ from .spectral import BreitWigner, DiracComb, PowerLawExp, SpectralDensity
 
 _SECTIONS = ("density", "quadrature", "solver", "output")
 
-_DENSITY_KEYS = {"family", "alpha", "beta", "lambda", "gamma", "mu0", "atoms"}
+# each family's density class and its parameters in constructor order;
+# `atoms` is the text of "alpha mu" pairs, every other one a finite float
+FAMILIES = {
+    "powerlaw": (PowerLawExp, ("alpha", "beta", "lambda")),
+    "breitwigner": (BreitWigner, ("alpha", "gamma", "mu0")),
+    "diraccomb": (DiracComb, ("atoms",)),
+}
+_DENSITY_KEYS = {"family"}.union(*(names for _, names in FAMILIES.values()))
 _QUAD_KEYS = {"n_nodes", "tol"}
 _SOLVER_KEYS = {"r_max", "n_r", "cfl", "t_final", "epsilon", "a_null",
                 "b_bad", "c_grad", "d_quad", "r_c", "sigma", "velocity_mode",
@@ -65,29 +79,34 @@ def _err(path: str, line_no: int, msg: str) -> ValidationError:
     return ValidationError(f"{path}:{line_no}: {msg}")
 
 
-def _parse_scalar(raw: str):
-    word = raw.strip()
+def finite_float(text) -> float:
+    """`text` as a finite float; the ValueError says what it must be."""
     try:
-        return int(word)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        return float(word)
-    except ValueError:
-        return word
+        raise ValueError("must be a number") from None
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def float_list(text: str, item=finite_float) -> tuple:
+    """The comma list `text` read entry by entry with `item`; blank
+    entries are skipped, so a blank list is the empty tuple."""
+    return tuple(item(x) for x in text.split(",") if x.strip())
 
 
 def _number(path: str, line: int, key: str, raw: str):
     """Parse a numeric value; integer keys must be written as integers."""
-    v = _parse_scalar(raw)
     if key in _INTEGER_KEYS:
-        if not isinstance(v, int):
-            raise _err(path, line, f"{key} must be an integer")
-    elif not isinstance(v, (int, float)):
-        raise _err(path, line, f"{key} must be a number")
-    elif not math.isfinite(v):
-        raise _err(path, line, f"{key} must be finite")
-    return v
+        try:
+            return int(raw)
+        except ValueError:
+            raise _err(path, line, f"{key} must be an integer") from None
+    try:
+        return finite_float(raw)
+    except ValueError as exc:
+        raise _err(path, line, f"{key} {exc}") from None
 
 
 def parse_atoms(raw: str) -> tuple:
@@ -95,14 +114,25 @@ def parse_atoms(raw: str) -> tuple:
     pairs = []
     for chunk in raw.split(";"):
         try:
-            alpha, mu = map(float, chunk.replace(",", " ").split())
-            finite = math.isfinite(alpha) and math.isfinite(mu)
+            alpha, mu = map(finite_float, chunk.replace(",", " ").split())
         except ValueError:
-            finite = False
-        if not finite:
-            raise ValidationError(f"bad atom entry '{chunk.strip()}'")
+            raise ValidationError(f"bad atom entry '{chunk.strip()}'") from None
         pairs.append((alpha, mu))
     return tuple(pairs)
+
+
+def make_density(family: str, values) -> SpectralDensity:
+    """The `family` density from `values`, which maps parameter names to
+    floats and `atoms` to its text.  A parameter that is absent or None
+    is missing, and one error names every missing parameter."""
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family '{family}'")
+    cls, names = FAMILIES[family]
+    missing = [name for name in names if values.get(name) is None]
+    if missing:
+        raise ValidationError(f"{family} needs " + ", ".join(missing))
+    return cls(*(parse_atoms(values[name]) if name == "atoms"
+                 else values[name] for name in names))
 
 
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
@@ -119,6 +149,7 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
             section = stripped[1:-1].strip().lower()
             if section not in _SECTIONS:
                 raise _err(path, i, f"unknown section [{section}]")
+            lines_of[section] = i
             continue
         if "=" not in stripped:
             raise _err(path, i, "expected key = value")
@@ -148,36 +179,19 @@ def _density_from(sec: dict, lines: dict, path: str) -> SpectralDensity | None:
     if not sec:
         return None
     fam = sec.get("family")
-    line = lines.get(("density", "family"), 0)
     if fam is None:
-        raise _err(path, 0, "[density] needs family")
-
-    def num(key, default=None):
-        if key not in sec:
-            if default is None:
-                raise _err(path, line, f"family {fam} needs {key}")
-            return default
-        return float(_number(path, lines[("density", key)], key, sec[key]))
-
+        raise _err(path, lines["density"], "[density] needs family")
+    line = lines[("density", "family")]
+    names = FAMILIES[fam][1] if fam in FAMILIES else ()
+    values = {key: sec[key] if key == "atoms"
+              else _number(path, lines[("density", key)], key, sec[key])
+              for key in names if key in sec}
     try:
-        if fam == "powerlaw":
-            return PowerLawExp(num("alpha"), num("beta"), num("lambda"))
-        if fam == "breitwigner":
-            return BreitWigner(num("alpha"), num("gamma"), num("mu0"))
-        if fam == "diraccomb":
-            raw = sec.get("atoms")
-            if raw is None:
-                raise _err(path, line, "diraccomb needs atoms")
-            try:
-                pairs = parse_atoms(raw)
-            except ValidationError as exc:
-                raise _err(path, lines[("density", "atoms")], str(exc)) from None
-            return DiracComb(pairs)
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise _err(path, line, str(exc))
-    raise _err(path, line, f"unknown family '{fam}'")
+        return make_density(fam, values)
+    except ValidationError as exc:
+        if "atoms" in names:    # the atom list is the family's only value
+            line = lines.get(("density", "atoms"), line)
+        raise _err(path, line, str(exc)) from None
 
 
 def _build(sections, lines, path, text) -> RunConfig:
@@ -185,7 +199,7 @@ def _build(sections, lines, path, text) -> RunConfig:
     quad = {key: _number(path, lines[("quadrature", key)], key, raw)
             for key, raw in sections["quadrature"].items()}
     n_nodes = quad.get("n_nodes", DEFAULT_N_NODES)
-    quad_tol = float(quad.get("tol", 1e-10))
+    quad_tol = quad.get("tol", 1e-10)
 
     solver = {}
     s = sections["solver"]
@@ -195,18 +209,14 @@ def _build(sections, lines, path, text) -> RunConfig:
             solver[key] = raw
         elif key == "snapshot_times":
             try:
-                times = tuple(float(x) for x in raw.split(",") if x.strip())
-                finite = all(map(math.isfinite, times))
+                solver[key] = float_list(raw)
             except ValueError:
-                finite = False
-            if not finite:
                 raise _err(path, line, "snapshot_times must be a comma list "
-                                       "of finite numbers")
-            solver[key] = times
+                                       "of finite numbers") from None
         else:
             solver[key] = _number(path, line, key, raw)
     if s and "epsilon" not in solver:
-        raise ValidationError(f"{path}: [solver] needs epsilon")
+        raise _err(path, lines["solver"], "[solver] needs epsilon")
 
     out = sections["output"]
     out_dir = out.get("directory", "out")
@@ -214,7 +224,7 @@ def _build(sections, lines, path, text) -> RunConfig:
                     if x.strip())
     for f in formats:
         if f not in ("csv", "json"):
-            raise _err(path, lines.get(("output", "formats"), 0),
+            raise _err(path, lines[("output", "formats")],
                        f"unknown format '{f}'")
     # surface model invariants now, with the config path attached
     cfgobj = RunConfig(density, n_nodes, quad_tol, solver, out_dir, formats,

@@ -152,10 +152,7 @@ def mode_stability_scan(rho: SpectralDensity, k_grid=DEFAULT_K_GRID,
                         tol: float = 1e-11, n_seeds: int = 32,
                         seed: int = SCAN_SEED) -> StabilityScan:
     """Damped complex Newton sweep for dispersion roots off the real axis."""
-    if isinstance(rho, DiracComb):
-        quad = MassQuadrature(rho.masses, rho.weights, rho.family)
-    else:
-        quad = build_quadrature(rho, SCAN_NODES)
+    quad = build_quadrature(rho, SCAN_NODES)   # atoms pass through exactly
     mu_inf = _support_min(rho)
     l1 = float(np.sum(quad.weights))
     max_im = 0.0

@@ -127,9 +127,10 @@ class ModelConfig:
                                        f"{need:.6g}, got {grid.r_max:.6g}")
         guard = self.stiffness_guard(grid, dt)
         if guard > STIFFNESS_LIMIT:
+            # shortest round-trip digits: never equal to the limit's
             raise ValidationError(
                 f"stiffness guard violated: dt*sqrt(mu_max + (pi/dr)^2) = "
-                f"{guard:.3g} > {STIFFNESS_LIMIT}")
+                f"{guard} > {STIFFNESS_LIMIT}")
 
 
 def padded_r_max(cfg: ModelConfig) -> float:

@@ -96,9 +96,10 @@ def _midpoints(f: np.ndarray) -> np.ndarray:
 
 def _check_stability(dt: float, omega2_max: float, label: str = "") -> None:
     if dt * math.sqrt(omega2_max) > STABILITY_LIMIT:
+        # shortest round-trip digits: never equal to the limit's
         raise ModeStepUnstableError(
             f"mode-step-unstable: dt*sqrt(xi^2+mu) = "
-            f"{dt * math.sqrt(omega2_max):.3g} > {STABILITY_LIMIT}"
+            f"{dt * math.sqrt(omega2_max)} > {STABILITY_LIMIT}"
             + (f" at {label}" if label else "") + "; subsample the signal")
 
 

@@ -223,7 +223,10 @@ def _bw_core_edges(rho: BreitWigner) -> np.ndarray:
     return np.array(sorted(edges))
 
 
-def _constants_adaptive(rho: SpectralDensity, tol: float) -> SpectralConstants:
+def adaptive_constants(rho: SpectralDensity,
+                       tol: float = DEFAULT_TOL) -> SpectralConstants:
+    """The constants of a continuous family by flagged quadrature alone,
+    the reference the power law's closed forms are checked against."""
     if isinstance(rho, PowerLawExp):
         kink = rho.beta * rho.lam
         edges = _powerlaw_core_edges(rho, extra=(kink,) if kink > 0 else ())
@@ -252,13 +255,11 @@ def _constants_adaptive(rho: SpectralDensity, tol: float) -> SpectralConstants:
         c_mhalf=moment(-0.5))
 
 
-def spectral_constants(rho: SpectralDensity, tol: float = DEFAULT_TOL,
-                       method: str = "auto") -> SpectralConstants:
-    """Compute (l1, c_m1, c_p1, c_prime, c_mhalf) for a spectral density.
-
-    method: "auto" uses closed forms when available, "adaptive" forces
-    the flagged-quadrature path (for cross-checks).
-    """
+def spectral_constants(rho: SpectralDensity,
+                       tol: float = DEFAULT_TOL) -> SpectralConstants:
+    """Compute (l1, c_m1, c_p1, c_prime, c_mhalf) for a spectral density:
+    sums over atoms, closed forms for the power law, and
+    `adaptive_constants` for the Lorentzian."""
     if not (0.0 < tol <= 1e-4):
         raise ValidationError("tol must lie in (0, 1e-4]")
     if isinstance(rho, DiracComb):
@@ -269,9 +270,9 @@ def spectral_constants(rho: SpectralDensity, tol: float = DEFAULT_TOL,
             c_p1=float(np.sum(w * m)),
             c_prime=None,
             c_mhalf=float(np.sum(w / np.sqrt(m))))
-    if method == "auto" and isinstance(rho, PowerLawExp):
+    if isinstance(rho, PowerLawExp):
         return _powerlaw_closed(rho)
-    return _constants_adaptive(rho, tol)
+    return adaptive_constants(rho, tol)
 
 
 @dataclass(frozen=True)

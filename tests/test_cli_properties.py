@@ -146,11 +146,17 @@ def test_cli_exit_codes_total(argv):
 @pytest.mark.filterwarnings("ignore:beta = 0")
 @settings(PROFILE, max_examples=400)
 @given(text=config_texts())
+# a [density] section without family, and a float key holding an integer
+# too large for a float
+@example(text="[density]\nalpha = 1\n")
+@example(text="[solver]\ncfl = 0.5\n[density]\nbeta = 1\nlambda = 1\n")
+@example(text="[solver]\nepsilon = 1" + "0" * 400 + "\n")
 def test_config_errors_are_coded(text):
     try:
         rc = parse_config_text(text)
     except CetlabError as exc:
         assert exc.code
+        assert ":0:" not in str(exc)   # no error is placed on a line 0
         return
     numbers = [rc.quad_tol, *rc.solver.get("snapshot_times", ())]
     numbers += [v for v in rc.solver.values() if isinstance(v, (int, float))]

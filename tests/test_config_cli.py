@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cetlab import PowerLawExp, ValidationError
-from cetlab.cli import _dumps, main, write_json
-from cetlab.config import parse_config_text
+from cetlab.cli import _density_from_args, _dumps, build_parser, main, \
+    write_json
+from cetlab.config import FAMILIES, parse_config_text
 
 
 def strict_loads(text: str):
@@ -79,11 +80,74 @@ class TestConfigParser:
         with pytest.raises(ValidationError, match="cfl"):
             parse_config_text(bad)
 
+    def test_density_without_family_reports_header_line(self):
+        bad = "# densities\n\n[density]\nalpha = 1.0\nbeta = 1.0\n"
+        with pytest.raises(ValidationError,
+                           match=r"^<config>:3: \[density\] needs family$"):
+            parse_config_text(bad)
+
+    def test_solver_without_epsilon_reports_header_line(self):
+        with pytest.raises(ValidationError,
+                           match=r"^<config>:2: \[solver\] needs epsilon$"):
+            parse_config_text("\n[solver]\ncfl = 0.5\n")
+
+    def test_density_invariant_reports_family_line(self):
+        bad = "[density]\nfamily = powerlaw\nalpha = 1\nbeta = -1\nlambda = 1\n"
+        with pytest.raises(ValidationError, match=r"^<config>:2: .*beta >= 0"):
+            parse_config_text(bad)
+
     def test_atoms_grammar(self):
         text = ("[density]\nfamily = diraccomb\n"
                 "atoms = 0.5 1.0; 0.25 4.0\n")
         rc = parse_config_text(text)
         assert rc.density.atoms == ((0.5, 1.0), (0.25, 4.0))
+
+
+# one density per family, as command-line flags and as [density] keys
+FAMILY_VALUES = {
+    "powerlaw": {"alpha": "0.5", "beta": "1.5", "lambda": "2"},
+    "breitwigner": {"alpha": "1", "gamma": "0.1", "mu0": "1e0"},
+    "diraccomb": {"atoms": "0.5 1; 0.25 4"},
+}
+
+
+class TestGrammarParity:
+    @staticmethod
+    def from_flags(family, values):
+        argv = ["kernel", "--family", family]
+        for name, text in values.items():
+            argv += [f"--{name}", text]
+        return _density_from_args(build_parser().parse_args(argv))
+
+    @staticmethod
+    def from_config(family, values):
+        text = "[density]\nfamily = " + family + "\n" + "".join(
+            f"{name} = {v}\n" for name, v in values.items())
+        return parse_config_text(text).density
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_VALUES))
+    def test_flags_and_keys_build_equal_densities(self, family):
+        assert set(FAMILY_VALUES[family]) == set(FAMILIES[family][1])
+        values = FAMILY_VALUES[family]
+        rho = self.from_flags(family, values)
+        assert isinstance(rho, FAMILIES[family][0])
+        assert rho == self.from_config(family, values)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_VALUES))
+    def test_missing_parameters_named_alike(self, family):
+        names = FAMILIES[family][1]
+        # every parameter missing, then each one alone
+        cases = [{}] + [{k: v for k, v in FAMILY_VALUES[family].items()
+                         if k != name} for name in names]
+        for values in cases:
+            missing = [n for n in names if n not in values]
+            with pytest.raises(ValidationError) as flag_err:
+                self.from_flags(family, values)
+            with pytest.raises(ValidationError) as key_err:
+                self.from_config(family, values)
+            message = f"{family} needs " + ", ".join(missing)
+            assert str(flag_err.value) == message
+            assert str(key_err.value) == "<config>:2: " + message
 
 
 class TestCli:

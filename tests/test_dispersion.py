@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cetlab import (DiracComb, PowerLawExp, mode_stability_scan,
-                    one_atom_root, self_energy, solve_branch)
+from cetlab import (DiracComb, PowerLawExp, build_quadrature,
+                    mode_stability_scan, one_atom_root, self_energy,
+                    solve_branch)
+from cetlab.dispersion import SCAN_NODES
 from cetlab.errors import PrincipalValueError
 from cetlab.integrals import trapezoid_oracle
 
@@ -81,6 +83,15 @@ class TestStabilityScan:
     def test_two_atom_no_growing_modes(self):
         scan = mode_stability_scan(DiracComb(((0.5, 1.0), (0.25, 4.0))))
         assert scan.max_im <= 1e-8
+        # criterion 6's value, recorded when the scan still built the
+        # comb's nodes itself; build_quadrature passes them through bitwise
+        assert scan.max_im == 1.249843104915778e-13
+
+    def test_scan_quadrature_is_the_atoms(self):
+        comb = DiracComb(((0.3, 0.2), (0.7, 0.9), (2.0, 3.5)))
+        quad = build_quadrature(comb, SCAN_NODES)
+        assert quad.nodes.tobytes() == comb.masses.tobytes()
+        assert quad.weights.tobytes() == comb.weights.tobytes()
 
     def test_one_atom_both_real_branches(self):
         scan = mode_stability_scan(DiracComb(((1.0, 1.0),)), k_grid=(1.0,))

@@ -14,6 +14,7 @@ import pytest
 from cetlab import (BreitWigner, PowerLawExp, build_quadrature,
                     decay_bound_check, spectral_constants)
 from cetlab.dispersion import self_energy
+from cetlab.spectral import adaptive_constants
 from cetlab.errors import QuadratureBudgetError
 from cetlab.integrals import (flagged_integral, gauss_panels, leggauss,
                               panel_rule)
@@ -67,7 +68,7 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("name", sorted(ADAPTIVE))
     def test_adaptive_constants(self, name):
-        c = spectral_constants(DENSITIES[name], 1e-10, method="adaptive")
+        c = adaptive_constants(DENSITIES[name], 1e-10)
         got = (c.l1, c.c_m1, c.c_p1, c.c_prime, c.c_mhalf)
         assert got == ADAPTIVE[name]
         assert all(type(v) is float for v in got)

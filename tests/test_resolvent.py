@@ -107,6 +107,13 @@ class TestModeResponse:
         with pytest.raises(ModeStepUnstableError):
             kg_retarded(ModeParams(100.0, 0.0), f)
 
+    def test_stability_message_separates_value_from_limit(self):
+        # dt * sqrt(mu) = 2.5004 would print as the limit 2.5 in 3 digits
+        with pytest.raises(ModeStepUnstableError) as exc:
+            kg_retarded(ModeParams(1.0, 0.0), series(2.5004, 10, np.ones_like))
+        assert "= 2.5004 > 2.5" in str(exc.value)
+        assert len(str(exc.value)) < 200
+
     def test_zero_mode_rejected_without_flag(self):
         with pytest.raises(ValidationError):
             ModeParams(0.0, 0.0)

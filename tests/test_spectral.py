@@ -10,6 +10,7 @@ from cetlab import (BreitWigner, DiracComb, PowerLawExp, ValidationError,
                     check_conditions, eval_density, spectral_constants)
 from cetlab.errors import NotPointwiseEvaluableError
 from cetlab.integrals import trapezoid_oracle
+from cetlab.spectral import adaptive_constants
 
 
 def flat_exponential():
@@ -40,7 +41,7 @@ class TestPowerLaw:
         tol = 1e-10
         for rho in (PowerLawExp(1.0, 1.0, 1.0), PowerLawExp(0.5, 2.5, 0.7)):
             closed = spectral_constants(rho)
-            adaptive = spectral_constants(rho, tol=tol, method="adaptive")
+            adaptive = adaptive_constants(rho, tol=tol)
             for name in ("l1", "c_m1", "c_p1", "c_prime", "c_mhalf"):
                 ref = getattr(closed, name)
                 got = getattr(adaptive, name)
@@ -68,7 +69,7 @@ class TestPowerLaw:
             PowerLawExp(alpha, beta, lam)
 
     def test_adaptive_flags_beta_zero_divergence(self):
-        c = spectral_constants(flat_exponential(), method="adaptive")
+        c = adaptive_constants(flat_exponential())
         assert math.isinf(c.c_m1)
 
 
