@@ -18,9 +18,9 @@ from .pheno import (SignatureReport, ligo_bound, memory_excess_ratio,
                     phase_shift, pulsar_timing_bound, signature_report,
                     tail_amplitude, tail_crossing)
 from .quadrature import MassQuadrature, build_quadrature, validate_moments
-from .radial import (ConvergenceReport, DiagnosticsRecord, FieldState, Grid,
-                     ModelConfig, RunOutput, convergence_study, evolve,
-                     free_wave_exact, initialize, padded_r_max, step)
+from .radial import (DiagnosticsRecord, FieldState, Grid, ModelConfig,
+                     RunOutput, evolve, free_wave_exact, initialize,
+                     padded_r_max, step)
 from .resolvent import (BoundReport, CommutatorCheck, ModeParams, TimeSeries,
                         apply_memory, apply_memory2, commutator_residual,
                         duhamel_ratio, kg_retarded, mass_weighted_bound_check,
@@ -29,6 +29,6 @@ from .scattering import (DecayFit, MemoryLimitReport, decay_fit, memory_limit,
                          scattering_residual, scattering_residual_fit)
 from .spectral import (BreitWigner, ConditionReport, DiracComb, PowerLawExp,
                        SpectralConstants, SpectralDensity, check_conditions,
-                       density_at_zero, eval_density, spectral_constants)
+                       eval_density, spectral_constants)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

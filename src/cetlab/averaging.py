@@ -17,16 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import OscillatoryBudgetError, S5RequiredError, ValidationError
 from .fitting import fit_loglog
 from .integrals import gauss_panels
-from .spectral import (BreitWigner, DiracComb, PowerLawExp, SpectralConstants,
-                       SpectralDensity, density_at_zero)
+from .spectral import DiracComb, SpectralConstants, SpectralDensity
 
 DEFAULT_T_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
-DEFAULT_XI_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+XI_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+_SYMBOL_TOL = 1e-8
+_N_DENSE = 4001     # samples per window of the atomic check
 
 _PANELS_PER_PERIOD = 8
 _PANEL_ORDER = 8
@@ -34,27 +34,15 @@ _MAX_PANELS = 4_000_000
 
 
 def _tail_cut(rho: SpectralDensity, xi: float, tol: float) -> float:
-    """Frequency w beyond which the remaining symbol mass is below tol."""
-    if isinstance(rho, PowerLawExp):
-        # tail of int rho/sqrt(xi^2+mu) dmu <= Gamma-tail / sqrt(mu_cut)
-        mu_cut = rho.lam
-        total = rho.alpha * rho.lam ** (rho.beta + 1) * math.gamma(rho.beta + 1)
-        for _ in range(200):
-            tail = total * gammaincc(rho.beta + 1, mu_cut / rho.lam)
-            if tail / math.sqrt(mu_cut) < tol:
-                break
-            mu_cut *= 1.5
-        return math.sqrt(xi ** 2 + mu_cut)
-    if isinstance(rho, BreitWigner):
-        mu_cut = rho.mu0 + 4.0 * rho.gamma
-        for _ in range(200):
-            tail = rho.alpha * (math.pi / 2
-                                - math.atan((mu_cut - rho.mu0) / rho.gamma))
-            if tail / math.sqrt(mu_cut) < tol:
-                break
-            mu_cut *= 1.5
-        return math.sqrt(xi ** 2 + mu_cut)
-    raise ValidationError("tail cut needs a continuous family")
+    """Frequency w beyond which the remaining symbol mass is below tol:
+    the tail of int rho/sqrt(xi^2+mu) dmu is at most the mass above
+    mu_cut over sqrt(mu_cut)."""
+    mu_cut = rho.tail_start
+    for _ in range(200):
+        if rho.mass_above(mu_cut) / math.sqrt(mu_cut) < tol:
+            break
+        mu_cut *= 1.5
+    return math.sqrt(xi ** 2 + mu_cut)
 
 
 def _half_symbol(rho: SpectralDensity, t: float, xi: float,
@@ -74,7 +62,7 @@ def _half_symbol(rho: SpectralDensity, t: float, xi: float,
 
 
 def averaged_symbol(rho: SpectralDensity, t: float, xi: float,
-                    tol: float = 1e-8) -> float:
+                    tol: float = _SYMBOL_TOL) -> float:
     """T(t, xi); exact trigonometric sum for atomic densities.
 
     The symbol depends on xi only through xi**2, so negative inputs are
@@ -83,7 +71,7 @@ def averaged_symbol(rho: SpectralDensity, t: float, xi: float,
     if t <= 0:
         raise ValidationError("t must be positive")
     xi = abs(xi)
-    if isinstance(rho, DiracComb):
+    if not rho.continuous:
         om = np.sqrt(xi ** 2 + rho.masses)
         return float(np.sum(rho.weights * np.sin(t * om) / om))
     return 2.0 * _half_symbol(rho, t, xi, tol)
@@ -109,56 +97,53 @@ class AveragingReport:
 
 
 def decay_bound_check(rho: SpectralDensity, consts: SpectralConstants,
-                      t_grid=DEFAULT_T_GRID, xi_grid=DEFAULT_XI_GRID,
-                      tol: float = 1e-8,
-                      fit_t_max: float | None = None) -> AveragingReport:
-    """Verify t * |half symbol| <= rho(0+) + c_prime on the grid.
+                      t_grid=DEFAULT_T_GRID) -> AveragingReport:
+    """Verify t * |half symbol| <= rho(0+) + c_prime on the (t, XI_GRID)
+    grid.
 
     Also fits the decay exponent of sup_xi |T(t, .)| in log t.  The sup
     over all frequencies rides a ridge at xi ~ t/2; once t exceeds about
     twice the largest grid xi the fixed grid under-samples the sup and
     the apparent rate steepens (a grid artifact, not physics), so the
-    fit window defaults to t <= 2 * max(xi_grid) + 2.
+    fit window is t <= 2 * max(XI_GRID) + 2.
     """
-    if isinstance(rho, DiracComb):
+    if not rho.continuous:
         raise S5RequiredError(
             "S5-required: atomic spectra have no averaging decay")
     if consts.c_prime is None or not math.isfinite(consts.c_prime):
         raise S5RequiredError("S5-required: c_prime must be finite")
     t_grid = np.asarray(sorted(t_grid), dtype=float)
-    xi_grid = np.asarray(sorted(xi_grid), dtype=float)
+    xi_grid = np.asarray(XI_GRID, dtype=float)
     if t_grid[0] < 1.0 or t_grid[-1] > 1e3:
         raise ValidationError("t_grid must lie inside [1, 1e3]")
-    bound = density_at_zero(rho) + consts.c_prime
+    bound = rho.density_at_zero() + consts.c_prime
     symbol = np.empty((t_grid.size, xi_grid.size))
     worst = 0.0
     for i, t in enumerate(t_grid):
         for j, xi in enumerate(xi_grid):
-            half = _half_symbol(rho, float(t), float(xi), tol)
+            half = _half_symbol(rho, float(t), float(xi), _SYMBOL_TOL)
             symbol[i, j] = 2.0 * half
             worst = max(worst, t * abs(half) / bound)
     sup_t = np.max(np.abs(symbol), axis=1)
-    if fit_t_max is None:
-        fit_t_max = 2.0 * float(xi_grid.max()) + 2.0
+    fit_t_max = 2.0 * float(xi_grid.max()) + 2.0
     mask = (t_grid <= fit_t_max) & (sup_t > 0)
     slope, _, r2 = fit_loglog(t_grid[mask], sup_t[mask], shift=0.0)
     return AveragingReport(t_grid, xi_grid, symbol, bound, worst,
                            -slope, r2)
 
 
-def atomic_no_decay_check(rho: DiracComb, t_lo: float = 100.0,
-                          t_hi: float = 1000.0, xi: float = 0.0,
-                          n_dense: int = 4001) -> dict:
-    """Late-window sup of |T| versus the early envelope for atom lists.
+def atomic_no_decay_check(rho: DiracComb) -> dict:
+    """Late-window (t in [100, 1000]) sup of |T(t, 0)| versus the early
+    envelope for atom lists.
 
     The symbol is an undamped trigonometric sum, so the late sup stays
     at the full envelope; the returned ratio should be near 1.
     """
     if not isinstance(rho, DiracComb):
         raise ValidationError("atomic check needs a DiracComb")
-    om = np.sqrt(xi ** 2 + rho.masses)
-    t_early = np.linspace(0.0, 2.0 * math.pi / om.min(), n_dense)[1:]
-    t_late = np.linspace(t_lo, t_hi, n_dense)
+    om = np.sqrt(rho.masses)
+    t_early = np.linspace(0.0, 2.0 * math.pi / om.min(), _N_DENSE)[1:]
+    t_late = np.linspace(100.0, 1000.0, _N_DENSE)
     def sup_on(ts):
         vals = np.abs(np.sum(
             rho.weights[None, :] * np.sin(np.outer(ts, om)) / om[None, :],

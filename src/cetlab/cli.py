@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .averaging import atomic_no_decay_check, decay_bound_check
-from .config import (FAMILIES, finite_float, float_list, make_density,
-                     parse_config)
+from .config import (DENSITY_PARAMS, FAMILIES, finite_float, float_list,
+                     make_density, parse_config)
 from .dispersion import DEFAULT_K_GRID, mode_stability_scan, solve_branch
 from .errors import CetlabError, NumericalError, ValidationError
 from .pheno import signature_report
@@ -33,7 +33,7 @@ from .quadrature import build_quadrature
 from .radial import DiagnosticsRecord, evolve
 from .resolvent import TimeSeries, apply_memory, apply_memory2
 from .scattering import decay_fit, memory_limit, scattering_residual_fit
-from .spectral import DiracComb, check_conditions, spectral_constants
+from .spectral import check_conditions, spectral_constants
 
 
 def _nonfinite_name(x: float) -> str:
@@ -139,8 +139,7 @@ _finite_float = _flag_type(finite_float)
 
 def _density_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    names = dict.fromkeys(n for _, params in FAMILIES.values() for n in params)
-    for name in names:
+    for name in DENSITY_PARAMS:
         if name == "atoms":
             p.add_argument("--atoms", help="semicolon list of 'alpha mu' pairs")
         else:
@@ -208,7 +207,7 @@ def _cmd_memory_test(a) -> int:
 def _cmd_avg_decay(a) -> int:
     rho = _density_from_args(a)
     consts = spectral_constants(rho)
-    if isinstance(rho, DiracComb):
+    if not rho.continuous:
         chk = atomic_no_decay_check(rho)
         _emit({"decay": False, "no_decay_check": chk})
         return 0
@@ -251,7 +250,9 @@ def _run_from_config(path):
     rc = parse_config(path)
     if rc.density is None:
         raise ValidationError(f"{path}: [density] section is required")
-    cfg, grid, cadence, snaps = rc.build_model()
+    if rc.model is None:
+        raise ValidationError(f"{path}: [solver] section is required")
+    cfg, grid, cadence, snaps = rc.model
     out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
     return rc, cfg, grid, out
 

@@ -1,10 +1,10 @@
 """The input grammar shared by the run file and the command line.
 
-`FAMILIES` lists each density family with its class and parameters;
-`make_density` builds one, and `finite_float`, `float_list` and
-`parse_atoms` read values.  `cetlab.cli` makes its density flags from
-the same table, so both front ends accept the same densities and word
-their errors alike.
+`FAMILIES` maps each family name to its density class, which names its
+parameters; `make_density` builds one, and `finite_float`, `float_list`
+and `parse_atoms` read values.  `cetlab.cli` makes its density flags
+from the same table, so both front ends accept the same densities and
+word their errors alike.
 
 Run file grammar (one statement per line):
 
@@ -24,7 +24,7 @@ ValidationError carrying file and line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .quadrature import DEFAULT_N_NODES, build_quadrature
@@ -33,14 +33,12 @@ from .spectral import BreitWigner, DiracComb, PowerLawExp, SpectralDensity
 
 _SECTIONS = ("density", "quadrature", "solver", "output")
 
-# each family's density class and its parameters in constructor order;
-# `atoms` is the text of "alpha mu" pairs, every other one a finite float
-FAMILIES = {
-    "powerlaw": (PowerLawExp, ("alpha", "beta", "lambda")),
-    "breitwigner": (BreitWigner, ("alpha", "gamma", "mu0")),
-    "diraccomb": (DiracComb, ("atoms",)),
-}
-_DENSITY_KEYS = {"family"}.union(*(names for _, names in FAMILIES.values()))
+FAMILIES = {cls.family: cls for cls in (PowerLawExp, BreitWigner, DiracComb)}
+# every density parameter, in table order; `atoms` is the text of
+# "alpha mu" pairs, every other one a finite float
+DENSITY_PARAMS = tuple(dict.fromkeys(
+    name for cls in FAMILIES.values() for name in cls.params))
+_DENSITY_KEYS = {"family", *DENSITY_PARAMS}
 _QUAD_KEYS = {"n_nodes", "tol"}
 _SOLVER_KEYS = {"r_max", "n_r", "cfl", "t_final", "epsilon", "a_null",
                 "b_bad", "c_grad", "d_quad", "r_c", "sigma", "velocity_mode",
@@ -58,6 +56,8 @@ class RunConfig:
     output_dir: str
     formats: tuple
     source_text: str = ""
+    # build_model()'s result, kept by the parser; None without [solver]
+    model: tuple | None = field(default=None, compare=False, repr=False)
 
     def build_model(self) -> tuple[ModelConfig, Grid, int, tuple]:
         quad = None
@@ -124,15 +124,21 @@ def parse_atoms(raw: str) -> tuple:
 def make_density(family: str, values) -> SpectralDensity:
     """The `family` density from `values`, which maps parameter names to
     floats and `atoms` to its text.  A parameter that is absent or None
-    is missing, and one error names every missing parameter."""
+    is missing, and one error names every missing parameter.  A given
+    parameter the family does not take is an error too; its `detail`
+    names the parameter."""
     if family not in FAMILIES:
         raise ValidationError(f"unknown family '{family}'")
-    cls, names = FAMILIES[family]
-    missing = [name for name in names if values.get(name) is None]
+    cls = FAMILIES[family]
+    for name in DENSITY_PARAMS:
+        if name not in cls.params and values.get(name) is not None:
+            raise ValidationError(f"{family} does not take {name}",
+                                  parameter=name)
+    missing = [name for name in cls.params if values.get(name) is None]
     if missing:
         raise ValidationError(f"{family} needs " + ", ".join(missing))
     return cls(*(parse_atoms(values[name]) if name == "atoms"
-                 else values[name] for name in names))
+                 else values[name] for name in cls.params))
 
 
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
@@ -181,16 +187,19 @@ def _density_from(sec: dict, lines: dict, path: str) -> SpectralDensity | None:
     fam = sec.get("family")
     if fam is None:
         raise _err(path, lines["density"], "[density] needs family")
-    line = lines[("density", "family")]
-    names = FAMILIES[fam][1] if fam in FAMILIES else ()
-    values = {key: sec[key] if key == "atoms"
-              else _number(path, lines[("density", key)], key, sec[key])
-              for key in names if key in sec}
+    names = FAMILIES[fam].params if fam in FAMILIES else ()
+    values = {key: raw if key == "atoms"
+              else _number(path, lines[("density", key)], key, raw)
+              for key, raw in sec.items() if key != "family"}
     try:
         return make_density(fam, values)
     except ValidationError as exc:
-        if "atoms" in names:    # the atom list is the family's only value
-            line = lines.get(("density", "atoms"), line)
+        # the line of a foreign parameter, or of the atom list, a comb's
+        # only value; else the family line
+        key = exc.detail.get("parameter")
+        if key is None and "atoms" in names:
+            key = "atoms"
+        line = lines.get(("density", key), lines[("density", "family")])
         raise _err(path, line, str(exc)) from None
 
 
@@ -231,7 +240,7 @@ def _build(sections, lines, path, text) -> RunConfig:
                        source_text=text)
     if solver:
         try:
-            cfgobj.build_model()
+            cfgobj.model = cfgobj.build_model()
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
         except (TypeError, ValueError) as exc:

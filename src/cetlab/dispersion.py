@@ -25,13 +25,13 @@ import numpy as np
 from .errors import PrincipalValueError, RootBracketError, ValidationError
 from .integrals import flagged_integral
 from .quadrature import MassQuadrature, build_quadrature
-from .spectral import (DiracComb, PowerLawExp, SpectralDensity,
-                       _bw_core_edges, _powerlaw_core_edges,
-                       spectral_constants)
+from .spectral import SpectralDensity, spectral_constants
 
 DEFAULT_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 SCAN_SEED = 411
 SCAN_NODES = 64
+_SCAN_SEEDS = 32    # Newton starts per wavenumber
+_SCAN_TOL = 1e-11   # |g| at a root, relative to max(1, k^2 + l1)
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class DispersionPoint:
     residual: float
 
 
-def _support_min(rho: SpectralDensity) -> float:
-    return float(rho.masses[0]) if isinstance(rho, DiracComb) else 0.0
-
-
 def self_energy(rho: SpectralDensity, omega: float, k: float,
                 tol: float = 1e-10) -> float:
     """Sigma(omega, k^2) on the real axis."""
@@ -54,7 +50,7 @@ def self_energy(rho: SpectralDensity, omega: float, k: float,
     if k == 0.0:
         return 0.0
     y = omega * omega - k * k
-    if isinstance(rho, DiracComb):
+    if not rho.continuous:
         dens = y + rho.masses
         if np.any(dens == 0.0) or (np.any(dens > 0) and np.any(dens < 0)):
             raise PrincipalValueError(
@@ -67,8 +63,7 @@ def self_energy(rho: SpectralDensity, omega: float, k: float,
             raise PrincipalValueError(
                 "principal-value-not-supported: pole at mu = "
                 f"{-y:.6g} inside the support")
-    edges = (_powerlaw_core_edges(rho) if isinstance(rho, PowerLawExp)
-             else _bw_core_edges(rho))
+    edges = rho.core_edges()
     # k*k overflows for k beyond ~1e154; the integral then fails its
     # budget with a coded error, and numpy's warning would only add noise.
     with np.errstate(over="ignore"):
@@ -134,26 +129,17 @@ class StabilityScan:
     rejected: dict = field(default_factory=dict)   # continuation artifacts
     gaps: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {"max_im": self.max_im,
-                "roots": {str(k): [[z.real, z.imag] for z in v]
-                          for k, v in self.roots.items()},
-                "rejected": {str(k): [[z.real, z.imag] for z in v]
-                             for k, v in self.rejected.items()},
-                "gaps": list(self.gaps)}
-
 
 # For k beyond ~1e154 or huge weights the symbol overflows; a nonfinite
 # g never passes the tolerance or the backtracking test, so the seed is
 # dropped, and numpy's warnings would only add noise.  One errstate for
 # the whole scan: entering one per symbol call costs a third of the call.
 @np.errstate(over="ignore", invalid="ignore")
-def mode_stability_scan(rho: SpectralDensity, k_grid=DEFAULT_K_GRID,
-                        tol: float = 1e-11, n_seeds: int = 32,
-                        seed: int = SCAN_SEED) -> StabilityScan:
+def mode_stability_scan(rho: SpectralDensity,
+                        k_grid=DEFAULT_K_GRID) -> StabilityScan:
     """Damped complex Newton sweep for dispersion roots off the real axis."""
     quad = build_quadrature(rho, SCAN_NODES)   # atoms pass through exactly
-    mu_inf = _support_min(rho)
+    mu_inf = rho.support_min
     l1 = float(np.sum(quad.weights))
     max_im = 0.0
     roots: dict = {}
@@ -162,10 +148,10 @@ def mode_stability_scan(rho: SpectralDensity, k_grid=DEFAULT_K_GRID,
     for ik, k in enumerate(k_grid):
         k = float(k)
         scale = max(1.0, k * k + l1)
-        rng = np.random.default_rng([seed, ik])
+        rng = np.random.default_rng([SCAN_SEED, ik])
         radius = k + math.sqrt(l1) + 2.0
-        seeds = (rng.uniform(-radius, radius, n_seeds)
-                 + 1j * rng.uniform(-1.0, 1.0, n_seeds))
+        seeds = (rng.uniform(-radius, radius, _SCAN_SEEDS)
+                 + 1j * rng.uniform(-1.0, 1.0, _SCAN_SEEDS))
         found: list[complex] = []
         bad: list[complex] = []
         converged_any = False
@@ -174,7 +160,7 @@ def mode_stability_scan(rho: SpectralDensity, k_grid=DEFAULT_K_GRID,
             ok = False
             for _ in range(80):
                 gz = z * z - k * k - _sigma_nodes(quad, z, k)
-                if abs(gz) <= tol * scale:
+                if abs(gz) <= _SCAN_TOL * scale:
                     ok = True
                     break
                 gp = 2.0 * z - _sigma_nodes_prime(quad, z, k)

@@ -85,6 +85,3 @@ class InsufficientSamplesError(ValidationError):
 class ZeroFrequencyError(ValidationError):
     code = "zero-frequency"
 
-
-class NotInAsymptoticRegimeError(NumericalError):
-    code = "not-in-asymptotic-regime"

@@ -28,6 +28,12 @@ MPC_M = 3.08568e22         # m
 # next to our formula value.
 QUOTED_PHASE_COEFF = 6e24
 
+# the tail amplitude is reported for amplitude epsilon = 0.01, observed
+# at radius 100 a time 100 after the pulse
+_TAIL_EPSILON = 1e-2
+_TAIL_RADIUS = 100.0
+_TAIL_TIME = 100.0
+
 
 def phase_shift(d: float, omega: float, l1: float,
                 units: str = "natural") -> float:
@@ -106,9 +112,7 @@ class SignatureReport:
 
 
 def signature_report(d_mpc: float, omega_hz: float, alpha: float,
-                     m_star: float, l1: float | None = None,
-                     epsilon: float = 1e-2, tail_time: float = 100.0,
-                     tail_radius: float = 100.0) -> SignatureReport:
+                     m_star: float, l1: float | None = None) -> SignatureReport:
     """Evaluate every signature for one source configuration.
 
     With l1 omitted it defaults to alpha * m_star**2, the combination
@@ -126,5 +130,6 @@ def signature_report(d_mpc: float, omega_hz: float, alpha: float,
         phase_shift_natural=phase_shift(d_mpc, omega_hz, l1, "natural"),
         phase_shift_si=phase_shift(d_m, omega_hz, l1, "si"),
         tail_crossing=tail_crossing(l1),
-        tail_amplitude_at=tail_amplitude(l1, epsilon, tail_radius, tail_time),
+        tail_amplitude_at=tail_amplitude(l1, _TAIL_EPSILON, _TAIL_RADIUS,
+                                         _TAIL_TIME),
         quoted_coeff_note=note)

@@ -92,7 +92,8 @@ def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndar
     return x, w
 
 
-def _build_powerlaw(rho: PowerLawExp, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _build_powerlaw(rho: PowerLawExp, n: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     x, w = gauss_laguerre_generalized(n, rho.beta)
     nodes = rho.lam * x
     weights = rho.alpha * rho.lam ** (rho.beta + 1.0) * w
@@ -104,7 +105,7 @@ def _build_powerlaw(rho: PowerLawExp, n: int) -> tuple[np.ndarray, np.ndarray, i
 
 
 def _build_breitwigner(rho: BreitWigner, n: int,
-                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+                       tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     # Truncate (0, inf) so the excluded spectral mass is below tol * l1,
     # half on each side, using the exact arctan mass profile.
     l1 = rho.total_mass
@@ -128,7 +129,12 @@ def _build_breitwigner(rho: BreitWigner, n: int,
     nodes = rho.mu0 + rho.gamma * np.tan(np.concatenate(theta))
     weights = np.concatenate(weights)
     order = np.argsort(nodes)
-    return nodes[order], weights[order]
+    return nodes[order], weights[order], 0
+
+
+# each family's rule (rho, n, tol) -> (nodes, weights, dropped count)
+_RULES = {DiracComb: lambda rho, n, tol: (rho.masses, rho.weights, 0),
+          PowerLawExp: _build_powerlaw, BreitWigner: _build_breitwigner}
 
 
 def build_quadrature(rho: SpectralDensity, n_nodes: int = DEFAULT_N_NODES,
@@ -136,17 +142,11 @@ def build_quadrature(rho: SpectralDensity, n_nodes: int = DEFAULT_N_NODES,
     """Discretize rho(mu) dmu into at most 512 positive nodes."""
     if not (1 <= n_nodes <= 512):
         raise ValidationError("n_nodes must lie in [1, 512]")
-    dropped = 0
-    if isinstance(rho, DiracComb):
-        quad = MassQuadrature(rho.masses, rho.weights, rho.family)
-    elif isinstance(rho, PowerLawExp):
-        nodes, weights, dropped = _build_powerlaw(rho, n_nodes)
-        quad = MassQuadrature(nodes, weights, rho.family)
-    elif isinstance(rho, BreitWigner):
-        nodes, weights = _build_breitwigner(rho, n_nodes, tol)
-        quad = MassQuadrature(nodes, weights, rho.family)
-    else:
+    rule = _RULES.get(type(rho))
+    if rule is None:
         raise ValidationError(f"unknown density {type(rho).__name__}")
+    nodes, weights, dropped = rule(rho, n_nodes, tol)
+    quad = MassQuadrature(nodes, weights, rho.family)
     consts = spectral_constants(rho, min(tol, 1e-10))
     report = validate_moments(quad, consts)
     if dropped:

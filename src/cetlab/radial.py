@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlowUpError, PaddingViolatedError,
-                     NotInAsymptoticRegimeError, ValidationError)
+from .errors import BlowUpError, PaddingViolatedError, ValidationError
 from .quadrature import MassQuadrature
 
 STIFFNESS_LIMIT = 2.5
@@ -529,35 +528,3 @@ def free_wave_exact(cfg: ModelConfig, r: np.ndarray, t: float) -> np.ndarray:
         return wave
     return wave - 0.5 * (_profile(cfg, np.abs(r + t)) * np.abs(r + t)
                          - _profile(cfg, np.abs(r - t)) * np.abs(r - t))
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    observed_order: float
-    diffs: tuple
-    resolutions: tuple
-
-
-def convergence_study(cfg: ModelConfig, grid: Grid) -> ConvergenceReport:
-    """Self-convergence order from three grids, n_r, 2 n_r and 4 n_r.
-
-    Compares sup-norm differences of u at t_final/2 on shared points;
-    non-decreasing differences raise not-in-asymptotic-regime.
-    """
-    half = cfg.t_final / 2.0
-    fields = []
-    for lvl in range(3):
-        g = Grid(grid.r_max, grid.n_r * 2 ** lvl)
-        out = evolve(cfg, g, cadence=10 ** 9, snapshot_times=(half,))
-        if not out.completed or half not in out.snapshots:
-            raise ValidationError("convergence study run did not reach "
-                                  "t_final/2")
-        fields.append(out.snapshots[half]["u"])
-    d01 = float(np.max(np.abs(fields[0] - fields[1][::2])))
-    d12 = float(np.max(np.abs(fields[1] - fields[2][::2])))
-    if not (d01 > d12 > 0.0):
-        raise NotInAsymptoticRegimeError(
-            f"not-in-asymptotic-regime: diffs {d01:.3e}, {d12:.3e}")
-    order = math.log2(d01 / d12)
-    return ConvergenceReport(order, (d01, d12),
-                             (grid.n_r, 2 * grid.n_r, 4 * grid.n_r))

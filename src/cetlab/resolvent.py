@@ -30,6 +30,8 @@ from .quadrature import MassQuadrature
 # RK4 covers |omega * dt| up to 2*sqrt(2) on the oscillator axis; the
 # guard leaves margin for the source terms.
 STABILITY_LIMIT = 2.5
+# allowance over sqrt(2) for the O(dt^2) error of the discrete response
+_BOUND_SLACK = 0.02
 
 
 @dataclass(frozen=True)
@@ -322,13 +324,12 @@ class BoundReport:
         return self.ratio <= self.bound
 
 
-def mass_weighted_bound_check(mu: float, f: TimeSeries,
-                              slack: float = 0.02) -> BoundReport:
+def mass_weighted_bound_check(mu: float, f: TimeSeries) -> BoundReport:
     """Check sup_t sqrt(mu) |v| <= sqrt(2) int |f| dt for the mode response."""
     if mu <= 0:
         raise ValidationError("mu must be positive")
     return BoundReport(duhamel_ratio(ModeParams(mu=mu, xi=0.0), f),
-                       math.sqrt(2.0) * (1.0 + slack))
+                       math.sqrt(2.0) * (1.0 + _BOUND_SLACK))
 
 
 def duhamel_ratio(params: ModeParams, f: TimeSeries) -> float:

@@ -13,6 +13,10 @@ and a finite list of point masses.  The five constants
 are computed in closed form where one exists and by flagged adaptive
 quadrature otherwise; divergent integrals come back as +inf, never as a
 silently truncated number.
+
+Each family class owns its numerics: name, parameters, support and
+constants, and for the continuous ones rho(0+), panel edges, |rho'| and
+upper-tail mass; other modules ask the class, never test which it is.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from math import gamma as gamma_fn
 from typing import Union
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .errors import NotPointwiseEvaluableError, ValidationError
 from .integrals import flagged_integral
@@ -43,6 +48,9 @@ class PowerLawExp:
     beta: float
     lam: float
     family = "powerlaw"
+    params = ("alpha", "beta", "lambda")
+    continuous = True
+    support_min = 0.0
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.lam > 0):
@@ -55,7 +63,7 @@ class PowerLawExp:
                 "admitted only as a sharpness case",
                 stacklevel=2)
         try:
-            c = _powerlaw_closed(self)
+            c = self.constants(DEFAULT_TOL)
             consts = (c.l1, c.c_p1, c.c_prime, c.c_mhalf) \
                 + ((c.c_m1,) if self.beta > 0 else ())
             representable = all(0.0 < v < math.inf for v in consts)
@@ -73,6 +81,51 @@ class PowerLawExp:
             out = np.where(mu >= 0, self.alpha * np.exp(-mu / self.lam), out)
         return np.where(mu < 0, 0.0, out)
 
+    def density_at_zero(self) -> float:
+        """rho(0+)."""
+        return self.alpha if self.beta == 0 else 0.0
+
+    def abs_derivative(self, mu):
+        """|rho'(mu)|."""
+        return np.abs(self.alpha * np.exp(-mu / self.lam)
+                      * (self.beta * mu ** (self.beta - 1.0)
+                         - mu ** self.beta / self.lam))
+
+    def core_edges(self) -> np.ndarray:
+        """Panel edges over the bulk of rho, geometric in mu."""
+        lo, hi = self.lam * 1e-3, self.lam * 80.0
+        return np.array(sorted(set(np.geomspace(lo, hi, 48)) | {lo, hi}))
+
+    def variation_edges(self) -> np.ndarray:
+        """`core_edges` plus the peak beta*lam, where |rho'| has a kink."""
+        edges, kink = self.core_edges(), self.beta * self.lam
+        return np.union1d(edges, [kink]) if edges[0] < kink < edges[-1] \
+            else edges
+
+    @property
+    def tail_start(self) -> float:
+        """Where the search for a negligible upper tail starts."""
+        return self.lam
+
+    def mass_above(self, mu: float) -> float:
+        """Exact integral of the density over (mu, inf)."""
+        return (self.alpha * self.lam ** (self.beta + 1)
+                * math.gamma(self.beta + 1)
+                * gammaincc(self.beta + 1, mu / self.lam))
+
+    def constants(self, tol: float) -> SpectralConstants:
+        """Closed forms; `tol` is not needed."""
+        a, b, lam = self.alpha, self.beta, self.lam
+        l1 = a * lam ** (b + 1) * gamma_fn(b + 1)
+        c_m1 = math.inf if b == 0 else a * lam ** b * gamma_fn(b)
+        c_p1 = a * lam ** (b + 2) * gamma_fn(b + 2)
+        c_mhalf = a * lam ** (b + 0.5) * gamma_fn(b + 0.5)
+        # |rho'| integrates to 2*rho(peak) - rho(0+); the peak sits at
+        # mu = b*lam.
+        peak = a * (b * lam) ** b * math.exp(-b) if b > 0 else a
+        c_prime = 2.0 * peak - (a if b == 0 else 0.0)
+        return SpectralConstants(l1, c_m1, c_p1, c_prime, c_mhalf)
+
 
 @dataclass(frozen=True)
 class BreitWigner:
@@ -82,6 +135,9 @@ class BreitWigner:
     gamma: float
     mu0: float
     family = "breitwigner"
+    params = ("alpha", "gamma", "mu0")
+    continuous = True
+    support_min = 0.0
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.gamma > 0 and self.mu0 > 0):
@@ -100,15 +156,52 @@ class BreitWigner:
                                              + self.gamma ** 2)
         return np.where(mu < 0, 0.0, out)
 
-    def mass_below(self, mu: float) -> float:
-        """Exact integral of the density over (0, mu]."""
-        a = math.atan((mu - self.mu0) / self.gamma)
-        b = math.atan(-self.mu0 / self.gamma)
-        return self.alpha * (a - b)
+    def density_at_zero(self) -> float:
+        """rho(0+)."""
+        return self.alpha * self.gamma / (self.mu0 ** 2 + self.gamma ** 2)
+
+    def abs_derivative(self, mu):
+        """|rho'(mu)|."""
+        g, m0 = self.gamma, self.mu0
+        with np.errstate(over="ignore"):    # as in density
+            return np.abs(-2.0 * self.alpha * g * (mu - m0)
+                          / ((mu - m0) ** 2 + g ** 2) ** 2)
+
+    def core_edges(self) -> np.ndarray:
+        """Panel edges refining dyadically toward the peak mu0."""
+        g, m0 = self.gamma, self.mu0
+        lo = max(m0 / 64.0, 1e-6 * g)
+        hi = m0 + 512.0 * g
+        edges = {lo, hi, m0}
+        j = -2.0
+        while g * 2.0 ** j < hi - m0:
+            for s in (-1.0, 1.0):
+                e = m0 + s * g * 2.0 ** j
+                if lo < e < hi:
+                    edges.add(e)
+            j += 1.0
+        return np.array(sorted(edges))
+
+    # mu0, where |rho'| has its kink, is already a core edge
+    variation_edges = core_edges
+
+    @property
+    def tail_start(self) -> float:
+        """Where the search for a negligible upper tail starts."""
+        return self.mu0 + 4.0 * self.gamma
+
+    def mass_above(self, mu: float) -> float:
+        """Exact integral of the density over (mu, inf)."""
+        return self.alpha * (math.pi / 2
+                             - math.atan((mu - self.mu0) / self.gamma))
 
     @property
     def total_mass(self) -> float:
         return self.alpha * (math.pi / 2 + math.atan(self.mu0 / self.gamma))
+
+    def constants(self, tol: float) -> SpectralConstants:
+        """Flagged quadrature: `adaptive_constants`."""
+        return adaptive_constants(self, tol)
 
 
 @dataclass(frozen=True)
@@ -117,6 +210,8 @@ class DiracComb:
 
     atoms: tuple
     family = "diraccomb"
+    params = ("atoms",)
+    continuous = False
 
     def __post_init__(self):
         atoms = tuple((float(a), float(m)) for a, m in self.atoms)
@@ -138,27 +233,32 @@ class DiracComb:
     def masses(self) -> np.ndarray:
         return np.array([m for _, m in self.atoms])
 
+    @property
+    def support_min(self) -> float:
+        return float(self.masses[0])
+
+    def constants(self, tol: float) -> SpectralConstants:
+        """Sums over the atoms; `tol` is not needed."""
+        w, m = self.weights, self.masses
+        return SpectralConstants(
+            l1=float(np.sum(w)),
+            c_m1=float(np.sum(w / m)),
+            c_p1=float(np.sum(w * m)),
+            c_prime=None,
+            c_mhalf=float(np.sum(w / np.sqrt(m))))
+
 
 SpectralDensity = Union[PowerLawExp, BreitWigner, DiracComb]
 
 
 def eval_density(rho: SpectralDensity, mu: float) -> float:
     """Pointwise rho(mu) for the continuous families."""
-    if isinstance(rho, DiracComb):
+    if not rho.continuous:
         raise NotPointwiseEvaluableError(
             "not-pointwise-evaluable: atomic density; use the atoms accessor")
     if mu <= 0:
         raise ValidationError("mu must be positive")
     return float(rho.density(mu))
-
-
-def density_at_zero(rho: SpectralDensity) -> float:
-    """Boundary value rho(0+); needed by the averaging bound."""
-    if isinstance(rho, PowerLawExp):
-        return rho.alpha if rho.beta == 0 else 0.0
-    if isinstance(rho, BreitWigner):
-        return rho.alpha * rho.gamma / (rho.mu0 ** 2 + rho.gamma ** 2)
-    raise NotPointwiseEvaluableError("not-pointwise-evaluable: atomic density")
 
 
 @dataclass(frozen=True)
@@ -187,71 +287,21 @@ class SpectralConstants:
                 for k in ("l1", "c_m1", "c_p1", "c_prime", "c_mhalf")}
 
 
-def _powerlaw_closed(rho: PowerLawExp) -> SpectralConstants:
-    a, b, lam = rho.alpha, rho.beta, rho.lam
-    l1 = a * lam ** (b + 1) * gamma_fn(b + 1)
-    c_m1 = math.inf if b == 0 else a * lam ** b * gamma_fn(b)
-    c_p1 = a * lam ** (b + 2) * gamma_fn(b + 2)
-    c_mhalf = a * lam ** (b + 0.5) * gamma_fn(b + 0.5)
-    # |rho'| integrates to 2*rho(peak) - rho(0+); the peak sits at mu = b*lam.
-    peak = a * (b * lam) ** b * math.exp(-b) if b > 0 else a
-    c_prime = 2.0 * peak - (a if b == 0 else 0.0)
-    return SpectralConstants(l1, c_m1, c_p1, c_prime, c_mhalf)
-
-
-def _powerlaw_core_edges(rho: PowerLawExp, extra: tuple = ()) -> np.ndarray:
-    lo = rho.lam * 1e-3
-    hi = rho.lam * 80.0
-    edges = set(np.geomspace(lo, hi, 48))
-    edges.update(e for e in extra if lo < e < hi)
-    edges.update((lo, hi))
-    return np.array(sorted(edges))
-
-
-def _bw_core_edges(rho: BreitWigner) -> np.ndarray:
-    g, m0 = rho.gamma, rho.mu0
-    lo = max(m0 / 64.0, 1e-6 * g)
-    hi = m0 + 512.0 * g
-    edges = {lo, hi, m0}
-    j = -2.0
-    while g * 2.0 ** j < hi - m0:
-        for s in (-1.0, 1.0):
-            e = m0 + s * g * 2.0 ** j
-            if lo < e < hi:
-                edges.add(e)
-        j += 1.0
-    return np.array(sorted(edges))
-
-
 def adaptive_constants(rho: SpectralDensity,
                        tol: float = DEFAULT_TOL) -> SpectralConstants:
     """The constants of a continuous family by flagged quadrature alone,
     the reference the power law's closed forms are checked against."""
-    if isinstance(rho, PowerLawExp):
-        kink = rho.beta * rho.lam
-        edges = _powerlaw_core_edges(rho, extra=(kink,) if kink > 0 else ())
-        d = rho.density
-        dprime_abs = (lambda mu: np.abs(
-            rho.alpha * np.exp(-mu / rho.lam)
-            * (rho.beta * mu ** (rho.beta - 1.0) - mu ** rho.beta / rho.lam)))
-    elif isinstance(rho, BreitWigner):
-        edges = _bw_core_edges(rho)
-        d = rho.density
-
-        def dprime_abs(mu):
-            g, m0 = rho.gamma, rho.mu0
-            with np.errstate(over="ignore"):    # as in BreitWigner.density
-                return np.abs(-2.0 * rho.alpha * g * (mu - m0)
-                              / ((mu - m0) ** 2 + g ** 2) ** 2)
-    else:
+    if not rho.continuous:
         raise ValidationError("adaptive constants need a continuous family")
+    edges = rho.variation_edges()
+    d = rho.density
 
     def moment(p):
         return flagged_integral(lambda mu: d(mu) * mu ** p, edges, tol)
 
     return SpectralConstants(
         l1=moment(0.0), c_m1=moment(-1.0), c_p1=moment(1.0),
-        c_prime=flagged_integral(dprime_abs, edges, tol),
+        c_prime=flagged_integral(rho.abs_derivative, edges, tol),
         c_mhalf=moment(-0.5))
 
 
@@ -262,17 +312,7 @@ def spectral_constants(rho: SpectralDensity,
     `adaptive_constants` for the Lorentzian."""
     if not (0.0 < tol <= 1e-4):
         raise ValidationError("tol must lie in (0, 1e-4]")
-    if isinstance(rho, DiracComb):
-        w, m = rho.weights, rho.masses
-        return SpectralConstants(
-            l1=float(np.sum(w)),
-            c_m1=float(np.sum(w / m)),
-            c_p1=float(np.sum(w * m)),
-            c_prime=None,
-            c_mhalf=float(np.sum(w / np.sqrt(m))))
-    if isinstance(rho, PowerLawExp):
-        return _powerlaw_closed(rho)
-    return adaptive_constants(rho, tol)
+    return rho.constants(tol)
 
 
 @dataclass(frozen=True)
@@ -310,7 +350,7 @@ def check_conditions(rho: SpectralDensity,
     s2 = consts.finite("l1")
     s3 = consts.finite("c_m1")
     s4 = consts.finite("c_p1")
-    continuous = not isinstance(rho, DiracComb)
+    continuous = rho.continuous
     s5 = continuous and consts.finite("c_prime")
     if not s2:
         msgs.append("S2 fails: total spectral mass diverges")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cetlab import PowerLawExp, ValidationError
+from cetlab import PowerLawExp, ValidationError, config
 from cetlab.cli import _density_from_args, _dumps, build_parser, main, \
     write_json
 from cetlab.config import FAMILIES, parse_config_text
@@ -96,6 +96,12 @@ class TestConfigParser:
         with pytest.raises(ValidationError, match=r"^<config>:2: .*beta >= 0"):
             parse_config_text(bad)
 
+    def test_foreign_nonfinite_value_reports_line(self):
+        bad = "[density]\nfamily = diraccomb\natoms = 1 1\nalpha = nan\n"
+        with pytest.raises(ValidationError,
+                           match=r"^<config>:4: alpha must be finite$"):
+            parse_config_text(bad)
+
     def test_atoms_grammar(self):
         text = ("[density]\nfamily = diraccomb\n"
                 "atoms = 0.5 1.0; 0.25 4.0\n")
@@ -109,6 +115,9 @@ FAMILY_VALUES = {
     "breitwigner": {"alpha": "1", "gamma": "0.1", "mu0": "1e0"},
     "diraccomb": {"atoms": "0.5 1; 0.25 4"},
 }
+# a parameter of another family, with a value that family would accept
+FOREIGN = {"powerlaw": ("atoms", "garbage"), "breitwigner": ("beta", "1"),
+           "diraccomb": ("alpha", "1")}
 
 
 class TestGrammarParity:
@@ -127,15 +136,15 @@ class TestGrammarParity:
 
     @pytest.mark.parametrize("family", sorted(FAMILY_VALUES))
     def test_flags_and_keys_build_equal_densities(self, family):
-        assert set(FAMILY_VALUES[family]) == set(FAMILIES[family][1])
+        assert set(FAMILY_VALUES[family]) == set(FAMILIES[family].params)
         values = FAMILY_VALUES[family]
         rho = self.from_flags(family, values)
-        assert isinstance(rho, FAMILIES[family][0])
+        assert isinstance(rho, FAMILIES[family])
         assert rho == self.from_config(family, values)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_VALUES))
     def test_missing_parameters_named_alike(self, family):
-        names = FAMILIES[family][1]
+        names = FAMILIES[family].params
         # every parameter missing, then each one alone
         cases = [{}] + [{k: v for k, v in FAMILY_VALUES[family].items()
                          if k != name} for name in names]
@@ -148,6 +157,19 @@ class TestGrammarParity:
             message = f"{family} needs " + ", ".join(missing)
             assert str(flag_err.value) == message
             assert str(key_err.value) == "<config>:2: " + message
+
+    @pytest.mark.parametrize("family", sorted(FOREIGN))
+    def test_foreign_parameter_rejected_alike(self, family):
+        name, text = FOREIGN[family]
+        values = {name: text, **FAMILY_VALUES[family]}
+        with pytest.raises(ValidationError) as flag_err:
+            self.from_flags(family, values)
+        with pytest.raises(ValidationError) as key_err:
+            self.from_config(family, values)
+        message = f"{family} does not take {name}"
+        assert str(flag_err.value) == message
+        # the foreign key is written first, on line 3
+        assert str(key_err.value) == "<config>:3: " + message
 
 
 class TestCli:
@@ -242,6 +264,24 @@ class TestCli:
 
     def test_evolve_missing_config_exit_2(self, capsys):
         assert main(["evolve", "--config", "does-not-exist.cfg"]) == 2
+
+    def test_evolve_without_solver_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=tmp_path).split("[solver]")[0])
+        assert main(["evolve", "--config", str(cfgfile)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].endswith("[solver] section is required")
+
+    def test_evolve_builds_quadrature_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+        build = config.build_quadrature
+        monkeypatch.setattr(config, "build_quadrature",
+                            lambda *args: calls.append(args) or build(*args))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=tmp_path / "out"))
+        assert main(["evolve", "--config", str(cfgfile)]) == 0
+        assert len(calls) == 1
 
     def test_evolve_and_determinism(self, tmp_path, capsys):
         outputs = []

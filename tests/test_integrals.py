@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cetlab import (BreitWigner, PowerLawExp, build_quadrature,
+from cetlab import (BreitWigner, DiracComb, PowerLawExp, build_quadrature,
                     decay_bound_check, spectral_constants)
 from cetlab.dispersion import self_energy
 from cetlab.spectral import adaptive_constants
@@ -56,7 +56,11 @@ ADAPTIVE = {
     "pl2": (0.47685830725654454, 0.2724904612890123, 1.1683028527785588,
             0.3325515044885013, 0.3429999999998883),
 }
-DECAY_SYMBOLS = {"bw1": "d25968bbfadf881b", "pl1": "32ea0c4e556be15b"}
+# digest of the symbol grid and rho(0+) + c_prime of decay_bound_check
+DECAY_SYMBOLS = {"bw1": "d25968bbfadf881b", "bw2": "be22512f027585e8",
+                 "pl1": "32ea0c4e556be15b", "pl2": "0379a8a482a48077"}
+BOUND_CONSTANTS = {"bw1": 19.999999999129617, "bw2": 2.799999999842948,
+                   "pl1": 0.7357588823428847, "pl2": 0.3325515044896204}
 
 
 class TestPinnedOutputs:
@@ -76,12 +80,20 @@ class TestPinnedOutputs:
     def test_self_energy(self):
         assert self_energy(PL, 1.5, 0.5) == 0.0693356915556503
         assert self_energy(BW, 2.0, 1.0) == 0.7531750338231252
+        assert self_energy(DENSITIES["bw2"], 4.0, 1.5) == 0.2753944005094975
+        assert self_energy(DENSITIES["pl2"], 1.2, 0.8) == 0.10961270162722894
 
     @pytest.mark.parametrize("name", sorted(DECAY_SYMBOLS))
     def test_decay_symbol_grid(self, name):
         rho = DENSITIES[name]
         rep = decay_bound_check(rho, spectral_constants(rho))
         assert _digest(rep.symbol) == DECAY_SYMBOLS[name]
+        assert rep.bound_constant == BOUND_CONSTANTS[name]
+
+    def test_atom_sums(self):
+        c = spectral_constants(DiracComb(((0.5, 1.0), (0.25, 4.0))))
+        got = (c.l1, c.c_m1, c.c_p1, c.c_prime, c.c_mhalf)
+        assert got == (0.75, 0.5625, 1.5, None, 0.625)
 
 
 class TestPanelRule:
