@@ -259,6 +259,8 @@ def _run_from_config(path):
 
 def _cmd_evolve(a) -> int:
     rc, cfg, grid, out = _run_from_config(a.config)
+    n_modes, dropped = (0, 0) if cfg.quad is None else \
+        (len(cfg.quad), cfg.quad.moment_report["dropped_nodes"])
     os.makedirs(rc.output_dir, exist_ok=True)
     src = rc.source_text
     if "csv" in rc.formats:
@@ -273,7 +275,7 @@ def _cmd_evolve(a) -> int:
                "integrated_flux": out.integrated_flux,
                "n_records": len(out.records), "dt": out.dt,
                "n_steps": out.n_steps, "stiffness_guard": out.stiffness_guard,
-               "n_modes": 0 if cfg.quad is None else len(cfg.quad)}
+               "n_modes": n_modes, "dropped_nodes": dropped}
     if out.blow_up_time is not None:
         summary["blow_up_time"] = out.blow_up_time
         summary["blow_up_radius"] = out.blow_up_radius

@@ -324,8 +324,23 @@ class TestCli:
         summary = strict_loads((d / "summary.json").read_text())
         assert printed == {k: v for k, v in summary.items() if k != "_tool"}
         assert summary["n_modes"] == 8
+        assert summary["dropped_nodes"] == 0
         assert summary["n_steps"] * summary["dt"] == pytest.approx(4.0)
         assert 0.0 < summary["stiffness_guard"] <= 2.5
+
+    def test_evolve_summary_counts_dropped_nodes(self, tmp_path, capsys):
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d).replace("n_nodes = 8",
+                                                      "n_nodes = 32"))
+        blobs = []
+        for _ in range(2):
+            assert main(["evolve", "--config", str(cfgfile)]) == 0
+            capsys.readouterr()
+            blobs.append((d / "summary.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        summary = strict_loads(blobs[0].decode())
+        assert (summary["n_modes"], summary["dropped_nodes"]) == (21, 11)
 
     def test_nonfinite_error_detail_is_strict_json(self, capsys):
         rc = main(["dispersion", "--family", "powerlaw", "--alpha", "1",

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import roots_genlaguerre
+from scipy.special import j0, roots_genlaguerre
 
-from cetlab import (BreitWigner, DiracComb, PowerLawExp, ValidationError,
-                    build_quadrature, spectral_constants, validate_moments)
+from cetlab import (BreitWigner, DiracComb, MassQuadrature, PowerLawExp,
+                    ValidationError, build_quadrature, spectral_constants,
+                    validate_moments)
 from cetlab.quadrature import gauss_laguerre_generalized
 
 UNIT = PowerLawExp(1.0, 1.0, 1.0)
@@ -67,6 +68,53 @@ class TestBuildPowerLaw:
             build_quadrature(UNIT, 513)
         with pytest.raises(ValidationError):
             build_quadrature(UNIT, 0)
+
+
+class TestWeightFloor:
+    def test_gl32_keeps_21_nodes(self):
+        quad = build_quadrature(UNIT, 32)
+        assert len(quad) == 21
+        assert quad.moment_report["dropped_nodes"] == 11
+        floor = np.finfo(float).eps * spectral_constants(UNIT).l1
+        assert np.all(quad.weights > floor)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 2.5, 10.0, 50.0,
+                                      100.0])
+    def test_kept_nodes_reproduce_moments(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # beta = 0 warns about c_m1
+            rho = PowerLawExp(1.0, beta, 1.0)
+        for n in (1, 2, 8, 16, 24, 32, 64, 128, 256, 512):
+            rep = build_quadrature(rho, n).moment_report
+            assert rep["p+0"] <= 1e-13, n
+            assert rep["p+1"] <= 1e-13, n
+
+    def test_lorentzian_keeps_every_node(self):
+        for bw in (BreitWigner(1.0, 0.1, 1.0), BreitWigner(0.7, 0.5, 3.0)):
+            quad = build_quadrature(bw, 32)
+            assert len(quad) == 32
+            assert quad.moment_report["dropped_nodes"] == 0
+
+
+class TestKernelOracle:
+    """K(tau) = int mu e^-mu J0(sqrt(mu) tau) dmu = (1 - tau^2/4) e^(-tau^2/4)
+    against the node sums sum_j w_j J0(sqrt(mu_j) tau)."""
+
+    @staticmethod
+    def kernel(quad, tau):
+        return j0(np.sqrt(quad.nodes)[:, None] * tau).T @ quad.weights
+
+    def test_pruned_kernel_matches_full_rule_and_closed_form(self):
+        full = MassQuadrature(*gauss_laguerre_generalized(32, 1.0),
+                              "powerlaw")
+        pruned = build_quadrature(UNIT, 32)
+        tau = np.linspace(0.0, 60.0, 6001)
+        k_full, k_pruned = self.kernel(full, tau), self.kernel(pruned, tau)
+        assert np.max(np.abs(k_pruned - k_full)) <= 1e-15
+        exact = (1.0 - tau ** 2 / 4.0) * np.exp(-tau ** 2 / 4.0)
+        near = tau <= 15.0
+        for k in (k_full, k_pruned):
+            assert np.max(np.abs(k - exact)[near]) <= 1e-6
 
 
 class TestBuildBreitWigner:

@@ -10,6 +10,7 @@ from cetlab import (Grid, MassQuadrature, ModelConfig, PowerLawExp,
                     scattering_residual, step)
 from cetlab import radial
 from cetlab.errors import PaddingViolatedError
+from cetlab.quadrature import gauss_laguerre_generalized
 from cetlab.radial import (FieldState, _march, _Workspace, ghost_q,
                            ghost_q_prime)
 from cetlab.resolvent import ModeParams, TimeSeries, kg_retarded
@@ -427,6 +428,30 @@ class TestEvolve:
             0.01875976326709065, rel=rel)
         assert scattering_residual(out, 8.0, 16.0) == pytest.approx(
             0.001525215801349807, rel=rel)
+
+    def test_pruned_rule_matches_full_rule(self):
+        # the 11 GL-32 nodes with weight below eps * l1 move no output
+        # beyond round-off; they only raised mu_max
+        pruned = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        full = MassQuadrature(*gauss_laguerre_generalized(32, 1.0),
+                              "powerlaw")
+        outs = []
+        for quad in (pruned, full):
+            cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
+            outs.append(evolve(cfg, Grid(padded_r_max(cfg), 256), cadence=8,
+                               snapshot_times=(4.0, 8.0, 16.0)))
+        a, b = outs
+        assert (len(pruned), len(full)) == (21, 32)
+        assert a.dt == b.dt and a.stiffness_guard < b.stiffness_guard
+
+        def close(x, y):
+            return np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+        for name in a.records[0].FIELDS:
+            assert close(a.series(name), b.series(name)), name
+        assert close(a.m_profiles, b.m_profiles)
+        for t1, t2 in ((4.0, 8.0), (8.0, 16.0)):
+            assert scattering_residual(a, t1, t2) == pytest.approx(
+                scattering_residual(b, t1, t2), rel=1e-12, abs=0.0)
 
     def test_diagnostics_invariants(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 16)
