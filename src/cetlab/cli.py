@@ -274,7 +274,8 @@ def _cmd_evolve(a) -> int:
     summary = {"completed": out.completed,
                "integrated_flux": out.integrated_flux,
                "n_records": len(out.records), "dt": out.dt,
-               "n_steps": out.n_steps, "stiffness_guard": out.stiffness_guard,
+               "n_steps": out.n_steps, "column_steps": out.column_steps,
+               "stiffness_guard": out.stiffness_guard,
                "n_modes": n_modes, "dropped_nodes": dropped}
     if out.blow_up_time is not None:
         summary["blow_up_time"] = out.blow_up_time

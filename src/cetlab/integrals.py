@@ -114,9 +114,3 @@ def flagged_integral(f, core_edges, tol: float = 1e-10) -> float:
             return math.inf
         total += s
     return total
-
-
-def trapezoid_oracle(f, a: float, b: float, panels: int = 1_000_000) -> float:
-    """Brute-force trapezoid reference, independent of the panel machinery."""
-    x = np.linspace(a, b, panels + 1)
-    return float(np.trapezoid(f(x), x))

@@ -15,6 +15,15 @@ Dirichlet at r_max, and classical RK4 in time.  The outer boundary is
 causally padded instead of absorbing: the run must end before anything
 reaches it.
 
+The march runs in a column window [0, W) that grows behind the front.
+Compactly supported data stay compactly supported: ahead of the front
+every row is bitwise +0.0, because the discrete precursor underflows.
+Before each step every column >= W - 8 of Q and Q_dot is +0.0; a step
+reaches at most four columns (one 3-point stencil per stage), so the
+full-width march would hold +0.0 at every column >= W - 4 after it, and
+the window's edge rules write exactly that.  The windowed march is
+therefore bitwise the full-width one.
+
 Diagnostics per record: plain and ghost-weighted derivative energies,
 the light-cone flux generated by the weight, sup |u|, the origin trace,
 and L2(r^2 dr) norms of the memory term and its source.
@@ -31,6 +40,10 @@ from .errors import BlowUpError, PaddingViolatedError, ValidationError
 from .quadrature import MassQuadrature
 
 STIFFNESS_LIMIT = 2.5
+# columns at the window's edge that must stay +0.0, and the columns the
+# window grows by when a step leaves anything else there
+GUARD = 8
+GROWTH = 64
 
 
 def quintic_smoothstep(x):
@@ -188,6 +201,9 @@ class RunOutput:
     # ModelConfig.stiffness_guard at the run's dt
     n_steps: int = 0
     stiffness_guard: float = 0.0
+    # the march's window width summed over those steps; n_steps*(n_r+1)
+    # when every step runs on the full grid
+    column_steps: int = 0
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records])
@@ -226,6 +242,9 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
     else:
         # u1 = -du0/dr - u0/r, i.e. V_dot = -dV/dr, evaluated analytically
         V_dot = -(u0 + r * _profile_derivative(cfg, r))
+        # the expression is -0.0 outside the support; + 0.0 makes that
+        # +0.0, as the march's window needs, and leaves the rest alone
+        V_dot += 0.0
     n_modes = 0 if cfg.quad is None else len(cfg.quad)
     Q = np.zeros((n_modes + 2, grid.n_r + 1))
     Q_dot = np.zeros_like(Q)
@@ -237,8 +256,11 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
 class _Workspace:
     """Grid quantities and stage buffers for the RK4 march of one stack.
 
-    The buffers have the stack's shape (m+2, n_r+1) and are reused by
-    every step, so a step allocates nothing of that size.
+    The stage buffers are flat, of the full stack's size (m+2)(n_r+1),
+    and are reused by every step, so a step allocates nothing of that
+    size.  A march in the column window [0, W) takes each (m+2, W) stage
+    array from the first (m+2)W elements (`set_width`); the methods read
+    the width from their arguments.
     """
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
@@ -250,9 +272,15 @@ class _Workspace:
         quad = cfg.quad
         self.w = np.zeros((0, 1)) if quad is None else quad.weights[:, None]
         self.mu = np.zeros((0, 1)) if quad is None else quad.nodes[:, None]
-        shape = (len(self.w) + 2, grid.n_r + 1)
+        self.rows = len(self.w) + 2
+        self._flat = [np.empty(self.rows * (grid.n_r + 1)) for _ in range(4)]
+        self.set_width(grid.n_r + 1)
+        self.column_steps = 0
+
+    def set_width(self, width: int) -> None:
         # stage field, stage velocity, stage acceleration, scratch
-        self.S, self.D, self.a, self.tmp = (np.empty(shape) for _ in range(4))
+        self.S, self.D, self.a, self.tmp = (
+            _window(flat, self.rows, width) for flat in self._flat)
 
     def laplacian(self, Y: np.ndarray, out: np.ndarray | None = None
                   ) -> np.ndarray:
@@ -272,7 +300,7 @@ class _Workspace:
         return out
 
     def u_of(self, V: np.ndarray) -> np.ndarray:
-        u = V * self.inv_r
+        u = V * self.inv_r[:len(V)]
         u[0] = V[1] / self.dr          # L'Hopital at the origin
         return u
 
@@ -281,16 +309,17 @@ class _Workspace:
         Vr[1:-1] = (V[2:] - V[:-2]) / (2.0 * self.dr)
         Vr[0] = V[1] / self.dr          # odd reflection
         Vr[-1] = (V[-1] - V[-2]) / self.dr
-        ur = (Vr - u) * self.inv_r
+        ur = (Vr - u) * self.inv_r[:len(V)]
         ur[0] = 0.0                     # regularity: u is even in r
         return ur
 
     def memory_term(self, X: np.ndarray) -> np.ndarray:
+        width = X.shape[-1]
         if self.w.size == 0:
-            return np.zeros_like(self.r)
+            return np.zeros(width)
         # a plain row sum, not a matvec: BLAS would reorder the additions
         S = np.sum(np.multiply(self.w, X, out=self.tmp[2:]), axis=0)
-        M = S * self.inv_r
+        M = S * self.inv_r[:width]
         M[0] = float(np.sum(self.w[:, 0] * X[:, 1])) / self.dr
         return M
 
@@ -301,7 +330,7 @@ class _Workspace:
         ur = self.du_dr(V, u)
         F = cfg.a_null * (ud ** 2 - ur ** 2) + cfg.b_bad * ud ** 2
         if cfg.n2_override is not None:
-            N2 = cfg.n2_override(t, self.r)
+            N2 = cfg.n2_override(t, self.r[:len(V)])
         else:
             N2 = cfg.c_grad * (ud ** 2 + ur ** 2) + cfg.d_quad * u ** 2
         return u, ud, ur, F, N2
@@ -312,14 +341,58 @@ class _Workspace:
         sources."""
         _, _, _, F, N2 = self.sources(Q[0], Q_dot[0], t)
         M = self.memory_term(Q[2:])
+        r = self.r[:Q.shape[-1]]
         self.laplacian(Q, out)
         acc_X = out[2:]
         acc_X -= np.multiply(self.mu, Q[2:], out=self.tmp[2:])
-        out[0] += self.r * (F + M)
-        out[1] += self.r * M
-        acc_X += self.r * N2
+        out[0] += r * (F + M)
+        out[1] += r * M
+        acc_X += r * N2
         _pin_boundaries(out)
         return out
+
+
+def _window(flat: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The C-contiguous (rows, width) array on the first rows*width
+    elements of the flat buffer `flat`."""
+    return flat[:rows * width].reshape(rows, width)
+
+
+def _pad(row: np.ndarray, n: int) -> np.ndarray:
+    """`row` followed by +0.0 up to length n, in a fresh array."""
+    out = np.zeros(n)
+    out[:len(row)] = row
+    return out
+
+
+def _plus_zero(*blocks: np.ndarray) -> bool:
+    """True when every value is +0.0; the bits decide, so -0.0 and NaN
+    count as nonzero."""
+    # count_nonzero is several times cheaper than any() on a few columns
+    return not any(np.count_nonzero(b.view(np.uint64)) for b in blocks)
+
+
+def _start_width(st: FieldState) -> int:
+    """GROWTH columns past the last column holding anything but +0.0,
+    at most the full grid."""
+    live = np.flatnonzero(st.Q.view(np.uint64).any(axis=0)
+                          | st.Q_dot.view(np.uint64).any(axis=0))
+    end = int(live[-1]) + 1 if live.size else 0
+    return min(st.Q.shape[1], end + GROWTH)
+
+
+def _relayout(st: FieldState, flats: tuple, width: int) -> FieldState:
+    """`st` copied into the flat pair `flats` at column width `width`,
+    with +0.0 in any new columns."""
+    rows, old = st.Q.shape
+    keep = min(old, width)
+    pair = []
+    for Y, flat in zip((st.Q, st.Q_dot), flats):
+        out = _window(flat, rows, width)
+        out[:, :keep] = Y[:, :keep]
+        out[:, keep:] = 0.0
+        pair.append(out)
+    return FieldState(st.t, *pair)
 
 
 def _pin_boundaries(*stacks: np.ndarray) -> None:
@@ -376,13 +449,37 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
 def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
     """Yield the state after each of `n_steps` RK4 steps from `st`.
 
-    Two (Q, Q_dot) pairs alternate, `st`'s own arrays and a spare pair,
-    so `st` is overwritten from the second step on and a yielded state
-    holds only until the next one is yielded.
+    `st` holds full-grid rows.  The steps run in the column window
+    [0, W), W starting GROWTH columns past the data and growing by
+    GROWTH whenever a step leaves anything but +0.0 in the last GUARD
+    columns (see the module docstring); a yielded state holds the first
+    W columns of the full-width state, bit for bit, and +0.0 lies beyond
+    them.  A prescribed memory source can be nonzero anywhere, so with
+    `n2_override` the window is the full grid.  `ws.column_steps` adds
+    up W over the steps.
+
+    Two flat (Q, Q_dot) pairs alternate, `st`'s own arrays and a spare
+    pair, and each (rows, W) state takes the first rows*W elements of
+    one of them.  So `st` may be overwritten from the first step on, and
+    a yielded state holds only until the next one is yielded.
     """
-    spare = (np.empty(st.Q.shape), np.empty(st.Q.shape))
+    rows, full = st.Q.shape
+    pairs = ((st.Q.reshape(-1), st.Q_dot.reshape(-1)),
+             (np.empty(st.Q.size), np.empty(st.Q.size)))
+    width = full if ws.cfg.n2_override is not None else _start_width(st)
+    spare = 1
+    if width < full:
+        st, spare = _relayout(st, pairs[1], width), 0
+    ws.set_width(width)
     for _ in range(n_steps):
-        st, spare = _rk4_step(ws, st, dt, spare), (st.Q, st.Q_dot)
+        out = tuple(_window(flat, rows, width) for flat in pairs[spare])
+        st, spare = _rk4_step(ws, st, dt, out), 1 - spare
+        ws.column_steps += width
+        if width < full and not _plus_zero(st.Q[:, -GUARD:],
+                                           st.Q_dot[:, -GUARD:]):
+            width = min(full, width + GROWTH)
+            st, spare = _relayout(st, pairs[spare], width), 1 - spare
+            ws.set_width(width)
         yield st
 
 
@@ -416,16 +513,21 @@ def _check_finite(st: FieldState, grid: Grid) -> None:
 
 def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig
               ) -> tuple[DiagnosticsRecord, np.ndarray]:
-    """The diagnostics record of `st` and its memory term M."""
+    """The diagnostics record of `st` and its memory term M.
+
+    The rows are padded with +0.0 to the full grid, so the sums run over
+    the arrays of the full-width march whatever the window.
+    """
     r = ws.r
-    u, ud, ur, F, N2 = ws.sources(st.V, st.V_dot, st.t)
-    M = ws.memory_term(st.X)
+    V, V_dot = _pad(st.V, len(r)), _pad(st.V_dot, len(r))
+    M = _pad(ws.memory_term(st.X), len(r))
+    u, ud, ur, F, N2 = ws.sources(V, V_dot, st.t)
     # second time derivative of u via the evolution equation
     rFM = r * (F + M)
     rFM[0] = rFM[-1] = 0.0
-    aV = ws.laplacian(st.V) + rFM
+    aV = ws.laplacian(V) + rFM
     udd = ws.u_of(aV)
-    udr = ws.du_dr(st.V_dot, ud)
+    udr = ws.du_dr(V_dot, ud)
 
     r2 = r * r
     def norm2(g):
@@ -451,9 +553,12 @@ def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig
 
 
 def _snapshot(ws: _Workspace, st: FieldState) -> dict:
-    return {"t": st.t, "V": st.V.copy(), "V_dot": st.V_dot.copy(),
-            "P": st.P.copy(), "P_dot": st.P_dot.copy(), "u": ws.u_of(st.V),
-            "M": ws.memory_term(st.X), "Phi": ws.u_of(st.P)}
+    """Full-grid copies of the rows of `st`, and u, M and Phi."""
+    n = len(ws.r)
+    V, P = _pad(st.V, n), _pad(st.P, n)
+    return {"t": st.t, "V": V, "V_dot": _pad(st.V_dot, n), "P": P,
+            "P_dot": _pad(st.P_dot, n), "u": ws.u_of(V),
+            "M": _pad(ws.memory_term(st.X), n), "Phi": ws.u_of(P)}
 
 
 def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
@@ -509,7 +614,7 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     return RunOutput(cfg, grid, dt, records, np.array(ptimes),
                      np.array(mprofs), snapshots, not blow_up,
                      blow_up.get("time"), blow_up.get("radius"), n,
-                     cfg.stiffness_guard(grid, dt))
+                     cfg.stiffness_guard(grid, dt), ws.column_steps)
 
 
 def free_wave_exact(cfg: ModelConfig, r: np.ndarray, t: float) -> np.ndarray:

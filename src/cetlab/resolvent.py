@@ -207,13 +207,6 @@ def kg_retarded(params: ModeParams, f: TimeSeries) -> TimeSeries:
     return TimeSeries(f.t0, f.dt, v[0])
 
 
-def kg_retarded_with_velocity(params: ModeParams,
-                              f: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
-    _check_stability(f.dt, params.omega2)
-    v, vd = _kg_solve(np.array([params.omega2]), f.samples, f.dt)
-    return TimeSeries(f.t0, f.dt, v[0]), TimeSeries(f.t0, f.dt, vd[0])
-
-
 def _memory_modes(quad: MassQuadrature, xi: float, f: TimeSeries):
     try:
         omega2 = quad.nodes + xi ** 2

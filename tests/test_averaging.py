@@ -7,7 +7,8 @@ from cetlab import (DiracComb, PowerLawExp, ValidationError,
                     atomic_no_decay_check, averaged_symbol, decay_bound_check,
                     spectral_constants)
 from cetlab.errors import S5RequiredError
-from cetlab.integrals import trapezoid_oracle
+
+from oracles import trapezoid_oracle
 
 UNIT = PowerLawExp(1.0, 1.0, 1.0)
 

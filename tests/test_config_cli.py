@@ -328,6 +328,23 @@ class TestCli:
         assert summary["n_steps"] * summary["dt"] == pytest.approx(4.0)
         assert 0.0 < summary["stiffness_guard"] <= 2.5
 
+    @pytest.mark.parametrize("n_r", [128, 512])
+    def test_evolve_summary_column_steps(self, tmp_path, capsys, n_r):
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d).replace("n_r = 128",
+                                                      f"n_r = {n_r}"))
+        assert main(["evolve", "--config", str(cfgfile)]) == 0
+        capsys.readouterr()
+        summary = strict_loads((d / "summary.json").read_text())
+        full = summary["n_steps"] * (n_r + 1)
+        # the data reach r = 9 of r_max = 15: at n_r = 128 the window's
+        # 64-column margin covers the grid, at 512 it starts narrower
+        if n_r == 128:
+            assert summary["column_steps"] == full
+        else:
+            assert 0 < summary["column_steps"] < full
+
     def test_evolve_summary_counts_dropped_nodes(self, tmp_path, capsys):
         d = tmp_path / "out"
         cfgfile = tmp_path / "run.cfg"

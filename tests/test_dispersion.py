@@ -8,7 +8,8 @@ from cetlab import (DiracComb, PowerLawExp, build_quadrature,
                     solve_branch)
 from cetlab.dispersion import SCAN_NODES
 from cetlab.errors import PrincipalValueError
-from cetlab.integrals import trapezoid_oracle
+
+from oracles import trapezoid_oracle
 
 UNIT = PowerLawExp(1.0, 1.0, 1.0)
 

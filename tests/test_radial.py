@@ -77,6 +77,13 @@ def reference_rk4_step(ws, st, dt):
     return FieldState(t + dt, Q_new, Qd_new)
 
 
+def reference_march(ws, st, dt, n_steps):
+    """`reference_rk4_step` after `reference_rk4_step` on the full grid."""
+    for _ in range(n_steps):
+        st = reference_rk4_step(ws, st, dt)
+        yield st
+
+
 def separable_override(grid):
     """A prescribed memory source sin(k r)/r, k = 3 pi / r_max, times a
     Gaussian in t."""
@@ -352,6 +359,108 @@ class TestBufferedStep:
         for i, (name_a, a) in enumerate(arrays):
             for name_b, b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b), (name_a, name_b)
+
+
+def window_input(kind):
+    """(cfg, grid) of a run whose march window starts narrow, except
+    under n2_override; the blow-up run ends with a nonfinite u at r > 0."""
+    if kind == "blow_up":
+        cfg = ModelConfig(epsilon=1.0, a_null=0.0, b_bad=8.0, c_grad=0.0,
+                          d_quad=0.0, quad=None, cfl=0.5, t_final=12.0,
+                          r_c=5.0, sigma=1.0)
+        return cfg, Grid(23.0, 256)
+    quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+    if kind == "n2_override":
+        grid = Grid(21.0, 256)
+        cfg = ModelConfig(epsilon=0.02, quad=quad, t_final=10.0,
+                          n2_override=separable_override(grid))
+        return cfg, grid
+    extra = {"ingoing": dict(velocity_mode="ingoing"),
+             # negative couplings write -0.0 into F and N2 ahead of
+             # the front
+             "negative": dict(a_null=-1.0, b_bad=-0.5, c_grad=-1.0,
+                              d_quad=-0.25)}.get(kind, {})
+    cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0, **extra)
+    return cfg, Grid(padded_r_max(cfg), 512)
+
+
+WINDOW_KINDS = ["time-symmetric", "ingoing", "negative", "blow_up",
+                "n2_override"]
+
+
+class TestColumnWindow:
+    @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    def test_march_matches_full_reference_bitwise(self, kind):
+        cfg, grid = window_input(kind)
+        full = grid.n_r + 1
+        n_steps = 2 * math.ceil(cfg.t_final / (2 * cfg.cfl * grid.dr))
+        dt = cfg.t_final / n_steps
+        ws = _Workspace(cfg, grid)
+        st = initialize(cfg, grid)
+        ref = FieldState(st.t, st.Q.copy(), st.Q_dot.copy())
+        widths = []
+        for new in _march(ws, st, dt, n_steps):
+            ref = reference_rk4_step(ws, ref, dt)
+            width = new.Q.shape[1]
+            widths.append(width)
+            assert new.t == ref.t and new.Q_dot.shape[1] == width
+            padded = [np.stack([radial._pad(row, full) for row in Y])
+                      for Y in (new.Q, new.Q_dot)]
+            assert same_bits(padded[0], ref.Q)
+            assert same_bits(padded[1], ref.Q_dot)
+            if width < full:
+                # the invariant: the guard band is +0.0, bit for bit
+                for Y in (new.Q, new.Q_dot):
+                    band = Y[:, -radial.GUARD:]
+                    assert same_bits(band, np.zeros_like(band))
+            if not (np.isfinite(new.Q).all()
+                    and np.isfinite(new.Q_dot).all()):
+                break
+        if kind == "n2_override":
+            assert set(widths) == {full}
+        else:
+            assert widths[0] < full and widths == sorted(widths)
+        if kind not in ("n2_override", "blow_up"):
+            assert widths[-1] == full and len(widths) == n_steps
+
+    @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    def test_evolve_matches_full_reference_march(self, kind, monkeypatch):
+        cfg, grid = window_input(kind)
+        snaps = (0.0, cfg.t_final / 4, cfg.t_final / 2, cfg.t_final)
+
+        def run():
+            return evolve(cfg, grid, cadence=5, snapshot_times=snaps)
+
+        windowed = run()
+        monkeypatch.setattr(radial, "_march", reference_march)
+        reference = run()
+        got, want = run_arrays(windowed), run_arrays(reference)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+        facts = ("dt", "completed", "n_steps", "blow_up_time",
+                 "blow_up_radius")
+        assert [getattr(windowed, f) for f in facts] == \
+            [getattr(reference, f) for f in facts]
+        full_steps = windowed.n_steps * (grid.n_r + 1)
+        if kind == "n2_override":
+            assert windowed.column_steps == full_steps
+        else:
+            assert 0 < windowed.column_steps < full_steps
+        if kind == "blow_up":
+            assert not windowed.completed
+            assert windowed.blow_up_radius is not None
+
+    def test_column_steps(self):
+        cfg, grid = window_input("time-symmetric")
+        out = evolve(cfg, grid, cadence=10 ** 9)
+        # the data end near r = 9 of 27: the window starts at a third
+        # of the grid
+        assert out.column_steps < out.n_steps * (grid.n_r + 1)
+        assert out.column_steps > out.n_steps * (9.0 / grid.dr)
+        assert out.column_steps == evolve(cfg, grid, cadence=5).column_steps
+        assert evolve(free_cfg(t_final=0.0), Grid(21.0, 128)).column_steps \
+            == 0
 
 
 class TestFreeWave:

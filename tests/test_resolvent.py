@@ -12,10 +12,15 @@ from cetlab import (MassQuadrature, PowerLawExp, ValidationError,
                     commutator_residual, duhamel_ratio, kg_retarded,
                     mass_weighted_bound_check, positivity_functional)
 from cetlab.errors import CommutatorInputError, ModeStepUnstableError
-from cetlab.resolvent import (ModeParams, TimeSeries, _kg_solve, _midpoints,
-                              kg_retarded_with_velocity)
+from cetlab.resolvent import ModeParams, TimeSeries, _kg_solve, _midpoints
 
 ONE_ATOM = MassQuadrature(np.array([1.0]), np.array([1.0]), "diraccomb")
+
+
+def kg_retarded_with_velocity(params, f):
+    """The mode response to `f` and its velocity, from the mode solver."""
+    v, vd = _kg_solve(np.array([params.omega2]), f.samples, f.dt)
+    return TimeSeries(f.t0, f.dt, v[0]), TimeSeries(f.t0, f.dt, vd[0])
 
 
 def loop_kg_solve(omega2, f, dt):

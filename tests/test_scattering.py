@@ -9,7 +9,7 @@ from cetlab import (Grid, ModelConfig, PowerLawExp, ValidationError,
                     scattering, scattering_residual, scattering_residual_fit)
 from cetlab.errors import (InsufficientSamplesError, MemoryBelowNoiseError,
                            SnapshotUnavailableError)
-from cetlab.radial import FieldState, _march, _Workspace
+from cetlab.radial import FieldState, _march, _pad, _Workspace
 from cetlab.selftest import RESIDUAL_EXPONENT_MIN
 
 
@@ -24,7 +24,8 @@ def march_free_evolve(run, W, W_dot, n_steps):
     st = FieldState(0.0, np.stack([W, zero]), np.stack([W_dot, zero]))
     for st in _march(ws, st, run.dt, n_steps):
         pass
-    return st.V, st.V_dot
+    # the march's last state may hold only a window of the grid
+    return _pad(st.V, W.size), _pad(st.V_dot, W.size)
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from cetlab import (BreitWigner, DiracComb, PowerLawExp, ValidationError,
                     check_conditions, eval_density, spectral_constants)
 from cetlab.errors import NotPointwiseEvaluableError
-from cetlab.integrals import trapezoid_oracle
 from cetlab.spectral import adaptive_constants
+
+from oracles import trapezoid_oracle
 
 
 def flat_exponential():
