@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,17 +39,45 @@ def same_bits(a, b) -> bool:
 def reference_laplacian(ws, Y):
     out = np.zeros_like(Y)
     out[..., 1:-1] = (Y[..., 2:] - 2.0 * Y[..., 1:-1] + Y[..., :-2]) \
-        / ws.dr ** 2
+        * ws.inv_dr2
     return out
 
 
 def reference_memory_term(ws, X):
     if ws.w.size == 0:
         return np.zeros_like(ws.r)
-    S = np.sum(ws.w * X, axis=0)
+    S = ws.w @ X
     M = S * ws.inv_r
-    M[0] = float(np.sum(ws.w[:, 0] * X[:, 1])) / ws.dr
+    M[0] = S[1] / ws.dr
     return M
+
+
+# The arithmetic before the memory sum became a BLAS matvec and the
+# stencil a multiply by 1/dr^2: a division by dr^2, a sequential row sum
+# and a pairwise origin sum.  Patched into _Workspace it reproduces the
+# older march bit for bit; the current one matches it to a tolerance.
+
+def old_laplacian(ws, Y, out=None):
+    out = np.zeros(Y.shape) if out is None else out
+    out[..., 1:-1] = (Y[..., 2:] - 2.0 * Y[..., 1:-1] + Y[..., :-2]) \
+        / ws.dr ** 2
+    out[..., 0] = out[..., -1] = 0.0
+    return out
+
+
+def old_memory_term(ws, X):
+    width = X.shape[-1]
+    if ws.w.size == 0:
+        return np.zeros(width)
+    S = np.sum(ws.w[:, None] * X, axis=0)
+    M = S * ws.inv_r[:width]
+    M[0] = float(np.sum(ws.w * X[:, 1])) / ws.dr
+    return M
+
+
+def use_old_arithmetic(monkeypatch):
+    monkeypatch.setattr(_Workspace, "laplacian", old_laplacian)
+    monkeypatch.setattr(_Workspace, "memory_term", old_memory_term)
 
 
 def reference_accel(ws, t, Q, Q_dot):
@@ -280,7 +314,7 @@ class TestLaplacian:
             want = np.zeros_like(Y)
             for i, row in enumerate(Y):
                 want[i, 1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) \
-                    / grid.dr ** 2
+                    * (1.0 / grid.dr ** 2)
         assert np.array_equal(got, want, equal_nan=True)
         for i in (0, 2, 5):
             assert np.isfinite(got[i]).all() and same_bits(got[i], want[i])
@@ -463,6 +497,110 @@ class TestColumnWindow:
             == 0
 
 
+def rel_drift(got, want, axis=None):
+    """max |got - want| over max |want|, along `axis`."""
+    return np.abs(got - want).max(axis=axis) / np.abs(want).max(axis=axis)
+
+
+class TestOldArithmetic:
+    """The matvec and the reciprocal against the older arithmetic
+    (`old_laplacian`, `old_memory_term`).  Each bound is about ten times
+    the largest drift measured (numpy 2.4 with its bundled OpenBLAS,
+    x86-64)."""
+
+    @pytest.mark.parametrize("kind, bound", [("modes32", 8e-15),
+                                             ("free", 3e-14),
+                                             ("n2_override", 1.5e-15)])
+    def test_one_step_within_tolerance(self, kind, bound, monkeypatch):
+        cfg, grid, st = stack_input(kind)
+        new = step(st, cfg, grid)
+        use_old_arithmetic(monkeypatch)
+        old = step(st, cfg, grid)
+        for got, want in ((new.Q, old.Q), (new.Q_dot, old.Q_dot)):
+            assert np.all(rel_drift(got, want, axis=1) <= bound)
+
+    def test_run_within_tolerance(self, monkeypatch):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
+        grid = Grid(padded_r_max(cfg), 256)
+
+        def run():
+            return evolve(cfg, grid, cadence=8,
+                          snapshot_times=(4.0, 8.0, 16.0))
+
+        new = run()
+        use_old_arithmetic(monkeypatch)
+        old = run()
+        got, want = run_arrays(new), run_arrays(old)
+        assert len(quad) == 21 and got.keys() == want.keys()
+        assert (new.dt, new.n_steps) == (old.dt, old.n_steps)
+        assert not same_bits(got["m"], want["m"])
+        # each record field, each profile and snapshot array, against
+        # its own sup
+        assert np.all(rel_drift(got.pop("records"), want.pop("records"),
+                                axis=0) <= 3e-14)
+        for name in ("m", "profile_times"):
+            assert rel_drift(got.pop(name), want.pop(name)) <= 3e-14, name
+        for name in want:
+            assert rel_drift(got[name], want[name]) <= 4e-13, name
+        for t1, t2 in ((4.0, 8.0), (8.0, 16.0)):
+            assert scattering_residual(new, t1, t2) == pytest.approx(
+                scattering_residual(old, t1, t2), rel=1e-13, abs=0.0)
+
+
+# Evolves a 21-mode run whose windows span 550 to 1025 columns, a
+# matvec large enough for OpenBLAS to split between threads, and prints
+# the thread count OpenBLAS reports and a SHA-256 over the outputs.
+THREADS_CHILD = """
+import ctypes, glob, hashlib, json, os
+import numpy as np
+from cetlab import (Grid, ModelConfig, PowerLawExp, build_quadrature,
+                    evolve, padded_r_max)
+from test_radial import run_arrays
+
+def openblas_threads():
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_",
+                      None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get()
+    return None
+
+quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=8.0)
+out = evolve(cfg, Grid(padded_r_max(cfg), 1024), cadence=8,
+             snapshot_times=(4.0, 8.0))
+digest = hashlib.sha256()
+for name, value in sorted(run_arrays(out).items()):
+    digest.update(name.encode())
+    digest.update(value.tobytes())
+print(json.dumps({"threads": openblas_threads(), "modes": len(quad),
+                  "mean_width": out.column_steps / out.n_steps,
+                  "sha256": digest.hexdigest()}))
+"""
+
+
+def test_outputs_independent_of_blas_threads():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests),
+                    env.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in (1, 2):
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+        proc = subprocess.run([sys.executable, "-c", THREADS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert [run["threads"] for run in runs] == [1, 2]
+    assert runs[0]["modes"] == 21 and runs[0]["mean_width"] > 500
+    assert runs[0]["sha256"] == runs[1]["sha256"]
+
+
 class TestFreeWave:
     def test_matches_closed_form_second_order(self):
         cfg = free_cfg()
@@ -595,6 +733,18 @@ class TestEvolve:
                                snapshot_times=(6.0,)).snapshots[6.0]["u"])
         # both time steps resolve the same spatially-limited solution
         assert np.max(np.abs(outs[0] - outs[1])) < 1e-6
+
+    def test_blow_up_records_quietly(self):
+        # the last record before the blow-up overflows in the diagnostics
+        # at cadences 1 and 7; it keeps its inf and nan values, and no
+        # warning escapes
+        cfg, grid = window_input("blow_up")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = [evolve(cfg, grid, cadence=c) for c in (1, 5, 7)]
+        assert {(out.completed, out.blow_up_time, out.n_steps)
+                for out in outs} == {(False, outs[0].blow_up_time, 15)}
+        assert not math.isfinite(outs[0].records[-1].E_std)
 
     def test_blow_up_reported_not_raised(self):
         # strong bad-derivative self-forcing at order-one amplitude
