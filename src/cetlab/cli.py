@@ -5,7 +5,8 @@ scatter, pheno, selftest.  Density flags and value types come from the
 grammar in `cetlab.config` that run files use too.  Every numeric output
 is printed with 17 significant digits and '.' decimals; CSV and JSON
 files start with a header comment carrying the tool version and a digest
-of the inputs, so identical invocations produce byte-identical files.
+of the inputs, so identical invocations produce byte-identical files;
+the one exception is evolve's timings.json, which holds wall-clock times.
 Exit codes: 0 on success, 2 on validation errors (malformed arguments
 included), 3 on numerical failures, with a JSON error object on stderr.
 """
@@ -282,6 +283,14 @@ def _cmd_evolve(a) -> int:
         summary["blow_up_radius"] = out.blow_up_radius
     if "json" in rc.formats:
         write_json(os.path.join(rc.output_dir, "summary.json"), summary, src)
+        # wall-clock numbers differ run to run, so they stay out of
+        # summary.json, whose bytes repeat
+        value_steps = out.column_steps * (n_modes + 2)
+        timings = {"march_s": out.march_s, "diagnose_s": out.diagnose_s,
+                   "rhs_evals": out.rhs_evals,
+                   "ns_per_value_step": 1e9 * out.march_s / value_steps
+                   if value_steps else None}
+        write_json(os.path.join(rc.output_dir, "timings.json"), timings, src)
     _emit(summary)
     if not out.completed:
         raise NumericalError("blow-up-detected: run did not reach t_final",

@@ -15,6 +15,13 @@ Dirichlet at r_max, and classical RK4 in time.  The outer boundary is
 causally padded instead of absorbing: the run must end before anything
 reaches it.
 
+RK4 runs in Nystrom form on accelerations scaled by dr^2 (`_rk4_step`).
+The sources read only the V row's velocity, so only that row's stage
+velocities are formed, and 1/dr^2 rides in the stage coefficients.
+This is the classical RK4 step; against the written-out form on the
+pair (Q, Q_dot) the values differ by rounding, about 1e-16 of each
+row's sup on Q and 1e-14 on Q_dot per step.
+
 The march runs in a column window [0, W) that grows behind the front.
 Compactly supported data stay compactly supported: ahead of the front
 every row is bitwise +0.0, because the discrete precursor underflows.
@@ -24,13 +31,11 @@ full-width march would hold +0.0 at every column >= W - 4 after it, and
 the window's edge rules write exactly that.  The windowed march is
 therefore bitwise the full-width one.
 
-The memory sum is one BLAS matvec, w @ X, and the stencil multiplies by
-1/dr^2.  OpenBLAS (measured for every W up to 2048 at 21 to 90 rows,
-with one thread or two) sums every column of w @ X[:, :W] as at full
-width except the last W mod 4, and those lie in the +0.0 band, where
-any order gives +0.0; so the window stays bitwise.  Against a
-sequential row sum and a division by dr^2 the values differ by rounding,
-about 1 ulp per value per step.
+The memory sum is one BLAS matvec, w @ X.  OpenBLAS (measured for every
+W up to 2048 at 21 to 90 rows, with one thread or two) sums every column
+of w @ X[:, :W] as at full width except the last W mod 4, and those lie
+in the +0.0 band, where any order gives +0.0; so the window stays
+bitwise.
 
 Diagnostics per record: plain and ghost-weighted derivative energies,
 the light-cone flux generated by the weight, sup |u|, the origin trace,
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -212,6 +218,12 @@ class RunOutput:
     # the march's window width summed over those steps; n_steps*(n_r+1)
     # when every step runs on the full grid
     column_steps: int = 0
+    # wall-clock seconds in the march (steps, window growth, finite
+    # checks) and in the records and snapshots, and the stack
+    # accelerations evaluated, four per step
+    march_s: float = 0.0
+    diagnose_s: float = 0.0
+    rhs_evals: int = 0
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records])
@@ -278,34 +290,27 @@ class _Workspace:
         self.inv_dr2 = 1.0 / grid.dr ** 2
         self.inv_r = np.zeros_like(self.r)
         self.inv_r[1:] = 1.0 / self.r[1:]
+        self.rs = grid.dr ** 2 * self.r      # the sources' factor, dr^2 r
         quad = cfg.quad
         self.w = np.zeros(0) if quad is None else quad.weights
-        self.mu = np.zeros((0, 1)) if quad is None else quad.nodes[:, None]
+        mu = np.zeros(0) if quad is None else quad.nodes
         self.rows = len(self.w) + 2
-        self._flat = [np.empty(self.rows * (grid.n_r + 1)) for _ in range(4)]
+        # dr^2 times the centre coefficient of Q_rr - mu Q, per row
+        self.centre = np.concatenate(
+            ([-2.0, -2.0], -2.0 - mu * grid.dr ** 2))[:, None]
+        self._flat = [np.empty(self.rows * (grid.n_r + 1)) for _ in range(3)]
         self.set_width(grid.n_r + 1)
         self.column_steps = 0
 
     def set_width(self, width: int) -> None:
-        # stage field, stage velocity, stage acceleration, scratch
-        self.S, self.D, self.a, self.tmp = (
+        # stage field, and two stage accelerations
+        self.S, self.B, self.a = (
             _window(flat, self.rows, width) for flat in self._flat)
 
-    def laplacian(self, Y: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-        """Centered second difference of every row, zero at both ends.
-
-        The stencil runs over the flattened stack; only the boundary
-        columns straddle two rows, and those are zeroed afterwards.  `out`
-        must be C-contiguous.
-        """
-        out = np.empty(Y.shape) if out is None else out
-        y, inner = Y.reshape(-1), out.reshape(-1)[1:-1]
-        np.multiply(y[1:-1], 2.0, out=inner)
-        np.subtract(y[2:], inner, out=inner)
-        np.add(inner, y[:-2], out=inner)
-        np.multiply(inner, self.inv_dr2, out=inner)
-        out[..., 0] = out[..., -1] = 0.0
+    def laplacian(self, y: np.ndarray) -> np.ndarray:
+        """Centered second difference of one row, zero at both ends."""
+        out = np.zeros_like(y)
+        out[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * self.inv_dr2
         return out
 
     def u_of(self, V: np.ndarray) -> np.ndarray:
@@ -344,19 +349,26 @@ class _Workspace:
             N2 = cfg.c_grad * (ud ** 2 + ur ** 2) + cfg.d_quad * u ** 2
         return u, ud, ur, F, N2
 
-    def accel(self, t: float, Q: np.ndarray, Q_dot: np.ndarray,
+    def accel(self, t: float, Q: np.ndarray, v: np.ndarray,
               out: np.ndarray) -> np.ndarray:
-        """Q_tt of every row into `out`: stencil, -mu on the mode rows,
-        sources."""
-        _, _, _, F, N2 = self.sources(Q[0], Q_dot[0], t)
+        """dr^2 Q_tt of every row into the C-contiguous `out`.
+
+        `v` is the stage velocity of the V row, the only velocity the
+        sources read.  The stencil runs over the flattened stack; only
+        the boundary columns straddle two rows, and those are pinned
+        afterwards.  A +0.0 column stays +0.0: the centre product is
+        -0.0 there, and adding the +0.0 neighbours makes it +0.0 again.
+        """
+        _, _, _, F, N2 = self.sources(Q[0], v, t)
         M = self.memory_term(Q[2:])
-        r = self.r[:Q.shape[-1]]
-        self.laplacian(Q, out)
-        acc_X = out[2:]
-        acc_X -= np.multiply(self.mu, Q[2:], out=self.tmp[2:])
-        out[0] += r * (F + M)
-        out[1] += r * M
-        acc_X += r * N2
+        rs = self.rs[:Q.shape[-1]]
+        np.multiply(self.centre, Q, out=out)
+        y, inner = Q.reshape(-1), out.reshape(-1)[1:-1]
+        inner += y[2:]
+        inner += y[:-2]
+        out[0] += rs * (F + M)
+        out[1] += rs * M
+        out[2:] += rs * N2
         _pin_boundaries(out)
         return out
 
@@ -409,49 +421,53 @@ def _pin_boundaries(*stacks: np.ndarray) -> None:
         Y[:, 0] = Y[:, -1] = 0.0
 
 
-def _axpy(y: np.ndarray, alpha: float, x: np.ndarray,
-          out: np.ndarray) -> np.ndarray:
-    """out = y + alpha*x; `out` may be `x` but not `y`."""
-    np.add(y, np.multiply(x, alpha, out=out), out=out)
-    return out
-
-
 def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
               out: tuple | None = None) -> FieldState:
-    """Classical RK4 on the second-order system (Q, Q_dot).
+    """Classical RK4 on Q_tt = f(t, Q, V_dot), in Nystrom form.
 
-    The new (Q, Q_dot) is written into the pair `out` (fresh arrays when
-    None); `st` is never written.  The sums
-    Q + dt/6 (Qd + 2 Qd2 + 2 Qd3 + Qd4) and Qd + dt/6 (a1 + 2 a2 + 2 a3 + a4)
-    are accumulated in `out` as the stages come in, left to right as
-    written, so the result is bitwise that of the written-out formula
-    with the same stencil and memory sum (`_Workspace.accel`).
+    With h = dt/2, s = 1/dr^2 and the scaled accelerations a_i of
+    `_Workspace.accel` (a_i = dr^2 Q_tt at stage i), the stage fields
+    are Q + h Qd, Q + h Qd + h^2 s a1 and Q + dt Qd + dt h s a2, and
+    only the V row's stage velocities Qd + h s a1, Qd + h s a2 and
+    Qd + dt s a3 are formed.  Then
+
+        Q_new  = Q + dt Qd + (dt^2 s/6) (a1 + a2 + a3)
+        Qd_new = Qd + (dt s/6) (a1 + 2 a2 + 2 a3 + a4),
+
+    the written-out RK4 step with its stage velocities substituted.  The
+    new (Q, Q_dot) is written into the pair `out` (fresh arrays when
+    None); `st` is never written.
     """
     t, Q, Qd = st.t, st.Q, st.Q_dot
     K, A = (np.empty(Q.shape), np.empty(Q.shape)) if out is None else out
-    S, D, a, tmp = ws.S, ws.D, ws.a, ws.tmp
-    h = 0.5 * dt
+    S, B, a = ws.S, ws.B, ws.a
+    h, s = 0.5 * dt, ws.inv_dr2
+    v = Qd[0]
     # overflow during a developing blow-up is expected and detected
     # afterwards; keep the march itself quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        ws.accel(t, Q, Qd, A)                   # A = a1
-        _axpy(Qd, h, A, D)                      # D = Qd2
-        ws.accel(t + h, _axpy(Q, h, Qd, S), D, a)           # a = a2
-        np.add(Qd, np.multiply(D, 2.0, out=K), out=K)       # K = Qd + 2 Qd2
-        _axpy(Q, h, D, S)           # stage-3 field: Qd2 is read before D = Qd3
-        _axpy(Qd, h, a, D)                      # D = Qd3
-        A += np.multiply(a, 2.0, out=a)         # A = a1 + 2 a2
-        ws.accel(t + h, S, D, a)                # a = a3
-        K += np.multiply(D, 2.0, out=tmp)
-        _axpy(Q, dt, D, S)
-        _axpy(Qd, dt, a, D)                     # D = Qd4
-        A += np.multiply(a, 2.0, out=a)
-        ws.accel(t + dt, S, D, a)               # a = a4
-        K += D
+        ws.accel(t, Q, v, a)                    # a = a1
+        np.multiply(Qd, h, out=S)
+        S += Q                                  # S = Q + h Qd
+        ws.accel(t + h, S, v + h * s * a[0], B)     # B = a2
+        S += np.multiply(a, h * h * s, out=K)   # S = stage-3 field
+        np.multiply(B, 2.0, out=A)
+        A += a                                  # A = a1 + 2 a2
+        np.add(a, B, out=K)                     # K = a1 + a2
+        ws.accel(t + h, S, v + h * s * B[0], a)     # a = a3
+        v4 = v + dt * s * a[0]                  # before a is doubled
+        np.multiply(Qd, dt, out=S)
+        S += Q                                  # S = Q + dt Qd
+        B *= dt * h * s
+        B += S                                  # B = stage-4 field
+        K += a                                  # K = a1 + a2 + a3
+        A += np.multiply(a, 2.0, out=a)         # A = a1 + 2 a2 + 2 a3
+        ws.accel(t + dt, B, v4, a)              # a = a4
         A += a
-        c = dt / 6.0
-        _axpy(Q, c, K, K)
-        _axpy(Qd, c, A, A)
+        K *= dt * dt * s / 6.0
+        K += S
+        A *= dt * s / 6.0
+        A += Qd
     _pin_boundaries(K, A)
     return FieldState(t + dt, K, A)
 
@@ -600,19 +616,27 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
 
     records, ptimes, mprofs = [], [], []
     snapshots = {}
+    diagnose_s = 0.0
 
     # the last state before a blow-up may overflow in the diagnostics as
     # in the march; its record keeps the inf and nan values
     @np.errstate(over="ignore", invalid="ignore")
     def record(st: FieldState, n: int) -> None:
-        if n % cadence == 0 or n == n_steps:
+        nonlocal diagnose_s
+        due = n % cadence == 0 or n == n_steps
+        if not (due or n in snap_steps):
+            return
+        start = perf_counter()
+        if due:
             rec, M = _diagnose(ws, st, cfg)
             records.append(rec)
             ptimes.append(st.t)
             mprofs.append(M)
         if n in snap_steps:
             snapshots[snap_steps[n]] = _snapshot(ws, st)
+        diagnose_s += perf_counter() - start
 
+    start = perf_counter()
     record(st, 0)
     blow_up = {}                # the BlowUpError detail: time and radius
     n = 0
@@ -623,11 +647,13 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
             blow_up = exc.detail
             break
         record(st, n)
+    march_s = perf_counter() - start - diagnose_s
 
     return RunOutput(cfg, grid, dt, records, np.array(ptimes),
                      np.array(mprofs), snapshots, not blow_up,
                      blow_up.get("time"), blow_up.get("radius"), n,
-                     cfg.stiffness_guard(grid, dt), ws.column_steps)
+                     cfg.stiffness_guard(grid, dt), ws.column_steps,
+                     march_s, diagnose_s, 4 * n)
 
 
 def free_wave_exact(cfg: ModelConfig, r: np.ndarray, t: float) -> np.ndarray:

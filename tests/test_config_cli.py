@@ -345,6 +345,23 @@ class TestCli:
         else:
             assert 0 < summary["column_steps"] < full
 
+    def test_evolve_writes_timings_apart(self, tmp_path, capsys):
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d))
+        assert main(["evolve", "--config", str(cfgfile)]) == 0
+        printed = strict_loads(capsys.readouterr().out)
+        summary = strict_loads((d / "summary.json").read_text())
+        timings = strict_loads((d / "timings.json").read_text())
+        assert set(timings) == {"march_s", "diagnose_s", "rhs_evals",
+                                "ns_per_value_step", "_tool"}
+        assert not set(timings) & (set(summary) | set(printed)) - {"_tool"}
+        assert timings["rhs_evals"] == 4 * summary["n_steps"]
+        assert timings["march_s"] > 0.0 and timings["diagnose_s"] > 0.0
+        value_steps = summary["column_steps"] * (summary["n_modes"] + 2)
+        assert timings["ns_per_value_step"] == pytest.approx(
+            1e9 * timings["march_s"] / value_steps, rel=1e-12)
+
     def test_evolve_summary_counts_dropped_nodes(self, tmp_path, capsys):
         d = tmp_path / "out"
         cfgfile = tmp_path / "run.cfg"

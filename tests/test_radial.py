@@ -17,8 +17,8 @@ from cetlab import (Grid, MassQuadrature, ModelConfig, PowerLawExp,
 from cetlab import radial
 from cetlab.errors import PaddingViolatedError
 from cetlab.quadrature import gauss_laguerre_generalized
-from cetlab.radial import (FieldState, _march, _Workspace, ghost_q,
-                           ghost_q_prime)
+from cetlab.radial import (FieldState, _march, _rk4_step, _Workspace,
+                           ghost_q, ghost_q_prime)
 from cetlab.resolvent import ModeParams, TimeSeries, kg_retarded
 
 
@@ -33,8 +33,10 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# The allocating stencil, memory sum, acceleration and RK4 step that the
-# buffered march replaced, kept as the oracle it must match bitwise.
+# The written-out RK4 step on the first-order pair (Q, Q_dot), with an
+# allocating stencil, memory sum and acceleration: the arithmetic that
+# the Nystrom step replaced, kept as the oracle it must match to a stated
+# tolerance (TestWrittenOutStep).
 
 def reference_laplacian(ws, Y):
     out = np.zeros_like(Y)
@@ -54,37 +56,36 @@ def reference_memory_term(ws, X):
 
 # The arithmetic before the memory sum became a BLAS matvec and the
 # stencil a multiply by 1/dr^2: a division by dr^2, a sequential row sum
-# and a pairwise origin sum.  Patched into _Workspace it reproduces the
-# older march bit for bit; the current one matches it to a tolerance.
+# and a pairwise origin sum.  In the written-out step it reproduces that
+# older march bit for bit (TestOldArithmetic).
 
-def old_laplacian(ws, Y, out=None):
-    out = np.zeros(Y.shape) if out is None else out
+def old_laplacian(ws, Y):
+    out = np.zeros(Y.shape)
     out[..., 1:-1] = (Y[..., 2:] - 2.0 * Y[..., 1:-1] + Y[..., :-2]) \
         / ws.dr ** 2
-    out[..., 0] = out[..., -1] = 0.0
     return out
 
 
 def old_memory_term(ws, X):
-    width = X.shape[-1]
     if ws.w.size == 0:
-        return np.zeros(width)
+        return np.zeros(X.shape[-1])
     S = np.sum(ws.w[:, None] * X, axis=0)
-    M = S * ws.inv_r[:width]
+    M = S * ws.inv_r
     M[0] = float(np.sum(ws.w * X[:, 1])) / ws.dr
     return M
 
 
-def use_old_arithmetic(monkeypatch):
-    monkeypatch.setattr(_Workspace, "laplacian", old_laplacian)
-    monkeypatch.setattr(_Workspace, "memory_term", old_memory_term)
+OLD_ARITHMETIC = (old_laplacian, old_memory_term)
 
 
-def reference_accel(ws, t, Q, Q_dot):
+def reference_accel(ws, t, Q, Q_dot, laplacian=reference_laplacian,
+                    memory_term=reference_memory_term):
     _, _, _, F, N2 = ws.sources(Q[0], Q_dot[0], t)
-    M = reference_memory_term(ws, Q[2:])
-    acc = reference_laplacian(ws, Q)
-    acc[2:] -= ws.mu * Q[2:]
+    M = memory_term(ws, Q[2:])
+    acc = laplacian(ws, Q)
+    quad = ws.cfg.quad
+    if quad is not None:
+        acc[2:] -= quad.nodes[:, None] * Q[2:]
     acc[0] += ws.r * (F + M)
     acc[1] += ws.r * M
     acc[2:] += ws.r * N2
@@ -92,17 +93,19 @@ def reference_accel(ws, t, Q, Q_dot):
     return acc
 
 
-def reference_rk4_step(ws, st, dt):
+def reference_rk4_step(ws, st, dt, *arithmetic):
+    """The written-out step on the full grid; `arithmetic` is an optional
+    (laplacian, memory_term) pair."""
     t, Q, Qd = st.t, st.Q, st.Q_dot
     h = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = reference_accel(ws, t, Q, Qd)
+        a1 = reference_accel(ws, t, Q, Qd, *arithmetic)
         Qd2 = Qd + h * a1
-        a2 = reference_accel(ws, t + h, Q + h * Qd, Qd2)
+        a2 = reference_accel(ws, t + h, Q + h * Qd, Qd2, *arithmetic)
         Qd3 = Qd + h * a2
-        a3 = reference_accel(ws, t + h, Q + h * Qd2, Qd3)
+        a3 = reference_accel(ws, t + h, Q + h * Qd2, Qd3, *arithmetic)
         Qd4 = Qd + dt * a3
-        a4 = reference_accel(ws, t + dt, Q + dt * Qd3, Qd4)
+        a4 = reference_accel(ws, t + dt, Q + dt * Qd3, Qd4, *arithmetic)
         c = dt / 6.0
         Q_new = Q + c * (Qd + 2.0 * Qd2 + 2.0 * Qd3 + Qd4)
         Qd_new = Qd + c * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -111,10 +114,22 @@ def reference_rk4_step(ws, st, dt):
     return FieldState(t + dt, Q_new, Qd_new)
 
 
-def reference_march(ws, st, dt, n_steps):
-    """`reference_rk4_step` after `reference_rk4_step` on the full grid."""
+def reference_march(arithmetic=()):
+    """A `_march` replacement: `reference_rk4_step` after
+    `reference_rk4_step` on the full grid."""
+    def march(ws, st, dt, n_steps):
+        for _ in range(n_steps):
+            st = reference_rk4_step(ws, st, dt, *arithmetic)
+            yield st
+    return march
+
+
+def full_width_march(ws, st, dt, n_steps):
+    """`_rk4_step` after `_rk4_step` on the full grid, into fresh arrays:
+    the oracle the windowed, buffered march must match bit for bit."""
+    ws.set_width(st.Q.shape[1])
     for _ in range(n_steps):
-        st = reference_rk4_step(ws, st, dt)
+        st = _rk4_step(ws, st, dt)
         yield st
 
 
@@ -301,25 +316,41 @@ class TestStep:
 
 class TestLaplacian:
     def test_flat_stencil_matches_rows_and_nothing_crosses(self):
+        quad = MassQuadrature(np.array([0.5, 1.0, 2.0, 4.0]),
+                              np.array([0.1, 0.2, 0.3, 0.4]), "diraccomb")
+        cfg = free_cfg(a_null=1.0, b_bad=0.5, c_grad=1.0, d_quad=0.25,
+                       quad=quad)
         grid = Grid(21.0, 64)
-        ws = _Workspace(free_cfg(), grid)
-        Y = np.random.default_rng(3).standard_normal((6, grid.n_r + 1))
-        # nonfinite values on the columns the flat stencil shares
-        # between rows 1|2 and 3|4, and inside row 3
+        ws = _Workspace(cfg, grid)
+        rng = np.random.default_rng(3)
+        Y = rng.standard_normal((6, grid.n_r + 1))
+        v = rng.standard_normal(grid.n_r + 1)
+        # nonfinite values on the columns the flat stencil shares between
+        # rows 1|2 and 2|3, and inside row 1 (P, which feeds no source)
         Y[1, -1] = np.inf
-        Y[4, 0] = np.nan
-        Y[3, 5] = -np.inf
+        Y[3, 0] = np.nan
+        Y[1, 5] = -np.inf
+        got = np.empty_like(Y)
         with np.errstate(invalid="ignore"):
-            got = ws.laplacian(Y)
+            ws.accel(0.5, Y, v, got)
             want = np.zeros_like(Y)
             for i, row in enumerate(Y):
-                want[i, 1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) \
-                    * (1.0 / grid.dr ** 2)
+                want[i, 1:-1] = ws.centre[i, 0] * row[1:-1] + row[2:] \
+                    + row[:-2]
+            _, _, _, F, N2 = ws.sources(Y[0], v, 0.5)
+            M = ws.memory_term(Y[2:])
+            want[0] += ws.rs * (F + M)
+            want[1] += ws.rs * M
+            want[2:] += ws.rs * N2
+            want[:, [0, -1]] = 0.0
         assert np.array_equal(got, want, equal_nan=True)
-        for i in (0, 2, 5):
+        for i in (0, 2, 4, 5):
             assert np.isfinite(got[i]).all() and same_bits(got[i], want[i])
         boundary = got[:, [0, -1]]
         assert same_bits(boundary, np.zeros_like(boundary))
+        assert np.array_equal(ws.centre[:, 0], np.concatenate(
+            ([-2.0, -2.0], -2.0 - quad.nodes * grid.dr ** 2)))
+        # the diagnostics' stencil of one row
         assert same_bits(ws.laplacian(Y[0]), reference_laplacian(ws, Y[0]))
 
 
@@ -328,11 +359,12 @@ class TestBufferedStep:
     def test_matches_reference_step_bitwise(self, kind):
         cfg, grid, st = stack_input(kind)
         dt = cfg.cfl * grid.dr
-        ws = _Workspace(cfg, grid)
         ref = FieldState(st.t, st.Q.copy(), st.Q_dot.copy())
         n = 0
-        for n, new in enumerate(_march(ws, st, dt, 20), start=1):
-            ref = reference_rk4_step(ws, ref, dt)
+        for n, (new, ref) in enumerate(zip(
+                _march(_Workspace(cfg, grid), st, dt, 20),
+                full_width_march(_Workspace(cfg, grid), ref, dt, 20)),
+                start=1):
             assert new.t == ref.t
             assert same_bits(new.Q, ref.Q) and same_bits(new.Q_dot, ref.Q_dot)
         assert n == 20
@@ -347,9 +379,9 @@ class TestBufferedStep:
             return evolve(cfg, grid, cadence=3, snapshot_times=(2.0, 6.0))
 
         buffered = run()
+        # the same step into fresh arrays
         monkeypatch.setattr(radial, "_rk4_step",
-                            lambda ws, st, dt, out=None:
-                            reference_rk4_step(ws, st, dt))
+                            lambda ws, st, dt, out=None: _rk4_step(ws, st, dt))
         reference = run()
         got, want = run_arrays(buffered), run_arrays(reference)
         assert got.keys() == want.keys() and len(want) == 3 + 2 * 7
@@ -429,12 +461,12 @@ class TestColumnWindow:
         full = grid.n_r + 1
         n_steps = 2 * math.ceil(cfg.t_final / (2 * cfg.cfl * grid.dr))
         dt = cfg.t_final / n_steps
-        ws = _Workspace(cfg, grid)
         st = initialize(cfg, grid)
         ref = FieldState(st.t, st.Q.copy(), st.Q_dot.copy())
         widths = []
-        for new in _march(ws, st, dt, n_steps):
-            ref = reference_rk4_step(ws, ref, dt)
+        for new, ref in zip(
+                _march(_Workspace(cfg, grid), st, dt, n_steps),
+                full_width_march(_Workspace(cfg, grid), ref, dt, n_steps)):
             width = new.Q.shape[1]
             widths.append(width)
             assert new.t == ref.t and new.Q_dot.shape[1] == width
@@ -466,7 +498,7 @@ class TestColumnWindow:
             return evolve(cfg, grid, cadence=5, snapshot_times=snaps)
 
         windowed = run()
-        monkeypatch.setattr(radial, "_march", reference_march)
+        monkeypatch.setattr(radial, "_march", full_width_march)
         reference = run()
         got, want = run_arrays(windowed), run_arrays(reference)
         assert got.keys() == want.keys()
@@ -502,50 +534,87 @@ def rel_drift(got, want, axis=None):
     return np.abs(got - want).max(axis=axis) / np.abs(want).max(axis=axis)
 
 
-class TestOldArithmetic:
-    """The matvec and the reciprocal against the older arithmetic
-    (`old_laplacian`, `old_memory_term`).  Each bound is about ten times
-    the largest drift measured (numpy 2.4 with its bundled OpenBLAS,
-    x86-64)."""
+def drift_runs(monkeypatch, arithmetic=()):
+    """A 21-mode run to t = 16 of the Nystrom march, then of the
+    written-out march with `arithmetic`, which the diagnostics use too."""
+    quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+    cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
+    grid = Grid(padded_r_max(cfg), 256)
 
-    @pytest.mark.parametrize("kind, bound", [("modes32", 8e-15),
-                                             ("free", 3e-14),
-                                             ("n2_override", 1.5e-15)])
-    def test_one_step_within_tolerance(self, kind, bound, monkeypatch):
+    def run():
+        return evolve(cfg, grid, cadence=8, snapshot_times=(4.0, 8.0, 16.0))
+
+    new = run()
+    monkeypatch.setattr(radial, "_march", reference_march(arithmetic))
+    if arithmetic:
+        monkeypatch.setattr(_Workspace, "laplacian", arithmetic[0])
+        monkeypatch.setattr(_Workspace, "memory_term", arithmetic[1])
+    return new, run()
+
+
+def assert_run_drift(new, old, fields, arrays, residual):
+    """Each record field, and the M profiles, within `fields` of its own
+    sup; each snapshot array within `arrays`; D(4, 8) and D(8, 16)
+    within `residual`, relative."""
+    got, want = run_arrays(new), run_arrays(old)
+    assert len(new.cfg.quad) == 21 and got.keys() == want.keys()
+    assert (new.dt, new.n_steps) == (old.dt, old.n_steps)
+    # the oracle reached the run: it is not the Nystrom arithmetic
+    assert not same_bits(got["m"], want["m"])
+    assert np.all(rel_drift(got.pop("records"), want.pop("records"),
+                            axis=0) <= fields)
+    for name in ("m", "profile_times"):
+        assert rel_drift(got.pop(name), want.pop(name)) <= fields, name
+    for name in want:
+        assert rel_drift(got[name], want[name]) <= arrays, name
+    for t1, t2 in ((4.0, 8.0), (8.0, 16.0)):
+        assert scattering_residual(new, t1, t2) == pytest.approx(
+            scattering_residual(old, t1, t2), rel=residual, abs=0.0)
+
+
+class TestWrittenOutStep:
+    """The Nystrom step against `reference_rk4_step`, the written-out
+    RK4 step with the same stencil and memory sum.  Each bound is about
+    ten times the largest drift measured (numpy 2.4 with its bundled
+    OpenBLAS, x86-64)."""
+
+    @pytest.mark.parametrize("kind, bound", [("modes32", 1.3e-13),
+                                             ("free", 3.5e-14),
+                                             ("n2_override", 9e-15)])
+    def test_one_step_within_tolerance(self, kind, bound):
         cfg, grid, st = stack_input(kind)
         new = step(st, cfg, grid)
-        use_old_arithmetic(monkeypatch)
-        old = step(st, cfg, grid)
+        ref = reference_rk4_step(_Workspace(cfg, grid), st, cfg.cfl * grid.dr)
+        assert np.all(rel_drift(new.Q, ref.Q, axis=1) <= 2.2e-15)
+        assert np.all(rel_drift(new.Q_dot, ref.Q_dot, axis=1) <= bound)
+
+    def test_run_within_tolerance(self, monkeypatch):
+        new, ref = drift_runs(monkeypatch)
+        assert_run_drift(new, ref, fields=5e-14, arrays=1.6e-12,
+                         residual=3e-13)
+
+
+class TestOldArithmetic:
+    """The Nystrom step against the written-out step with the older
+    arithmetic (`old_laplacian`, `old_memory_term`).  Each bound is about
+    ten times the largest drift measured when it was set (numpy 2.4 with
+    its bundled OpenBLAS, x86-64)."""
+
+    @pytest.mark.parametrize("kind, bound", [("modes32", 1.3e-13),
+                                             ("free", 3e-14),
+                                             ("n2_override", 1.5e-15)])
+    def test_one_step_within_tolerance(self, kind, bound):
+        cfg, grid, st = stack_input(kind)
+        new = step(st, cfg, grid)
+        old = reference_rk4_step(_Workspace(cfg, grid), st,
+                                 cfg.cfl * grid.dr, *OLD_ARITHMETIC)
         for got, want in ((new.Q, old.Q), (new.Q_dot, old.Q_dot)):
             assert np.all(rel_drift(got, want, axis=1) <= bound)
 
     def test_run_within_tolerance(self, monkeypatch):
-        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
-        cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
-        grid = Grid(padded_r_max(cfg), 256)
-
-        def run():
-            return evolve(cfg, grid, cadence=8,
-                          snapshot_times=(4.0, 8.0, 16.0))
-
-        new = run()
-        use_old_arithmetic(monkeypatch)
-        old = run()
-        got, want = run_arrays(new), run_arrays(old)
-        assert len(quad) == 21 and got.keys() == want.keys()
-        assert (new.dt, new.n_steps) == (old.dt, old.n_steps)
-        assert not same_bits(got["m"], want["m"])
-        # each record field, each profile and snapshot array, against
-        # its own sup
-        assert np.all(rel_drift(got.pop("records"), want.pop("records"),
-                                axis=0) <= 3e-14)
-        for name in ("m", "profile_times"):
-            assert rel_drift(got.pop(name), want.pop(name)) <= 3e-14, name
-        for name in want:
-            assert rel_drift(got[name], want[name]) <= 4e-13, name
-        for t1, t2 in ((4.0, 8.0), (8.0, 16.0)):
-            assert scattering_residual(new, t1, t2) == pytest.approx(
-                scattering_residual(old, t1, t2), rel=1e-13, abs=0.0)
+        new, old = drift_runs(monkeypatch, OLD_ARITHMETIC)
+        assert_run_drift(new, old, fields=3e-14, arrays=4e-13,
+                         residual=1e-13)
 
 
 # Evolves a 21-mode run whose windows span 550 to 1025 columns, a
@@ -658,6 +727,18 @@ class TestEvolve:
                                    + (math.pi / grid.dr) ** 2)
         assert out.stiffness_guard == guard
         assert 0.0 < out.stiffness_guard <= radial.STIFFNESS_LIMIT
+
+    def test_run_telemetry(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+        cfg = free_cfg(quad=quad, t_final=3.0)
+        out = evolve(cfg, Grid(21.0, 128), cadence=5, snapshot_times=(1.0,))
+        assert out.rhs_evals == 4 * out.n_steps > 0
+        assert out.march_s > 0.0 and out.diagnose_s > 0.0
+        # the blowing-up step is counted; a run of no steps evaluates none
+        blown = evolve(*window_input("blow_up"), cadence=5)
+        assert not blown.completed and blown.rhs_evals == 4 * blown.n_steps
+        still = evolve(free_cfg(t_final=0.0), Grid(21.0, 128))
+        assert still.rhs_evals == 0 and still.march_s >= 0.0
 
     def test_memory_run_pinned(self):
         # pinned end-of-run values: a change to the order of the
