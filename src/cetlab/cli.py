@@ -6,7 +6,8 @@ grammar in `cetlab.config` that run files use too.  Every numeric output
 is printed with 17 significant digits and '.' decimals; CSV and JSON
 files start with a header comment carrying the tool version and a digest
 of the inputs, so identical invocations produce byte-identical files;
-the one exception is evolve's timings.json, which holds wall-clock times.
+the one exception is the timings.json of evolve and scatter, which holds
+wall-clock times.
 Exit codes: 0 on success, 2 on validation errors (malformed arguments
 included), 3 on numerical failures, with a JSON error object on stderr.
 """
@@ -20,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -248,18 +250,33 @@ def _cmd_dispersion(a) -> int:
 
 
 def _run_from_config(path):
+    """Parse and evolve a run file.  `init_s` is the parse's wall time,
+    which includes building the rule."""
+    t0 = time.perf_counter()
     rc = parse_config(path)
+    init_s = time.perf_counter() - t0
     if rc.density is None:
         raise ValidationError(f"{path}: [density] section is required")
     if rc.model is None:
         raise ValidationError(f"{path}: [solver] section is required")
     cfg, grid, cadence, snaps = rc.model
     out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
-    return rc, cfg, grid, out
+    return rc, cfg, grid, out, init_s
+
+
+def _run_timings(cfg, out, init_s: float) -> dict:
+    """Wall-clock facts of a run for timings.json.  They differ run to
+    run, so they stay out of every file whose bytes repeat."""
+    n_modes = 0 if cfg.quad is None else len(cfg.quad)
+    value_steps = out.column_steps * (n_modes + 2)
+    return {"init_s": init_s, "march_s": out.march_s,
+            "diagnose_s": out.diagnose_s, "rhs_evals": out.rhs_evals,
+            "ns_per_value_step": 1e9 * out.march_s / value_steps
+            if value_steps else None}
 
 
 def _cmd_evolve(a) -> int:
-    rc, cfg, grid, out = _run_from_config(a.config)
+    rc, cfg, grid, out, init_s = _run_from_config(a.config)
     n_modes, dropped = (0, 0) if cfg.quad is None else \
         (len(cfg.quad), cfg.quad.moment_report["dropped_nodes"])
     os.makedirs(rc.output_dir, exist_ok=True)
@@ -283,14 +300,8 @@ def _cmd_evolve(a) -> int:
         summary["blow_up_radius"] = out.blow_up_radius
     if "json" in rc.formats:
         write_json(os.path.join(rc.output_dir, "summary.json"), summary, src)
-        # wall-clock numbers differ run to run, so they stay out of
-        # summary.json, whose bytes repeat
-        value_steps = out.column_steps * (n_modes + 2)
-        timings = {"march_s": out.march_s, "diagnose_s": out.diagnose_s,
-                   "rhs_evals": out.rhs_evals,
-                   "ns_per_value_step": 1e9 * out.march_s / value_steps
-                   if value_steps else None}
-        write_json(os.path.join(rc.output_dir, "timings.json"), timings, src)
+        write_json(os.path.join(rc.output_dir, "timings.json"),
+                   _run_timings(cfg, out, init_s), src)
     _emit(summary)
     if not out.completed:
         raise NumericalError("blow-up-detected: run did not reach t_final",
@@ -299,7 +310,8 @@ def _cmd_evolve(a) -> int:
 
 
 def _cmd_scatter(a) -> int:
-    rc, cfg, grid, out = _run_from_config(a.config)
+    rc, cfg, grid, out, init_s = _run_from_config(a.config)
+    t0 = time.perf_counter()
     rep = memory_limit(out)
     t = out.series("t")
     fits = {"sup_u": decay_fit(list(zip(t, out.series("sup_u"))),
@@ -314,6 +326,7 @@ def _cmd_scatter(a) -> int:
     if usable:
         sfit = scattering_residual_fit(out, usable)
         result["scattering_residual_fit"] = sfit.as_dict()
+    analysis_s = time.perf_counter() - t0
     src = rc.source_text
     os.makedirs(rc.output_dir, exist_ok=True)
     if "csv" in rc.formats:
@@ -321,6 +334,9 @@ def _cmd_scatter(a) -> int:
                   {"r": grid.r, "M_inf": rep.m_inf_profile}, src)
     if "json" in rc.formats:
         write_json(os.path.join(rc.output_dir, "scatter.json"), result, src)
+        write_json(os.path.join(rc.output_dir, "timings.json"),
+                   {**_run_timings(cfg, out, init_s),
+                    "analysis_s": analysis_s}, src)
     _emit(result)
     return 0
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import QuadratureConstructionError, ValidationError
 from .integrals import leggauss, panel_rule
@@ -70,6 +69,8 @@ def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndar
     Weights come from the Christoffel sum over the orthonormal recurrence
     (the eigenvector route underflows for the outermost nodes).
     """
+    # Imported here: only power-law rules need scipy.linalg (~0.3 s to load).
+    from scipy.linalg import eigh_tridiagonal
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + 1.0 + beta
     off = np.sqrt((k[1:]) * (k[1:] + beta))

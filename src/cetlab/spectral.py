@@ -28,7 +28,6 @@ from math import gamma as gamma_fn
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import NotPointwiseEvaluableError, ValidationError
 from .integrals import flagged_integral
@@ -109,6 +108,8 @@ class PowerLawExp:
 
     def mass_above(self, mu: float) -> float:
         """Exact integral of the density over (mu, inf)."""
+        # Imported here: only the averaging tail search needs scipy.special.
+        from scipy.special import gammaincc
         return (self.alpha * self.lam ** (self.beta + 1)
                 * math.gamma(self.beta + 1)
                 * gammaincc(self.beta + 1, mu / self.lam))

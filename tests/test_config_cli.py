@@ -353,14 +353,36 @@ class TestCli:
         printed = strict_loads(capsys.readouterr().out)
         summary = strict_loads((d / "summary.json").read_text())
         timings = strict_loads((d / "timings.json").read_text())
-        assert set(timings) == {"march_s", "diagnose_s", "rhs_evals",
-                                "ns_per_value_step", "_tool"}
+        assert set(timings) == {"init_s", "march_s", "diagnose_s",
+                                "rhs_evals", "ns_per_value_step", "_tool"}
         assert not set(timings) & (set(summary) | set(printed)) - {"_tool"}
         assert timings["rhs_evals"] == 4 * summary["n_steps"]
         assert timings["march_s"] > 0.0 and timings["diagnose_s"] > 0.0
+        assert timings["init_s"] > 0.0
         value_steps = summary["column_steps"] * (summary["n_modes"] + 2)
         assert timings["ns_per_value_step"] == pytest.approx(
             1e9 * timings["march_s"] / value_steps, rel=1e-12)
+
+    def test_scatter_writes_timings_apart(self, tmp_path, capsys):
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d)
+                           .replace("cadence = 5", "cadence = 1")
+                           .replace("= 2.0, 4.0", "= 1.0, 2.0, 4.0"))
+        assert main(["scatter", "--config", str(cfgfile),
+                     "--residual-times", "1,2", "--fit-lo", "1"]) == 0
+        printed = strict_loads(capsys.readouterr().out)
+        result = strict_loads((d / "scatter.json").read_text())
+        timings = strict_loads((d / "timings.json").read_text())
+        assert "scattering_residual_fit" in printed
+        assert set(timings) == {"init_s", "march_s", "diagnose_s",
+                                "rhs_evals", "ns_per_value_step",
+                                "analysis_s", "_tool"}
+        assert not set(timings) & (set(result) | set(printed)) - {"_tool"}
+        assert min(timings[k] for k in ("init_s", "march_s", "diagnose_s",
+                                        "ns_per_value_step",
+                                        "analysis_s")) > 0.0
+        assert timings["rhs_evals"] % 4 == 0 and timings["rhs_evals"] > 0
 
     def test_evolve_summary_counts_dropped_nodes(self, tmp_path, capsys):
         d = tmp_path / "out"
