@@ -279,6 +279,7 @@ def _cmd_evolve(a) -> int:
     rc, cfg, grid, out, init_s = _run_from_config(a.config)
     n_modes, dropped = (0, 0) if cfg.quad is None else \
         (len(cfg.quad), cfg.quad.moment_report["dropped_nodes"])
+    t0 = time.perf_counter()
     os.makedirs(rc.output_dir, exist_ok=True)
     src = rc.source_text
     if "csv" in rc.formats:
@@ -301,7 +302,8 @@ def _cmd_evolve(a) -> int:
     if "json" in rc.formats:
         write_json(os.path.join(rc.output_dir, "summary.json"), summary, src)
         write_json(os.path.join(rc.output_dir, "timings.json"),
-                   _run_timings(cfg, out, init_s), src)
+                   {**_run_timings(cfg, out, init_s),
+                    "output_s": time.perf_counter() - t0}, src)
     _emit(summary)
     if not out.completed:
         raise NumericalError("blow-up-detected: run did not reach t_final",
@@ -326,7 +328,8 @@ def _cmd_scatter(a) -> int:
     if usable:
         sfit = scattering_residual_fit(out, usable)
         result["scattering_residual_fit"] = sfit.as_dict()
-    analysis_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    analysis_s = t1 - t0
     src = rc.source_text
     os.makedirs(rc.output_dir, exist_ok=True)
     if "csv" in rc.formats:
@@ -336,7 +339,8 @@ def _cmd_scatter(a) -> int:
         write_json(os.path.join(rc.output_dir, "scatter.json"), result, src)
         write_json(os.path.join(rc.output_dir, "timings.json"),
                    {**_run_timings(cfg, out, init_s),
-                    "analysis_s": analysis_s}, src)
+                    "analysis_s": analysis_s,
+                    "output_s": time.perf_counter() - t1}, src)
     _emit(result)
     return 0
 

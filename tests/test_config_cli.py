@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,11 +355,12 @@ class TestCli:
         summary = strict_loads((d / "summary.json").read_text())
         timings = strict_loads((d / "timings.json").read_text())
         assert set(timings) == {"init_s", "march_s", "diagnose_s",
-                                "rhs_evals", "ns_per_value_step", "_tool"}
+                                "rhs_evals", "ns_per_value_step",
+                                "output_s", "_tool"}
         assert not set(timings) & (set(summary) | set(printed)) - {"_tool"}
         assert timings["rhs_evals"] == 4 * summary["n_steps"]
         assert timings["march_s"] > 0.0 and timings["diagnose_s"] > 0.0
-        assert timings["init_s"] > 0.0
+        assert timings["init_s"] > 0.0 and timings["output_s"] > 0.0
         value_steps = summary["column_steps"] * (summary["n_modes"] + 2)
         assert timings["ns_per_value_step"] == pytest.approx(
             1e9 * timings["march_s"] / value_steps, rel=1e-12)
@@ -377,12 +379,28 @@ class TestCli:
         assert "scattering_residual_fit" in printed
         assert set(timings) == {"init_s", "march_s", "diagnose_s",
                                 "rhs_evals", "ns_per_value_step",
-                                "analysis_s", "_tool"}
+                                "analysis_s", "output_s", "_tool"}
         assert not set(timings) & (set(result) | set(printed)) - {"_tool"}
         assert min(timings[k] for k in ("init_s", "march_s", "diagnose_s",
-                                        "ns_per_value_step",
-                                        "analysis_s")) > 0.0
+                                        "ns_per_value_step", "analysis_s",
+                                        "output_s")) > 0.0
         assert timings["rhs_evals"] % 4 == 0 and timings["rhs_evals"] > 0
+
+    @pytest.mark.parametrize("times", ["2", "2,2", "2,3"])
+    def test_scatter_one_base_time_exit_2(self, tmp_path, capsys, times):
+        # snapshots at 2 and 4: one usable base time is no fit
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d).replace("cadence = 5",
+                                                      "cadence = 1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scatter", "--config", str(cfgfile),
+                         "--residual-times", times, "--fit-lo", "1"]) == 2
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "insufficient-samples"
+        assert "Warning" not in captured.err and captured.out == ""
 
     def test_evolve_summary_counts_dropped_nodes(self, tmp_path, capsys):
         d = tmp_path / "out"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -76,6 +77,24 @@ def old_memory_term(ws, X):
 
 
 OLD_ARITHMETIC = (old_laplacian, old_memory_term)
+
+
+def all_terms_accel(ws, t, Q, v, out):
+    """`_Workspace.accel` as it was before it skipped the source terms a
+    stack never reads: F, M and N2 evaluated and added on every stack.
+    The skipping march must match it bit for bit (TestSourceSkip)."""
+    _, _, _, F, N2 = ws.sources(Q[0], v, t)
+    M = ws.memory_term(Q[2:])
+    rs = ws.rs[:Q.shape[-1]]
+    np.multiply(ws.centre, Q, out=out)
+    y, inner = Q.reshape(-1), out.reshape(-1)[1:-1]
+    inner += y[2:]
+    inner += y[:-2]
+    out[0] += rs * (F + M)
+    out[1] += rs * M
+    out[2:] += rs * N2
+    radial._pin_boundaries(out)
+    return out
 
 
 def reference_accel(ws, t, Q, Q_dot, laplacian=reference_laplacian,
@@ -527,6 +546,130 @@ class TestColumnWindow:
         assert out.column_steps == evolve(cfg, grid, cadence=5).column_steps
         assert evolve(free_cfg(t_final=0.0), Grid(21.0, 128)).column_steps \
             == 0
+
+
+def skip_input(kind):
+    """(cfg, grid) of a run for each way `accel` chooses its sources."""
+    if kind in ("blow_up", "negative", "n2_override"):
+        return window_input(kind)
+    if kind.startswith("free"):
+        mode = "ingoing" if kind == "free_ingoing" else "time-symmetric"
+        cfg = free_cfg(velocity_mode=mode)
+    else:               # mode rows, F off or with -0.0 couplings
+        zero = -0.0 if kind == "modes_minus_zero_F" else 0.0
+        cfg = ModelConfig(epsilon=0.05, a_null=zero, b_bad=zero, t_final=16.0,
+                          quad=build_quadrature(PowerLawExp(1.0, 1.0, 1.0),
+                                                8))
+    return cfg, Grid(padded_r_max(cfg), 512)
+
+
+SKIP_KINDS = ["free", "free_ingoing", "blow_up", "modes_no_F", "negative",
+              "n2_override"]
+
+
+class TestSourceSkip:
+    """`accel` evaluates only the sources a stack reads, and a free stack
+    marches the bare stencil; `all_terms_accel` is the oracle."""
+
+    @pytest.mark.parametrize("kind", SKIP_KINDS)
+    def test_evolve_matches_all_terms_bitwise(self, kind, monkeypatch):
+        cfg, grid = skip_input(kind)
+        ws = _Workspace(cfg, grid)
+        assert ws.free == kind.startswith("free")
+        assert ws.reads_F == (kind not in ("free", "free_ingoing",
+                                           "modes_no_F"))
+        snaps = (0.0, cfg.t_final / 4, cfg.t_final / 2, cfg.t_final)
+
+        def run():
+            return evolve(cfg, grid, cadence=5, snapshot_times=snaps)
+
+        skipping = run()
+        monkeypatch.setattr(_Workspace, "accel", all_terms_accel)
+        reference = run()
+        got, want = run_arrays(skipping), run_arrays(reference)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+        facts = ("dt", "completed", "n_steps", "column_steps",
+                 "blow_up_time", "blow_up_radius")
+        assert [getattr(skipping, f) for f in facts] == \
+            [getattr(reference, f) for f in facts]
+        assert skipping.completed == (kind not in ("blow_up",
+                                                   "n2_override"))
+
+    @pytest.mark.parametrize("kind, minus", [
+        ("free", False), ("blow_up", False), ("modes_no_F", False),
+        ("modes_minus_zero_F", True)])
+    def test_accel_keeps_the_signed_zeros(self, kind, minus):
+        # rows 0 and 1 read -0.0, +0.0, -0.0 around column 10, so the
+        # bare stencil leaves -0.0 there, which the all-terms sum made
+        # +0.0 unless F and M were both -0.0 there; a mode value of
+        # -1e-323 makes M -0.0 at that column, and -0.0 couplings F
+        cfg, _ = skip_input(kind)
+        if cfg.quad is not None:
+            cfg = dataclasses.replace(cfg, quad=MassQuadrature(
+                np.array([0.5, 1.0]), np.array([0.5, 0.25]), "diraccomb"))
+        grid = Grid(21.0, 64)
+        ws = _Workspace(cfg, grid)
+        rng = np.random.default_rng(5)
+        Y = 1e-3 * rng.standard_normal((ws.rows, grid.n_r + 1))
+        v = 1e-3 * rng.standard_normal(grid.n_r + 1)
+        Y[:, 9:12] = [-0.0, 0.0, -0.0]
+        v[9:12] = 0.0
+        if ws.rows > 2:
+            Y[2, 10] = -1e-323
+            M = ws.memory_term(Y[2:])
+            assert M[10] == 0.0 and np.signbit(M[10])
+        bare = ws.centre * Y
+        bare[:, 1:-1] += Y[:, 2:] + Y[:, :-2]
+        assert np.signbit(bare[0, 10]) and bare[0, 10] == 0.0
+        got, want = np.empty_like(Y), np.empty_like(Y)
+        ws.accel(0.5, Y, v, got)
+        all_terms_accel(ws, 0.5, Y, v, want)
+        assert same_bits(got, want)
+        assert np.signbit(got[0, 10]) == minus
+
+    @pytest.mark.parametrize("mode", ["time-symmetric", "ingoing"])
+    def test_free_march_reads_no_source(self, mode, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read a source term")
+
+        cfg = free_cfg(velocity_mode=mode)
+        grid = Grid(padded_r_max(cfg), 256)
+        st = initialize(cfg, grid)
+        monkeypatch.setattr(_Workspace, "sources", refuse)
+        monkeypatch.setattr(_Workspace, "memory_term", refuse)
+        ws = _Workspace(cfg, grid)
+        n = 0
+        for n, new in enumerate(_march(ws, st, cfg.cfl * grid.dr, 40),
+                                start=1):
+            assert np.isfinite(new.Q).all()
+        assert n == 40
+        # a stack that reads any source still calls them
+        cfg = free_cfg(b_bad=1.0)
+        with pytest.raises(AssertionError, match="source"):
+            next(_march(_Workspace(cfg, grid), initialize(cfg, grid),
+                        cfg.cfl * grid.dr, 1))
+
+    def test_free_overflowing_amplitude_completes(self, monkeypatch):
+        # eps^2 overflows but V does not: the linear march completes and
+        # scales with eps; the all-terms sum met 0 * inf = nan in F and
+        # reported a blow-up
+        grid = Grid(21.0, 256)
+
+        def run(eps):
+            return evolve(free_cfg(epsilon=eps), grid, cadence=10 ** 9,
+                          snapshot_times=(10.0,))
+
+        big, unit = run(1e160), run(1.0)
+        assert big.completed and big.n_steps == unit.n_steps
+        V = big.snapshots[10.0]["V"]
+        assert np.isfinite(V).all()
+        assert rel_drift(V / 1e160, unit.snapshots[10.0]["V"]) <= 1e-14
+        assert not math.isfinite(big.records[-1].E_std)
+        monkeypatch.setattr(_Workspace, "accel", all_terms_accel)
+        old = run(1e160)
+        assert not old.completed and old.n_steps == 1
 
 
 def rel_drift(got, want, axis=None):

@@ -141,6 +141,11 @@ class TestScatteringResidual:
             (t, scattering_residual(memory_run, t, 2.0 * t))
             for t in (25.0, 50.0))
 
+    @pytest.mark.parametrize("times", [(25.0,), (25.0, 25.0), ()])
+    def test_fit_needs_two_base_times(self, memory_run, times):
+        with pytest.raises(InsufficientSamplesError, match="two distinct"):
+            scattering_residual_fit(memory_run, times)
+
     def test_uncorrected_residual_misses_exponent_floor(self, memory_run):
         # Classical scattering (no memory profile subtracted) must fail
         # criterion 9's exponent floor, so the floor is not vacuous.
