@@ -114,6 +114,9 @@ def _emit(obj: dict) -> None:
 # n_nodes * samples keeps each one at 64 MiB
 MAX_MODE_SAMPLES = 2 ** 23
 
+# scatter's base times t for the D(t, 2t) fit, criterion 9's
+DEFAULT_RESIDUAL_TIMES = (25.0, 50.0, 100.0)
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports malformed arguments as a validation error (exit 2)."""
@@ -323,9 +326,13 @@ def _cmd_scatter(a) -> int:
               "observation_radius": rep.observation_radius,
               "node_beat_period": rep.beat_period,
               "decay_fits": fits}
-    usable = [b for b in a.residual_times if b in out.snapshots
+    times = DEFAULT_RESIDUAL_TIMES if a.residual_times is None \
+        else a.residual_times
+    usable = [b for b in times if b in out.snapshots
               and 2.0 * b in out.snapshots]
-    if usable:
+    # base times given on the command line must yield the fit; the
+    # default ones add it only where the run holds two of them
+    if a.residual_times is not None or len(set(usable)) >= 2:
         sfit = scattering_residual_fit(out, usable)
         result["scattering_residual_fit"] = sfit.as_dict()
     t1 = time.perf_counter()
@@ -425,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="memory limit and scattering fits")
     p.add_argument("--config", required=True)
     p.add_argument("--residual-times", type=_flag_type(float_list),
-                   default="25,50,100",
-                   help="base times t for the D(t,2t) fit")
+                   help="base times t for the D(t,2t) fit, default "
+                   + ",".join(map(str, DEFAULT_RESIDUAL_TIMES)))
     p.add_argument("--fit-lo", type=_finite_float, default=20.0)
     p.set_defaults(fn=_cmd_scatter)
 

@@ -22,17 +22,15 @@ This is the classical RK4 step; against the written-out form on the
 pair (Q, Q_dot) the values differ by rounding, about 1e-16 of each
 row's sup on Q and 1e-14 on Q_dot per step.
 
-A stage evaluates only the sources some row reads (`_Workspace`): row
-V reads F + M, row P reads M and the mode rows read N2.  F is evaluated
-unless both a_null and b_bad are +0.0, and M and N2 only when there are
-mode rows.  A free stack, which reads none, marches the bare stencil.
-The result is bitwise that of evaluating and adding every term, zero
-signs included (the window reads bits): the skipped terms added +0.0
-to rows V and P, which turns a -0.0 there into +0.0, so a free stack
-adds 0.0 to both rows, and with F off the V row takes 0.0 + M.  The one
-difference is a run with F off whose u^2 overflows: the all-terms sum
-met 0 * inf = nan in F and reported a blow-up, while a free run now
-completes unless V itself overflows.
+A free stack (no mode rows, a_null and b_bad both +0.0) marches the
+bare stencil and evaluates no source: there F, M and N2 are zero or
+land on no row.  The all-terms sum added +0.0 to rows V and P, which
+turns a -0.0 there into +0.0 (the window reads bits), so a free stack
+adds 0.0 to both rows and stays bitwise.  Every other stack evaluates
+and adds every term.  One result differs: in a free run whose u^2
+overflows, F met 0 * inf = nan and the run reported a blow-up; now it
+completes unless V itself overflows, and its records hold the
+overflowed energies.
 
 The march runs in a column window [0, W) that grows behind the front.
 Compactly supported data stay compactly supported: ahead of the front
@@ -220,6 +218,8 @@ class RunOutput:
     profile_times: np.ndarray
     m_profiles: np.ndarray       # (n_records, n_r+1)
     snapshots: dict              # time -> dict of field arrays
+    # the march reached t_final; the records may still hold inf or nan
+    # where a diagnostic overflows (module docstring)
     completed: bool
     blow_up_time: float | None = None
     blow_up_radius: float | None = None
@@ -307,11 +307,10 @@ class _Workspace:
         self.w = np.zeros(0) if quad is None else quad.weights
         mu = np.zeros(0) if quad is None else quad.nodes
         self.rows = len(self.w) + 2
-        # the source terms this stack reads (module docstring): F unless
-        # both its couplings are +0.0 (a -0.0 one can leave -0.0 in F),
-        # M and N2 only with mode rows
-        self.reads_F = not _plus_zero(np.array([cfg.a_null, cfg.b_bad]))
-        self.free = not self.reads_F and self.rows == 2
+        # no source reaches any row: march the bare stencil (module
+        # docstring)
+        self.free = self.rows == 2 and _plus_zero(
+            np.array([cfg.a_null, cfg.b_bad]))
         # dr^2 times the centre coefficient of Q_rr - mu Q, per row
         self.centre = np.concatenate(
             ([-2.0, -2.0], -2.0 - mu * grid.dr ** 2))[:, None]
@@ -354,19 +353,15 @@ class _Workspace:
         M[0] = S[1] / self.dr           # L'Hopital at the origin
         return M
 
-    def sources(self, V, V_dot, t: float = 0.0, with_F: bool = True,
-                with_N2: bool = True):
-        """u, u_t, u_r and the sources F and N2; a source left out is 0.0."""
+    def sources(self, V, V_dot, t: float = 0.0):
         cfg = self.cfg
         u = self.u_of(V)
         ud = self.u_of(V_dot)
         ur = self.du_dr(V, u)
-        F = N2 = 0.0
-        if with_F:
-            F = cfg.a_null * (ud ** 2 - ur ** 2) + cfg.b_bad * ud ** 2
-        if with_N2 and cfg.n2_override is not None:
+        F = cfg.a_null * (ud ** 2 - ur ** 2) + cfg.b_bad * ud ** 2
+        if cfg.n2_override is not None:
             N2 = cfg.n2_override(t, self.r[:len(V)])
-        elif with_N2:
+        else:
             N2 = cfg.c_grad * (ud ** 2 + ur ** 2) + cfg.d_quad * u ** 2
         return u, ud, ur, F, N2
 
@@ -379,7 +374,7 @@ class _Workspace:
         the boundary columns straddle two rows, and those are pinned
         afterwards.  A +0.0 column stays +0.0: the centre product is
         -0.0 there, and adding the +0.0 neighbours makes it +0.0 again.
-        Only the sources the stack reads are evaluated (module docstring).
+        A free stack evaluates no source (module docstring).
         """
         np.multiply(self.centre, Q, out=out)
         y, inner = Q.reshape(-1), out.reshape(-1)[1:-1]
@@ -389,8 +384,7 @@ class _Workspace:
             # what the zero sources of the all-terms sum added
             out[:2] += 0.0
         else:
-            _, _, _, F, N2 = self.sources(Q[0], v, t, self.reads_F,
-                                          self.rows > 2)
+            _, _, _, F, N2 = self.sources(Q[0], v, t)
             M = self.memory_term(Q[2:])
             rs = self.rs[:Q.shape[-1]]
             out[0] += rs * (F + M)

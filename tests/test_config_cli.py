@@ -386,9 +386,10 @@ class TestCli:
                                         "output_s")) > 0.0
         assert timings["rhs_evals"] % 4 == 0 and timings["rhs_evals"] > 0
 
-    @pytest.mark.parametrize("times", ["2", "2,2", "2,3"])
+    @pytest.mark.parametrize("times", ["2", "2,2", "2,3", "3"])
     def test_scatter_one_base_time_exit_2(self, tmp_path, capsys, times):
-        # snapshots at 2 and 4: one usable base time is no fit
+        # snapshots at 2 and 4: base times given on the command line
+        # with fewer than two usable ones make no fit
         d = tmp_path / "out"
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(GOOD.format(out=d).replace("cadence = 5",
@@ -401,6 +402,29 @@ class TestCli:
         err = strict_loads(captured.err)
         assert err["error"] == "insufficient-samples"
         assert "Warning" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("snaps, fitted", [
+        ("100.0", False), ("50.0, 100.0", False),
+        ("25.0, 50.0, 100.0", True)])
+    def test_scatter_default_times_fit_only_with_two(self, tmp_path, capsys,
+                                                     snaps, fitted):
+        # the default base times 25, 50, 100 give the fit only where the
+        # run holds t and 2t for two of them; otherwise it is left out
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d)
+                           .replace("n_r = 128", "n_r = 512")
+                           .replace("t_final = 4.0", "t_final = 100.0")
+                           .replace("= 2.0, 4.0", "= " + snaps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scatter", "--config", str(cfgfile)]) == 0
+        captured = capsys.readouterr()
+        printed = strict_loads(captured.out)
+        result = strict_loads((d / "scatter.json").read_text())
+        assert ("scattering_residual_fit" in printed) == fitted
+        assert ("scattering_residual_fit" in result) == fitted
+        assert captured.err == ""
 
     def test_evolve_summary_counts_dropped_nodes(self, tmp_path, capsys):
         d = tmp_path / "out"
