@@ -24,13 +24,12 @@ row's sup on Q and 1e-14 on Q_dot per step.
 
 A free stack (no mode rows, a_null and b_bad both +0.0) marches the
 bare stencil and evaluates no source: there F, M and N2 are zero or
-land on no row.  The all-terms sum added +0.0 to rows V and P, which
-turns a -0.0 there into +0.0 (the window reads bits), so a free stack
-adds 0.0 to both rows and stays bitwise.  Every other stack evaluates
-and adds every term.  One result differs: in a free run whose u^2
-overflows, F met 0 * inf = nan and the run reported a blow-up; now it
-completes unless V itself overflows, and its records hold the
-overflowed energies.
+land on no row.  Adding those zeros would turn a -0.0 on rows V and P
+into +0.0, and the window reads bits, so a free stack adds 0.0 to both
+rows and stays bitwise the sum of every term.  Every other stack
+evaluates and adds every term.  A free run whose u^2 overflows thus
+completes unless V itself overflows (the source sum would meet
+0 * inf = nan in F), and its records hold the overflowed energies.
 
 The march runs in a column window [0, W) that grows behind the front.
 Compactly supported data stay compactly supported: ahead of the front
@@ -381,7 +380,7 @@ class _Workspace:
         inner += y[2:]
         inner += y[:-2]
         if self.free:
-            # what the zero sources of the all-terms sum added
+            # as adding the zero sources would: -0.0 becomes +0.0
             out[:2] += 0.0
         else:
             _, _, _, F, N2 = self.sources(Q[0], v, t)
