@@ -20,7 +20,7 @@ from .pheno import (SignatureReport, ligo_bound, memory_excess_ratio,
 from .quadrature import MassQuadrature, build_quadrature, validate_moments
 from .radial import (DiagnosticsRecord, FieldState, Grid, ModelConfig,
                      RunOutput, evolve, free_wave_exact, initialize,
-                     padded_r_max, step)
+                     padded_r_max)
 from .resolvent import (BoundReport, CommutatorCheck, ModeParams, TimeSeries,
                         apply_memory, apply_memory2, commutator_residual,
                         duhamel_ratio, kg_retarded, mass_weighted_bound_check,

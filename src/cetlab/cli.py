@@ -15,6 +15,7 @@ included), 3 on numerical failures, with a JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,9 +34,10 @@ from .dispersion import DEFAULT_K_GRID, mode_stability_scan, solve_branch
 from .errors import CetlabError, NumericalError, ValidationError
 from .pheno import signature_report
 from .quadrature import build_quadrature
-from .radial import DiagnosticsRecord, evolve
+from .radial import DiagnosticsRecord, evolve, march_schedule
 from .resolvent import TimeSeries, apply_memory, apply_memory2
-from .scattering import decay_fit, memory_limit, scattering_residual_fit
+from .scattering import (decay_fit, memory_limit, require_two_base_times,
+                         scattering_residual_fit)
 from .spectral import check_conditions, spectral_constants
 
 
@@ -252,9 +254,9 @@ def _cmd_dispersion(a) -> int:
     return 0
 
 
-def _run_from_config(path):
-    """Parse and evolve a run file.  `init_s` is the parse's wall time,
-    which includes building the rule."""
+def _load_run(path):
+    """Parse a run file that has both sections.  `init_s` is the parse's
+    wall time, which includes building the rule."""
     t0 = time.perf_counter()
     rc = parse_config(path)
     init_s = time.perf_counter() - t0
@@ -262,9 +264,7 @@ def _run_from_config(path):
         raise ValidationError(f"{path}: [density] section is required")
     if rc.model is None:
         raise ValidationError(f"{path}: [solver] section is required")
-    cfg, grid, cadence, snaps = rc.model
-    out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
-    return rc, cfg, grid, out, init_s
+    return rc, init_s
 
 
 def _run_timings(cfg, out, init_s: float) -> dict:
@@ -279,7 +279,9 @@ def _run_timings(cfg, out, init_s: float) -> dict:
 
 
 def _cmd_evolve(a) -> int:
-    rc, cfg, grid, out, init_s = _run_from_config(a.config)
+    rc, init_s = _load_run(a.config)
+    cfg, grid, cadence, snaps = rc.model
+    out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
     n_modes, dropped = (0, 0) if cfg.quad is None else \
         (len(cfg.quad), cfg.quad.moment_report["dropped_nodes"])
     t0 = time.perf_counter()
@@ -314,8 +316,23 @@ def _cmd_evolve(a) -> int:
     return 0
 
 
+def _usable_base_times(times, snapshot_times) -> list:
+    """The base times t of `times` whose t and 2t are both snapshots."""
+    return [b for b in times if b in snapshot_times
+            and 2.0 * b in snapshot_times]
+
+
 def _cmd_scatter(a) -> int:
-    rc, cfg, grid, out, init_s = _run_from_config(a.config)
+    rc, init_s = _load_run(a.config)
+    cfg, grid, cadence, snaps = rc.model
+    times = DEFAULT_RESIDUAL_TIMES if a.residual_times is None \
+        else a.residual_times
+    if a.residual_times is not None:
+        # the snapshot times are known before the march: a fit that
+        # cannot be made fails before any step
+        planned = set(march_schedule(cfg, grid, snaps)[2].values())
+        require_two_base_times(_usable_base_times(times, planned))
+    out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
     t0 = time.perf_counter()
     rep = memory_limit(out)
     t = out.series("t")
@@ -326,10 +343,7 @@ def _cmd_scatter(a) -> int:
               "observation_radius": rep.observation_radius,
               "node_beat_period": rep.beat_period,
               "decay_fits": fits}
-    times = DEFAULT_RESIDUAL_TIMES if a.residual_times is None \
-        else a.residual_times
-    usable = [b for b in times if b in out.snapshots
-              and 2.0 * b in out.snapshots]
+    usable = _usable_base_times(times, out.snapshots)
     # base times given on the command line must yield the fit; the
     # default ones add it only where the run holds two of them
     if a.residual_times is not None or len(set(usable)) >= 2:
@@ -370,9 +384,15 @@ def _cmd_selftest(a) -> int:
                                   + ",".join(map(str, a.only)))
     if any(fn.__name__ in ("criterion_8", "criterion_9") for fn in wanted):
         prewarm_sweep()
-    results = run_all(wanted)
+    # with --json, stdout carries only the JSON document
+    progress = sys.stderr if a.json else sys.stdout
+    results = run_all(wanted, stream=progress)
     n_fail = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - n_fail}/{len(results)} criteria passed")
+    if a.json:
+        _emit({"criteria": [dataclasses.asdict(r) for r in results],
+               "passed": len(results) - n_fail, "total": len(results)})
+    print(f"{len(results) - n_fail}/{len(results)} criteria passed",
+          file=progress)
     if n_fail:
         raise NumericalError(f"selftest: {n_fail} criteria failed",
                              failed=[r.cid for r in results if not r.passed])
@@ -448,6 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--only", type=_flag_type(lambda t: float_list(t, int)),
                    help="comma list of criterion numbers")
+    p.add_argument("--json", action="store_true",
+                   help="print every result with its details as one JSON "
+                   "document; progress goes to stderr")
     p.set_defaults(fn=_cmd_selftest)
     return ap
 

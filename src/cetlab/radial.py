@@ -529,18 +529,6 @@ def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
         yield st
 
 
-def step(state: FieldState, cfg: ModelConfig, grid: Grid,
-         dt: float | None = None) -> FieldState:
-    """One RK4 step of the full system into fresh arrays; raises on
-    nonfinite values."""
-    dt = cfg.cfl * grid.dr if dt is None else dt
-    cfg.validate_against(grid, dt)
-    ws = _Workspace(cfg, grid)
-    new = _rk4_step(ws, state, dt)
-    _check_finite(new, grid)
-    return new
-
-
 def _check_finite(st: FieldState, grid: Grid) -> None:
     # X_dot is left out: a nonfinite mode velocity reaches X a step later
     if np.isfinite(st.Q).all() and np.isfinite(st.Q_dot[:2]).all():
@@ -607,29 +595,39 @@ def _snapshot(ws: _Workspace, st: FieldState) -> dict:
             "M": _pad(ws.memory_term(st.X), n), "Phi": ws.u_of(P)}
 
 
+def march_schedule(cfg: ModelConfig, grid: Grid,
+                   snapshot_times=()) -> tuple[int, float, dict]:
+    """(n_steps, dt, snapshot steps) of `evolve`, known before any step.
+
+    dt is cfl*dr shrunk so that an even number of steps lands exactly on
+    t_final (resolution studies compare fields at matching times).  The
+    dict maps each step that takes a snapshot to the first of
+    `snapshot_times` that rounds to it; a run to t_final = 0 has only
+    the initial state, as its snapshot at 0.
+    """
+    if cfg.t_final == 0.0:
+        return 0, 0.0, {0: 0.0}
+    n_steps = 2 * max(1, math.ceil(cfg.t_final / (2.0 * cfg.cfl * grid.dr)))
+    dt = cfg.t_final / n_steps
+    snap_steps = {}
+    for ts in snapshot_times:
+        idx = int(round(ts / dt))
+        if 0 <= idx <= n_steps:
+            snap_steps.setdefault(idx, float(ts))
+    return n_steps, dt, snap_steps
+
+
 def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
            snapshot_times=()) -> RunOutput:
     """March to t_final recording diagnostics every `cadence` steps.
 
-    dt is cfl*dr shrunk so that an even number of steps lands exactly on
-    t_final (resolution studies compare fields at matching times).
+    The steps, dt and snapshot steps are `march_schedule`'s.
     A detected blow-up terminates the march and returns the partial
     output with the failure time recorded.
     """
     if cadence < 1:
         raise ValidationError("cadence must be a positive integer")
-    if cfg.t_final == 0.0:
-        # the initial state is the only record and the only snapshot
-        n_steps, dt = 0, 0.0
-        snap_steps = {0: 0.0}
-    else:
-        n_steps = 2 * max(1, math.ceil(cfg.t_final / (2.0 * cfg.cfl * grid.dr)))
-        dt = cfg.t_final / n_steps
-        snap_steps = {}
-        for ts in snapshot_times:
-            idx = int(round(ts / dt))
-            if 0 <= idx <= n_steps:
-                snap_steps.setdefault(idx, float(ts))
+    n_steps, dt, snap_steps = march_schedule(cfg, grid, snapshot_times)
     cfg.validate_against(grid, dt)
     ws = _Workspace(cfg, grid)
     st = initialize(cfg, grid)

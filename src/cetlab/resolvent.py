@@ -11,15 +11,19 @@ solved with cumulative sums (see `_kg_solve`), not stepped sample by
 sample; it matches the stepwise loop to rounding.  The memory operator
 is the weight-ordered sum of mode responses over a mass quadrature; the
 double-resolvent variant applies each mode response twice with weight
-w_j * mu_j.  Midpoint source values for RK4 come from a cubic stencil
-that never looks past the landing sample, so signals that vanish on an
-initial segment produce outputs that are bitwise zero there.
+w_j * mu_j.  The positivity functional needs only each mode's last
+phasor, a power sum of the recurrence (`_terminal_phasor`), so it
+solves no trajectory.  Midpoint source values for RK4 come from a cubic
+stencil that never looks past the landing sample, so signals that
+vanish on an initial segment produce outputs that are bitwise zero
+there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,9 @@ from .quadrature import MassQuadrature
 STABILITY_LIMIT = 2.5
 # allowance over sqrt(2) for the O(dt^2) error of the discrete response
 _BOUND_SLACK = 0.02
+# complex values in the power tables and block sums of one mode chunk
+# of `_terminal_phasor`
+POWER_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,34 @@ def _recurrence(a, u: np.ndarray) -> np.ndarray:
     return local.reshape(-1)[:n]
 
 
+class _UnitStep(NamedTuple):
+    """One RK4 step of v'' + omega2 v = f on unit inputs, per mode.
+
+    dv[i] is the increment of v for a unit value of the i-th input (v,
+    vdot, f[j], fmid[j], f[j+1]) and zero for the others.  In the phasor
+    w = vdot + i omega v the step reads
+
+        w[j+1] = rot w[j] + c0 f[j] + cm fmid[j] + c1 f[j+1];
+
+    f[j+1] moves only vdot within a step, so c1 is real.
+    """
+    omega: np.ndarray
+    dv: np.ndarray
+    rot: np.ndarray
+    c0: np.ndarray
+    cm: np.ndarray
+    c1: np.ndarray
+
+
+def _unit_step(omega2: np.ndarray, dt: float) -> _UnitStep:
+    """`_UnitStep` from one `_rk4_increment` on the five unit inputs."""
+    omega = np.sqrt(omega2)
+    dv, dvd = _rk4_increment(omega2, *np.eye(5)[:, :, None], dt)
+    return _UnitStep(omega, dv, 1.0 + dvd[1] + 1j * omega * dv[1],
+                     dvd[2] + 1j * omega * dv[2],
+                     dvd[3] + 1j * omega * dv[3], dvd[4])
+
+
 def _kg_solve(omega2: np.ndarray, f: np.ndarray,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 solve of v'' + omega2 v = f per mode; returns (v, vdot).
@@ -153,34 +188,23 @@ def _kg_solve(omega2: np.ndarray, f: np.ndarray,
     omega2 has shape (m,); f is one source of shape (n_t,) shared by all
     modes or one source per mode, shape (m, n_t); outputs have shape
     (m, n_t).  The scheme is classical RK4 with `_midpoints` sources,
-    evaluated as an exact linear recurrence instead of a loop.  RK4 is
-    linear, so in the phasor w = vdot + i omega v one step is
-
-        w[j+1] = R w[j] + c0 f[j] + cm fmid[j] + c1 f[j+1]
-
-    with R, c0, cm, c1 read off `_rk4_increment` on unit inputs, and
-    vdot = Re w.  v is then summed from its own RK4 increments,
+    evaluated as an exact linear recurrence instead of a loop: RK4 is
+    linear, so the phasor w = vdot + i omega v follows the one-step
+    recurrence of `_UnitStep`, and vdot = Re w.  v is then summed from
+    its own RK4 increments,
 
         v[j+1] = v[j] + dv_v v[j] + dv_vd vdot[j] + d0 f[j] + dm fmid[j]
 
-    (f[j+1] moves only vdot within a step, so c1 is real), with
-    v[j] = Im w[j] / omega on the right.  The increment is small, so the
-    error of Im w / omega hardly enters it; the sum keeps rounding as
+    with v[j] = Im w[j] / omega on the right.  The increment is small, so
+    the error of Im w / omega hardly enters it; the sum keeps rounding as
     smooth in j as the stepwise loop does (the commutator check
     differentiates v, which amplifies rough rounding by t / dt); and the
     zero mode, where dv_v = 0, needs no division by omega.
     """
     omega2 = np.asarray(omega2, dtype=float)
     n = f.shape[-1]
-    omega = np.sqrt(omega2)
-    zero, one = np.zeros_like(omega2), np.ones_like(omega2)
-    dv_v, _ = _rk4_increment(omega2, one, zero, zero, zero, zero, dt)
-    dv_vd, dvd_vd = _rk4_increment(omega2, zero, one, zero, zero, zero, dt)
-    d0, e0 = _rk4_increment(omega2, zero, zero, one, zero, zero, dt)
-    dm, em = _rk4_increment(omega2, zero, zero, zero, one, zero, dt)
-    _, c1 = _rk4_increment(omega2, zero, zero, zero, zero, one, dt)
-    rot = 1.0 + dvd_vd + 1j * omega * dv_vd
-    c0, cm = e0 + 1j * omega * d0, em + 1j * omega * dm
+    unit = _unit_step(omega2, dt)
+    omega, (dv_v, dv_vd, d0, dm, _) = unit.omega, unit.dv
     fmid = _midpoints(f) if f.ndim == 1 else None
     v = np.zeros((omega2.size, n))
     vd = np.zeros((omega2.size, n))
@@ -188,7 +212,8 @@ def _kg_solve(omega2: np.ndarray, f: np.ndarray,
         fi = f if f.ndim == 1 else f[i]
         fm = fmid if f.ndim == 1 else _midpoints(fi)
         f0, f1 = fi[:-1], fi[1:]
-        w = _recurrence(rot[i], c0[i] * f0 + cm[i] * fm + c1[i] * f1)
+        w = _recurrence(unit.rot[i], unit.c0[i] * f0 + unit.cm[i] * fm
+                        + unit.c1[i] * f1)
         vd[i, 1:] = w.real
         if omega[i] > 0.0:
             v[i, 1:] = w.imag / omega[i]
@@ -200,6 +225,52 @@ def _kg_solve(omega2: np.ndarray, f: np.ndarray,
     return v, vd
 
 
+def _powers(base: np.ndarray, n: int) -> np.ndarray:
+    """base**j for j < n, shape (n, m), by doubling: log2(n) products."""
+    out = np.empty((n, base.size), dtype=complex)
+    out[0] = 1.0
+    have, step = 1, base
+    while have < n:
+        more = min(have, n - have)
+        np.multiply(out[:more], step, out=out[have:have + more])
+        have += more
+        step = step * step
+    return out
+
+
+def _terminal_phasor(unit: _UnitStep, f: np.ndarray) -> np.ndarray:
+    """The last phasor w[n-1] of `_kg_solve`'s recurrence, per mode.
+
+    From w[0] = 0 it is the power sum sum_p rot**p u[n-2-p] with u[j] =
+    c0 f[j] + cm fmid[j] + c1 f[j+1].  The exponent p = b*B + j is split
+    into blocks of B ~ sqrt(n) samples, so rot**j and rot**(b*B) are two
+    short power tables: one matmul of the time-reversed, blocked inputs
+    (f, fmid, f[1:]) against the first gives every block's sum, and the
+    second weights the blocks.  Modes go in chunks whose tables and block sums hold at most
+    POWER_CHUNK complex values.
+    """
+    span = f.size - 1
+    block = math.isqrt(span - 1) + 1
+    n_blocks = -(-span // block)
+    rev = np.zeros((3, n_blocks * block))
+    rev[0, :span] = f[-2::-1]
+    rev[1, :span] = _midpoints(f)[::-1]
+    rev[2, :span] = f[:0:-1]
+    rev = rev.reshape(3 * n_blocks, block)
+    chunk = max(1, POWER_CHUNK // (block + 4 * n_blocks))
+    out = np.empty(unit.rot.size, dtype=complex)
+    for lo in range(0, out.size, chunk):
+        part = slice(lo, lo + chunk)
+        rot = unit.rot[part]
+        inner = _powers(rot, block)
+        outer = _powers(inner[-1] * rot, n_blocks)
+        sums = (rev @ inner.view(float)).view(complex)
+        sums = np.sum(sums.reshape(3, n_blocks, rot.size) * outer, axis=1)
+        out[part] = (unit.c0[part] * sums[0] + unit.cm[part] * sums[1]
+                     + unit.c1[part] * sums[2])
+    return out
+
+
 def kg_retarded(params: ModeParams, f: TimeSeries) -> TimeSeries:
     """Retarded mode response: v'' + (xi^2+mu) v = f with zero past data."""
     _check_stability(f.dt, params.omega2)
@@ -207,7 +278,9 @@ def kg_retarded(params: ModeParams, f: TimeSeries) -> TimeSeries:
     return TimeSeries(f.t0, f.dt, v[0])
 
 
-def _memory_modes(quad: MassQuadrature, xi: float, f: TimeSeries):
+def _memory_omega2(quad: MassQuadrature, xi: float,
+                   f: TimeSeries) -> np.ndarray:
+    """xi**2 + mu_j per node, checked against the step limit of f."""
     try:
         omega2 = quad.nodes + xi ** 2
     except OverflowError:
@@ -215,12 +288,12 @@ def _memory_modes(quad: MassQuadrature, xi: float, f: TimeSeries):
     if omega2.size:
         _check_stability(f.dt, float(omega2.max()),
                          label=f"node mu={float(quad.nodes.max()):.6g}")
-    return _kg_solve(omega2, f.samples, f.dt)
+    return omega2
 
 
 def apply_memory(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
     """Memory operator: ordered sum of w_j times the mode-mu_j response."""
-    v, _ = _memory_modes(quad, xi, f)
+    v, _ = _kg_solve(_memory_omega2(quad, xi, f), f.samples, f.dt)
     out = quad.weights @ v if len(quad) else np.zeros_like(f.samples)
     return TimeSeries(f.t0, f.dt, out)
 
@@ -229,8 +302,9 @@ def apply_memory2(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
     """Double-resolvent operator: sum of w_j mu_j R_j(R_j f)."""
     if not len(quad):
         return TimeSeries(f.t0, f.dt, np.zeros_like(f.samples))
-    first, _ = _memory_modes(quad, xi, f)
-    second, _ = _kg_solve(quad.nodes + xi ** 2, first, f.dt)
+    omega2 = _memory_omega2(quad, xi, f)
+    first, _ = _kg_solve(omega2, f.samples, f.dt)
+    second, _ = _kg_solve(omega2, first, f.dt)
     return TimeSeries(f.t0, f.dt, (quad.weights * quad.nodes) @ second)
 
 
@@ -297,13 +371,15 @@ def positivity_functional(quad: MassQuadrature, f: TimeSeries) -> float:
     weighted sum of terminal mode energies sum_j w_j E_j(T); the discrete
     functional evaluates that energy form directly, which keeps it
     structurally nonnegative even for rough (sign-flipping) sources where
-    a trapezoid power integral picks up O(dt) noise.
+    a trapezoid power integral picks up O(dt) noise.  E_j(T) =
+    vdot**2 / 2 + omega**2 v**2 / 2 = |w_T|**2 / 2 comes from the mode's
+    terminal phasor alone (`_terminal_phasor`), with no trajectory solve.
     """
     if not len(quad):
         return 0.0
-    v, vd = _memory_modes(quad, 0.0, f)
-    omega2 = quad.nodes
-    energies = 0.5 * vd[:, -1] ** 2 + 0.5 * omega2 * v[:, -1] ** 2
+    omega2 = _memory_omega2(quad, 0.0, f)
+    w_end = _terminal_phasor(_unit_step(omega2, f.dt), f.samples)
+    energies = 0.5 * (w_end.real ** 2 + w_end.imag ** 2)
     return float(np.sum(quad.weights * energies))
 
 

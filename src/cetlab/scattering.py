@@ -170,12 +170,17 @@ def scattering_residual(run: RunOutput, t1: float, t2: float) -> float:
                                         dx=run.grid.dr)))
 
 
-def scattering_residual_fit(run: RunOutput, t_list) -> DecayFit:
-    """Fit of D(t, 2t) ~ (1+t)^p over the given base times, at least two
-    distinct ones."""
+def require_two_base_times(t_list) -> None:
+    """Raise unless `t_list` holds two distinct base times."""
     if len({float(t) for t in t_list}) < 2:
         raise InsufficientSamplesError("insufficient-samples: the residual "
                                        "fit needs two distinct base times")
+
+
+def scattering_residual_fit(run: RunOutput, t_list) -> DecayFit:
+    """Fit of D(t, 2t) ~ (1+t)^p over the given base times, at least two
+    distinct ones."""
+    require_two_base_times(t_list)
     pts = [(float(t), scattering_residual(run, float(t), 2.0 * float(t)))
            for t in t_list]
     t = np.array([p[0] for p in pts])

@@ -360,10 +360,12 @@ def prewarm_sweep() -> None:
         _run_cache[eps] = run
 
 
-def run_all(criteria=None) -> list:
+def run_all(criteria=None, stream=None) -> list:
+    """Run the criteria, printing each result line to `stream` (default
+    stdout) as it finishes."""
     results = []
     for fn in (criteria or ALL_CRITERIA):
         res = fn()
-        print(res.line(), flush=True)
+        print(res.line(), flush=True, file=stream)
         results.append(res)
     return results

@@ -403,6 +403,24 @@ class TestCli:
         assert err["error"] == "insufficient-samples"
         assert "Warning" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("times", ["2", "2,3", "3,6"])
+    def test_scatter_bad_base_times_exit_before_the_march(
+            self, tmp_path, capsys, monkeypatch, times):
+        # the usable base times follow from the snapshot times and dt, so
+        # a fit that cannot be made is refused before any step
+        def no_march(*args, **kwargs):
+            raise AssertionError("evolve ran before the base-time check")
+
+        monkeypatch.setattr("cetlab.cli.evolve", no_march)
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d))
+        assert main(["scatter", "--config", str(cfgfile),
+                     "--residual-times", times]) == 2
+        captured = capsys.readouterr()
+        assert strict_loads(captured.err)["error"] == "insufficient-samples"
+        assert captured.out == "" and not d.exists()
+
     @pytest.mark.parametrize("snaps, fitted", [
         ("100.0", False), ("50.0, 100.0", False),
         ("25.0, 50.0, 100.0", True)])
@@ -500,3 +518,15 @@ class TestCli:
         captured = capsys.readouterr().out
         assert rc == 0
         assert captured.count("[PASS]") == 3
+
+    def test_selftest_json(self, capsys):
+        rc = main(["selftest", "--only", "3", "--json"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        doc = strict_loads(captured.out)
+        assert (doc["passed"], doc["total"]) == (1, 1)
+        [res] = doc["criteria"]
+        assert set(res) == {"cid", "title", "passed", "runtime_s", "details"}
+        assert res["cid"] == 3 and res["passed"] is True
+        assert res["runtime_s"] > 0.0 and res["details"]
+        assert "[PASS] criterion  3" in captured.err

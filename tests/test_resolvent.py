@@ -12,7 +12,9 @@ from cetlab import (MassQuadrature, PowerLawExp, ValidationError,
                     commutator_residual, duhamel_ratio, kg_retarded,
                     mass_weighted_bound_check, positivity_functional)
 from cetlab.errors import CommutatorInputError, ModeStepUnstableError
-from cetlab.resolvent import ModeParams, TimeSeries, _kg_solve, _midpoints
+import cetlab.resolvent as resolvent
+from cetlab.resolvent import (ModeParams, TimeSeries, _kg_solve, _midpoints,
+                              _rk4_increment, _terminal_phasor, _unit_step)
 
 ONE_ATOM = MassQuadrature(np.array([1.0]), np.array([1.0]), "diraccomb")
 
@@ -166,6 +168,25 @@ class TestRecurrenceAgainstLoop:
             self.assert_close((v[i:i + 1], vd[i:i + 1]), (rv, rvd))
 
 
+def test_unit_step_is_five_unit_increments_bitwise():
+    """The stacked unit-input step equals five separate RK4 increments."""
+    omega2 = np.array(OMEGA2_GRID)
+    zero, one = np.zeros_like(omega2), np.ones_like(omega2)
+    unit = _unit_step(omega2, DT)
+    for i in range(5):
+        args = [one if k == i else zero for k in range(5)]
+        dv, dvd = _rk4_increment(omega2, *args, DT)
+        assert np.array_equal(unit.dv[i], dv)
+        if i == 1:
+            assert np.array_equal(
+                unit.rot, 1.0 + dvd + 1j * unit.omega * dv)
+        elif i in (2, 3):
+            c = unit.c0 if i == 2 else unit.cm
+            assert np.array_equal(c, dvd + 1j * unit.omega * dv)
+        elif i == 4:
+            assert unit.c1.dtype == float and np.array_equal(unit.c1, dvd)
+
+
 class TestMemoryOperator:
     def test_single_atom_reduces_to_mode_oracle(self):
         dt = 0.01
@@ -293,6 +314,85 @@ class TestPositivity:
             rng = np.random.default_rng(1000 + s)
             f = TimeSeries(0.0, 0.01, rng.choice([-1.0, 1.0], size=800))
             assert positivity_functional(quad, f) >= -1e-12 * f.l1() ** 2
+
+
+def trajectory_energies(omega2, f, dt, solve=_kg_solve):
+    """Terminal mode energies vdot**2 / 2 + omega2 v**2 / 2 of a full solve."""
+    v, vd = solve(omega2, f, dt)
+    return 0.5 * vd[:, -1] ** 2 + 0.5 * omega2 * v[:, -1] ** 2
+
+
+class TestTerminalPhasor:
+    """positivity_functional reads the terminal phasor alone; it matches
+    the weighted terminal energy of the trajectory solve."""
+
+    @staticmethod
+    def assert_matches_trajectory(quad, f, solve=_kg_solve):
+        ref = float(np.sum(quad.weights * trajectory_energies(
+            quad.nodes, f.samples, f.dt, solve)))
+        assert positivity_functional(quad, f) == pytest.approx(ref,
+                                                              rel=1e-12)
+
+    def test_hundred_seeded_sign_sources(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            self.assert_matches_trajectory(
+                quad, TimeSeries(0.0, DT, rng.choice([-1.0, 1.0], size=800)))
+
+    def test_switched_bump_12001(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        self.assert_matches_trajectory(
+            quad, TimeSeries(0.0, DT, switched_bump(12001)))
+
+    def test_against_stepwise_loop(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        self.assert_matches_trajectory(
+            quad, TimeSeries(0.0, DT, sign_signal(800)), loop_kg_solve)
+
+    @pytest.mark.parametrize("n", [2, 3, 800])
+    def test_mode_grid_with_zero_mode(self, n):
+        # the zero mode's phasor is vdot: no division by omega, no branch
+        omega2 = np.array(OMEGA2_GRID)
+        f = sign_signal(n)
+        w_end = _terminal_phasor(_unit_step(omega2, DT), f)
+        got = 0.5 * np.abs(w_end) ** 2
+        ref = trajectory_energies(omega2, f, DT, loop_kg_solve)
+        assert ref[0] > 0.0
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_two_samples(self):
+        f = TimeSeries(0.0, DT, np.array([1.0, -2.0]))
+        self.assert_matches_trajectory(ONE_ATOM, f, loop_kg_solve)
+
+    def test_many_modes_cross_the_chunk_cap(self, monkeypatch):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 512)
+        calls = []
+        powers = resolvent._powers
+
+        def counted(base, n):
+            calls.append(base.size)
+            return powers(base, n)
+
+        monkeypatch.setattr(resolvent, "_powers", counted)
+        t = DT * np.arange(40001)
+        f = TimeSeries(0.0, DT, np.where(t > 4.3, np.sin(t) * np.exp(
+            -0.01 * (t - 4.3)), 0.0))
+        self.assert_matches_trajectory(quad, f)
+        # two power tables per mode chunk: more than one chunk ran
+        assert len(calls) > 2 and sum(calls) == 2 * len(quad)
+
+    def test_unstable_node_raises_as_before(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        f = series(0.5, 100, np.ones_like)
+        with pytest.raises(ModeStepUnstableError) as exc:
+            positivity_functional(quad, f)
+        with pytest.raises(ModeStepUnstableError) as ref:
+            apply_memory(quad, 0.0, f)
+        assert str(exc.value) == str(ref.value)
+        assert str(exc.value).startswith(
+            "mode-step-unstable: dt*sqrt(xi^2+mu) = ")
+        assert f"at node mu={float(quad.nodes.max()):.6g};" in str(exc.value)
 
 
 class TestBounds:
