@@ -250,7 +250,8 @@ def _cmd_dispersion(a) -> int:
                    "residual": [p.residual for p in points]}, src)
     _emit({"branch": [{"k": p.k, "omega": p.omega, "sigma": p.sigma,
                        "residual": p.residual} for p in points],
-           "max_im": scan.max_im, "gaps": list(scan.gaps)})
+           "max_im": scan.max_im, "gaps": list(scan.gaps),
+           "scan_counts": scan.counts()})
     return 0
 
 
@@ -342,6 +343,7 @@ def _cmd_scatter(a) -> int:
               "memory_residual_fit": rep.residual_fit.as_dict(),
               "observation_radius": rep.observation_radius,
               "node_beat_period": rep.beat_period,
+              "m_inf_window": rep.m_inf_window,
               "decay_fits": fits}
     usable = _usable_base_times(times, out.snapshots)
     # base times given on the command line must yield the fit; the

@@ -59,6 +59,8 @@ class MemoryLimitReport:
     residual_fit: DecayFit
     observation_radius: float
     beat_period: float
+    # the profiles averaged into m_inf: first and last time, and count
+    m_inf_window: dict
 
 
 def _l2_r2(grid: Grid, g: np.ndarray, r_cut: float | None = None) -> float:
@@ -78,7 +80,8 @@ def memory_limit(run: RunOutput) -> MemoryLimitReport:
     decays: it rides the outgoing massive shells) and fitted on the
     second half of the run.  With a finite node set the local residual
     is quasi-periodic below the node-beat envelope; the report carries
-    the shortest beat period so callers can judge the fit window.
+    the shortest beat period and the averaging window so callers can
+    judge both windows against the beat.
     """
     if not run.completed:
         raise ValidationError("memory limit needs a completed run")
@@ -95,6 +98,8 @@ def memory_limit(run: RunOutput) -> MemoryLimitReport:
     t_end = t[-1]
     tail = t >= 0.9 * t_end
     m_inf = run.m_profiles[tail].mean(axis=0)
+    window = {"t_first": float(t[tail][0]), "t_last": float(t_end),
+              "n_profiles": int(tail.sum())}
     m_inf_norm = _l2_r2(run.grid, m_inf)
     r_obs = run.cfg.support_radius + 10.0
     beat = math.inf
@@ -105,7 +110,7 @@ def memory_limit(run: RunOutput) -> MemoryLimitReport:
     resid = [(float(tt), _l2_r2(run.grid, run.m_profiles[i] - m_inf, r_obs))
              for i, tt in enumerate(t) if second_half[i]]
     fit = decay_fit(resid, (0.5 * t_end, 0.9 * t_end))
-    return MemoryLimitReport(m_inf, m_inf_norm, fit, r_obs, beat)
+    return MemoryLimitReport(m_inf, m_inf_norm, fit, r_obs, beat, window)
 
 
 def _dst1(Y: np.ndarray) -> np.ndarray:

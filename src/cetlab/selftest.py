@@ -204,7 +204,9 @@ def criterion_6() -> CriterionResult:
               and root_err <= 1e-10)
         return ok, {"max_im_powerlaw": scan_pl.max_im,
                     "max_im_two_atom": scan_two.max_im,
-                    "one_atom_root_error": root_err}
+                    "one_atom_root_error": root_err,
+                    "scan_counts_powerlaw": scan_pl.counts(),
+                    "scan_counts_two_atom": scan_two.counts()}
     return _timed(6, "no growing dispersion modes; principal root exact",
                   check)
 
@@ -263,15 +265,14 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     def check():
-        norms = {}
-        for eps in EPS_SWEEP:
-            rep = memory_limit(_sweep_run(eps))
-            norms[eps] = rep.m_inf_norm
+        reps = {eps: memory_limit(_sweep_run(eps)) for eps in EPS_SWEEP}
+        norms = {eps: rep.m_inf_norm for eps, rep in reps.items()}
         ratios = [norms[0.01] / norms[0.005] / 4.0,
                   norms[0.02] / norms[0.01] / 4.0]
         scaling_ok = (norms[0.005] > 0
                       and all(abs(r - 1.0) <= 0.20 for r in ratios))
         out = _sweep_run(0.01)
+        rep = reps[0.01]
         base_times = (25.0, 50.0, 100.0)
         fit = scattering_residual_fit(out, base_times)
         d_vals = [d for _, d in fit.points]
@@ -288,6 +289,8 @@ def criterion_9() -> CriterionResult:
                    "residual_exponent_min": RESIDUAL_EXPONENT_MIN,
                    "residual_r2": fit.r_squared,
                    "sqrt_t_residuals": sqrt_t_d,
+                   "m_inf_window": rep.m_inf_window,
+                   "node_beat_period": rep.beat_period,
                    "note": f"sqrt(t)*D(t, 2t) is {trend} over the base "
                            f"times {base_times}"}
         return ok, details

@@ -5,6 +5,8 @@ output) and asserts the criterion verdict.  The desk-scale evolution
 runs behind criteria 8 and 9 are computed once and shared.
 """
 
+import math
+
 import pytest
 
 from cetlab import selftest
@@ -55,6 +57,11 @@ def test_criterion_05_spectral_averaging():
 def test_criterion_06_mode_stability():
     res = _run(selftest.criterion_6)
     assert res.runtime_s < 10.0
+    # every k of both densities has its two real branch roots
+    for density in ("powerlaw", "two_atom"):
+        counts = res.details[f"scan_counts_{density}"]
+        assert [c["k"] for c in counts] == [0.25, 0.5, 1.0, 2.0, 4.0]
+        assert all(c["roots"] == 2 for c in counts)
 
 
 @pytest.mark.slow
@@ -73,6 +80,11 @@ def test_criterion_08_desk_scale_stability(sweep_runs):
 def test_criterion_09_memory_and_scattering(sweep_runs):
     res = _run(selftest.criterion_9)
     assert res.runtime_s < 1800.0
+    window = res.details["m_inf_window"]
+    assert 0.9 * window["t_last"] <= window["t_first"] < window["t_last"]
+    assert window["t_last"] == pytest.approx(200.0, abs=1e-9)
+    assert window["n_profiles"] >= 2
+    assert math.isfinite(res.details["node_beat_period"])
 
 
 def test_criterion_10_phenomenology():

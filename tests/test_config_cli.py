@@ -377,6 +377,12 @@ class TestCli:
         result = strict_loads((d / "scatter.json").read_text())
         timings = strict_loads((d / "timings.json").read_text())
         assert "scattering_residual_fit" in printed
+        # the M_inf average spans the records of the final tenth
+        window = result["m_inf_window"]
+        assert window == printed["m_inf_window"]
+        assert 0.9 * window["t_last"] <= window["t_first"] < window["t_last"]
+        assert window["t_last"] == pytest.approx(4.0, abs=1e-9)
+        assert window["n_profiles"] >= 2
         assert set(timings) == {"init_s", "march_s", "diagnose_s",
                                 "rhs_evals", "ns_per_value_step",
                                 "analysis_s", "output_s", "_tool"}
@@ -505,6 +511,10 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["max_im"] <= 1e-8
         assert out["branch"][0]["omega"] == pytest.approx(1.272020, abs=1e-5)
+        # the scan's tally per k: both real branches, the two printed
+        # continuation artifacts, no failed seed
+        assert out["scan_counts"] == [{"k": 1.0, "roots": 2, "rejected": 2,
+                                       "unconverged": 0}]
 
     def test_pheno_json(self, capsys):
         rc = main(["pheno", "--d-mpc", "400", "--omega-hz", "100",

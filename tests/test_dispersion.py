@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from cetlab import (DiracComb, PowerLawExp, build_quadrature,
                     mode_stability_scan, one_atom_root, self_energy,
                     solve_branch)
-from cetlab.dispersion import SCAN_NODES
-from cetlab.errors import PrincipalValueError
+from cetlab.dispersion import _SCAN_SEEDS, DEFAULT_K_GRID, SCAN_NODES
+from cetlab.errors import PrincipalValueError, ValidationError
 
-from oracles import trapezoid_oracle
+from oracles import scalar_mode_scan, trapezoid_oracle
 
 UNIT = PowerLawExp(1.0, 1.0, 1.0)
 
@@ -115,3 +116,64 @@ class TestStabilityScan:
         b = mode_stability_scan(UNIT, k_grid=(0.5, 1.0))
         assert a.max_im == b.max_im
         assert all(np.array_equal(a.roots[k], b.roots[k]) for k in a.roots)
+
+
+# the cases the batched sweep is checked on against the scalar loop:
+# both criterion-6 densities, the one-atom comb with its continuation
+# artifacts, overflowing wavenumbers and weights, and k = 0
+ORACLE_CASES = {
+    "powerlaw": (UNIT, DEFAULT_K_GRID),
+    "two-atom": (DiracComb(((0.5, 1.0), (0.25, 4.0))), DEFAULT_K_GRID),
+    "one-atom": (DiracComb(((1.0, 1.0),)), (1.0,)),
+    "k-1e154": (UNIT, (1e154,)),
+    "k-1e300": (UNIT, (1e300,)),
+    "alpha-1e200": (PowerLawExp(1e200, 1.0, 1.0), DEFAULT_K_GRID),
+    "k-zero": (UNIT, (0.0, 0.5)),
+}
+
+
+def _quiet_scan(rho, k_grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return mode_stability_scan(rho, k_grid)
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_the_scalar_loop(self, case):
+        rho, k_grid = ORACLE_CASES[case]
+        got = _quiet_scan(rho, k_grid)
+        ref = scalar_mode_scan(rho, k_grid)
+        assert got.gaps == ref.gaps
+        assert abs(got.max_im - ref.max_im) <= 1e-15
+        assert got.unconverged == ref.unconverged
+        for k in ref.roots:
+            for kind in ("roots", "rejected"):
+                a, b = getattr(got, kind)[k], getattr(ref, kind)[k]
+                assert len(a) == len(b), (k, kind)
+                for za, zb in zip(a, b):
+                    assert abs(za - zb) <= 1e-13 * max(1.0, abs(zb))
+
+    def test_overflowing_wavenumber_is_a_gap(self):
+        scan = _quiet_scan(UNIT, (1e154,))
+        assert scan.gaps == (1e154,)
+        assert scan.unconverged == {1e154: _SCAN_SEEDS}
+
+    def test_overflowing_weights_find_no_root(self):
+        scan = _quiet_scan(PowerLawExp(1e200, 1.0, 1.0), DEFAULT_K_GRID)
+        assert scan.max_im == 0.0
+        assert all(r == [] for r in scan.roots.values())
+
+    def test_counts_per_wavenumber(self):
+        scan = mode_stability_scan(DiracComb(((1.0, 1.0),)), k_grid=(1.0,))
+        assert scan.counts() == [{"k": 1.0, "roots": 2, "rejected": 2,
+                                  "unconverged": 0}]
+
+    @pytest.mark.parametrize("k, msg", [(-1.0, "k must be nonnegative"),
+                                        (math.nan, "k must be finite"),
+                                        (math.inf, "k must be finite")])
+    def test_bad_wavenumber_is_a_validation_error(self, k, msg):
+        for call in (lambda: mode_stability_scan(UNIT, (0.5, k)),
+                     lambda: solve_branch(UNIT, k)):
+            with pytest.raises(ValidationError, match=msg):
+                call()
