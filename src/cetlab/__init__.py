@@ -29,6 +29,6 @@ from .scattering import (DecayFit, MemoryLimitReport, decay_fit, memory_limit,
                          scattering_residual, scattering_residual_fit)
 from .spectral import (BreitWigner, ConditionReport, DiracComb, PowerLawExp,
                        SpectralConstants, SpectralDensity, check_conditions,
-                       eval_density, spectral_constants)
+                       spectral_constants)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -96,10 +96,10 @@ class AveragingReport:
                 "fit_r_squared": self.fit_r_squared}
 
 
-def decay_bound_check(rho: SpectralDensity, consts: SpectralConstants,
-                      t_grid=DEFAULT_T_GRID) -> AveragingReport:
-    """Verify t * |half symbol| <= rho(0+) + c_prime on the (t, XI_GRID)
-    grid.
+def decay_bound_check(rho: SpectralDensity,
+                      consts: SpectralConstants) -> AveragingReport:
+    """Verify t * |half symbol| <= rho(0+) + c_prime on the
+    (DEFAULT_T_GRID, XI_GRID) grid, t from 1 to 1e3.
 
     Also fits the decay exponent of sup_xi |T(t, .)| in log t.  The sup
     over all frequencies rides a ridge at xi ~ t/2; once t exceeds about
@@ -112,10 +112,8 @@ def decay_bound_check(rho: SpectralDensity, consts: SpectralConstants,
             "S5-required: atomic spectra have no averaging decay")
     if consts.c_prime is None or not math.isfinite(consts.c_prime):
         raise S5RequiredError("S5-required: c_prime must be finite")
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
+    t_grid = np.asarray(DEFAULT_T_GRID, dtype=float)
     xi_grid = np.asarray(XI_GRID, dtype=float)
-    if t_grid[0] < 1.0 or t_grid[-1] > 1e3:
-        raise ValidationError("t_grid must lie inside [1, 1e3]")
     bound = rho.density_at_zero() + consts.c_prime
     symbol = np.empty((t_grid.size, xi_grid.size))
     worst = 0.0

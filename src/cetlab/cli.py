@@ -222,16 +222,12 @@ def _cmd_avg_decay(a) -> int:
     rep = decay_bound_check(rho, consts)
     src = repr((rho,))
     if a.out_csv:
-        cols = {"t": [], "xi": [], "T": [], "bound": [], "ratio": []}
-        for i, tv in enumerate(rep.t_grid):
-            for j, xv in enumerate(rep.xi_grid):
-                cols["t"].append(tv)
-                cols["xi"].append(xv)
-                cols["T"].append(rep.symbol[i, j])
-                cols["bound"].append(rep.bound_constant)
-                cols["ratio"].append(tv * abs(rep.symbol[i, j]) / 2.0
-                                     / rep.bound_constant)
-        write_csv(a.out_csv, cols, src)
+        # one row per (t, xi), t-major
+        t, xi, bound = np.broadcast_arrays(rep.t_grid[:, None], rep.xi_grid,
+                                           rep.bound_constant)
+        cols = {"t": t, "xi": xi, "T": rep.symbol, "bound": bound,
+                "ratio": t * np.abs(rep.symbol) / 2.0 / bound}
+        write_csv(a.out_csv, {k: v.ravel() for k, v in cols.items()}, src)
     _emit(rep.as_dict())
     return 0
 

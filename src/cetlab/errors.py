@@ -30,10 +30,6 @@ class QuadratureBudgetError(NumericalError):
     code = "quadrature-budget-exceeded"
 
 
-class NotPointwiseEvaluableError(ValidationError):
-    code = "not-pointwise-evaluable"
-
-
 class QuadratureConstructionError(NumericalError):
     code = "quadrature-construction-failed"
 

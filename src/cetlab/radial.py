@@ -214,8 +214,7 @@ class RunOutput:
     grid: Grid
     dt: float
     records: list
-    profile_times: np.ndarray
-    m_profiles: np.ndarray       # (n_records, n_r+1)
+    m_profiles: np.ndarray       # (n_records, n_r+1), one per record
     snapshots: dict              # time -> dict of field arrays
     # the march reached t_final; the records may still hold inf or nan
     # where a diagnostic overflows (module docstring)
@@ -442,7 +441,7 @@ def _pin_boundaries(*stacks: np.ndarray) -> None:
 
 
 def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
-              out: tuple | None = None) -> FieldState:
+              out: tuple) -> FieldState:
     """Classical RK4 on Q_tt = f(t, Q, V_dot), in Nystrom form.
 
     With h = dt/2, s = 1/dr^2 and the scaled accelerations a_i of
@@ -455,11 +454,10 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
         Qd_new = Qd + (dt s/6) (a1 + 2 a2 + 2 a3 + a4),
 
     the written-out RK4 step with its stage velocities substituted.  The
-    new (Q, Q_dot) is written into the pair `out` (fresh arrays when
-    None); `st` is never written.
+    new (Q, Q_dot) is written into the pair `out`; `st` is never written.
     """
     t, Q, Qd = st.t, st.Q, st.Q_dot
-    K, A = (np.empty(Q.shape), np.empty(Q.shape)) if out is None else out
+    K, A = out
     S, B, a = ws.S, ws.B, ws.a
     h, s = 0.5 * dt, ws.inv_dr2
     v = Qd[0]
@@ -632,7 +630,7 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     ws = _Workspace(cfg, grid)
     st = initialize(cfg, grid)
 
-    records, ptimes, mprofs = [], [], []
+    records, mprofs = [], []
     snapshots = {}
     diagnose_s = 0.0
 
@@ -648,7 +646,6 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
         if due:
             rec, M = _diagnose(ws, st, cfg)
             records.append(rec)
-            ptimes.append(st.t)
             mprofs.append(M)
         if n in snap_steps:
             snapshots[snap_steps[n]] = _snapshot(ws, st)
@@ -667,10 +664,9 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
         record(st, n)
     march_s = perf_counter() - start - diagnose_s
 
-    return RunOutput(cfg, grid, dt, records, np.array(ptimes),
-                     np.array(mprofs), snapshots, not blow_up,
-                     blow_up.get("time"), blow_up.get("radius"), n,
-                     cfg.stiffness_guard(grid, dt), ws.column_steps,
+    return RunOutput(cfg, grid, dt, records, np.array(mprofs), snapshots,
+                     not blow_up, blow_up.get("time"), blow_up.get("radius"),
+                     n, cfg.stiffness_guard(grid, dt), ws.column_steps,
                      march_s, diagnose_s, 4 * n)
 
 

@@ -12,11 +12,11 @@ sample; it matches the stepwise loop to rounding.  The memory operator
 is the weight-ordered sum of mode responses over a mass quadrature; the
 double-resolvent variant applies each mode response twice with weight
 w_j * mu_j.  The positivity functional needs only each mode's last
-phasor, a power sum of the recurrence (`_terminal_phasor`), so it
-solves no trajectory.  Midpoint source values for RK4 come from a cubic
-stencil that never looks past the landing sample, so signals that
-vanish on an initial segment produce outputs that are bitwise zero
-there.
+phasor, a power sum of the recurrence summed against two power tables
+of O(sqrt(n)) rows (`_terminal_phasor`), so it solves no trajectory.
+Midpoint source values for RK4 come from a cubic stencil that never
+looks past the landing sample, so signals that vanish on an initial
+segment produce outputs that are bitwise zero there.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from .quadrature import MassQuadrature
 STABILITY_LIMIT = 2.5
 # allowance over sqrt(2) for the O(dt^2) error of the discrete response
 _BOUND_SLACK = 0.02
-# complex values in the power tables and block sums of one mode chunk
-# of `_terminal_phasor`
-POWER_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -73,14 +70,12 @@ class TimeSeries:
 class ModeParams:
     mu: float
     xi: float
-    allow_zero_mode: bool = False
 
     def __post_init__(self):
         if self.mu < 0 or self.xi < 0:
             raise ValidationError("mu and xi must be nonnegative")
-        if self.mu + self.xi ** 2 == 0 and not self.allow_zero_mode:
-            raise ValidationError("degenerate zero-frequency mode; "
-                                  "set allow_zero_mode to permit it")
+        if self.mu + self.xi ** 2 == 0:
+            raise ValidationError("degenerate zero-frequency mode")
 
     @property
     def omega2(self) -> float:
@@ -225,29 +220,15 @@ def _kg_solve(omega2: np.ndarray, f: np.ndarray,
     return v, vd
 
 
-def _powers(base: np.ndarray, n: int) -> np.ndarray:
-    """base**j for j < n, shape (n, m), by doubling: log2(n) products."""
-    out = np.empty((n, base.size), dtype=complex)
-    out[0] = 1.0
-    have, step = 1, base
-    while have < n:
-        more = min(have, n - have)
-        np.multiply(out[:more], step, out=out[have:have + more])
-        have += more
-        step = step * step
-    return out
-
-
 def _terminal_phasor(unit: _UnitStep, f: np.ndarray) -> np.ndarray:
     """The last phasor w[n-1] of `_kg_solve`'s recurrence, per mode.
 
     From w[0] = 0 it is the power sum sum_p rot**p u[n-2-p] with u[j] =
     c0 f[j] + cm fmid[j] + c1 f[j+1].  The exponent p = b*B + j is split
     into blocks of B ~ sqrt(n) samples, so rot**j and rot**(b*B) are two
-    short power tables: one matmul of the time-reversed, blocked inputs
-    (f, fmid, f[1:]) against the first gives every block's sum, and the
-    second weights the blocks.  Modes go in chunks whose tables and block sums hold at most
-    POWER_CHUNK complex values.
+    power tables of O(sqrt(n)) rows per mode: one matmul of the
+    time-reversed, blocked inputs (f, fmid, f[1:]) against the first
+    gives every block's sum, and the second weights the blocks.
     """
     span = f.size - 1
     block = math.isqrt(span - 1) + 1
@@ -257,18 +238,12 @@ def _terminal_phasor(unit: _UnitStep, f: np.ndarray) -> np.ndarray:
     rev[1, :span] = _midpoints(f)[::-1]
     rev[2, :span] = f[:0:-1]
     rev = rev.reshape(3 * n_blocks, block)
-    chunk = max(1, POWER_CHUNK // (block + 4 * n_blocks))
-    out = np.empty(unit.rot.size, dtype=complex)
-    for lo in range(0, out.size, chunk):
-        part = slice(lo, lo + chunk)
-        rot = unit.rot[part]
-        inner = _powers(rot, block)
-        outer = _powers(inner[-1] * rot, n_blocks)
-        sums = (rev @ inner.view(float)).view(complex)
-        sums = np.sum(sums.reshape(3, n_blocks, rot.size) * outer, axis=1)
-        out[part] = (unit.c0[part] * sums[0] + unit.cm[part] * sums[1]
-                     + unit.c1[part] * sums[2])
-    return out
+    rot = unit.rot
+    inner = rot ** np.arange(block)[:, None]
+    outer = (rot ** block) ** np.arange(n_blocks)[:, None]
+    sums = (rev @ inner.view(float)).view(complex)
+    sums = np.sum(sums.reshape(3, n_blocks, rot.size) * outer, axis=1)
+    return unit.c0 * sums[0] + unit.cm * sums[1] + unit.c1 * sums[2]
 
 
 def kg_retarded(params: ModeParams, f: TimeSeries) -> TimeSeries:

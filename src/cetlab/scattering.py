@@ -85,13 +85,12 @@ def memory_limit(run: RunOutput) -> MemoryLimitReport:
     """
     if not run.completed:
         raise ValidationError("memory limit needs a completed run")
-    t = run.profile_times
+    t = run.series("t")
     if t.size < 20:
         raise InsufficientSamplesError("insufficient-samples: too few "
                                        "recorded memory profiles")
     noise = 10.0 * np.finfo(float).eps * max(run.cfg.epsilon, 1.0)
-    mem_norms = np.array([_l2_r2(run.grid, m) for m in run.m_profiles])
-    if float(mem_norms.max()) < noise:
+    if float(run.series("mem_norm").max()) < noise:
         raise MemoryBelowNoiseError(
             "memory-below-noise: memory term never rose above "
             f"{noise:.3e}")

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NotPointwiseEvaluableError, ValidationError
+from .errors import ValidationError
 from .integrals import flagged_integral
 
 DEFAULT_TOL = 1e-10
@@ -250,16 +250,6 @@ class DiracComb:
 
 
 SpectralDensity = Union[PowerLawExp, BreitWigner, DiracComb]
-
-
-def eval_density(rho: SpectralDensity, mu: float) -> float:
-    """Pointwise rho(mu) for the continuous families."""
-    if not rho.continuous:
-        raise NotPointwiseEvaluableError(
-            "not-pointwise-evaluable: atomic density; use the atoms accessor")
-    if mu <= 0:
-        raise ValidationError("mu must be positive")
-    return float(rho.density(mu))
 
 
 @dataclass(frozen=True)

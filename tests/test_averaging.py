@@ -77,11 +77,6 @@ class TestDecayBound:
         with pytest.raises(S5RequiredError):
             decay_bound_check(comb, spectral_constants(comb))
 
-    def test_grid_domain_validated(self):
-        with pytest.raises(ValidationError):
-            decay_bound_check(UNIT, spectral_constants(UNIT),
-                              t_grid=(0.5, 1.0, 2.0))
-
 
 class TestAtomicNoDecay:
     def test_single_atom_keeps_full_envelope(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -206,6 +207,15 @@ class TestCli:
         assert lines[0].startswith("# cetlab")
         assert lines[1] == "mu,weight"
         assert [float(x) for x in lines[2].split(",")] == [1.0, 0.5]
+
+    def test_avg_decay_csv_bytes_pinned(self, tmp_path, capsys):
+        # the file as the row-by-row loop wrote it, t-major, byte for byte
+        csv_path = tmp_path / "decay.csv"
+        rc = main(["avg-decay", "--family", "powerlaw", "--alpha", "1",
+                   "--beta", "1", "--lambda", "1", "--out-csv", str(csv_path)])
+        assert rc == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "03664a0aee07fb175af6cd8ed88c0f91a603300bfabd4e2dc1a8d8505083459d")
 
     def test_bad_atom_number_exit_2(self, capsys):
         rc = main(["dispersion", "--family", "diraccomb", "--atoms", "a b"])

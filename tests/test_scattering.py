@@ -90,7 +90,7 @@ class TestMemoryLimit:
     def test_mean_window_stability(self, memory_run):
         # final-10% versus final-5% estimates differ by less than the
         # fitted residual envelope at the window edge
-        t = memory_run.profile_times
+        t = memory_run.series("t")
         m10 = memory_run.m_profiles[t >= 0.9 * t[-1]].mean(axis=0)
         m05 = memory_run.m_profiles[t >= 0.95 * t[-1]].mean(axis=0)
         r = memory_run.grid.r

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cetlab import (BreitWigner, DiracComb, PowerLawExp, ValidationError,
-                    check_conditions, eval_density, spectral_constants)
-from cetlab.errors import NotPointwiseEvaluableError
+                    check_conditions, spectral_constants)
 from cetlab.spectral import adaptive_constants
 
 from oracles import trapezoid_oracle
@@ -137,16 +136,12 @@ class TestDiracComb:
 
 class TestEvalDensity:
     def test_pointwise_values(self):
-        assert eval_density(PowerLawExp(1.0, 1.0, 1.0), 1.0) == \
+        assert float(PowerLawExp(1.0, 1.0, 1.0).density(1.0)) == \
             pytest.approx(math.exp(-1.0))
-        assert eval_density(PowerLawExp(1.0, 1.0, 1.0), 1e-12) == \
+        assert float(PowerLawExp(1.0, 1.0, 1.0).density(1e-12)) == \
             pytest.approx(0.0, abs=1e-11)
-        assert eval_density(BreitWigner(1.0, 0.1, 1.0), 1.0) == \
+        assert float(BreitWigner(1.0, 0.1, 1.0).density(1.0)) == \
             pytest.approx(10.0)
-
-    def test_atoms_not_pointwise(self):
-        with pytest.raises(NotPointwiseEvaluableError):
-            eval_density(DiracComb(((1.0, 1.0),)), 1.0)
 
     def test_nonnegative_on_log_grid(self):
         grid = np.geomspace(1e-6, 1e3, 10_000)
