@@ -199,25 +199,33 @@ def mode_stability_scan(rho: SpectralDensity,
     mu_inf = rho.support_min
     l1 = float(np.sum(quad.weights))
     n = _SCAN_SEEDS
-    z = np.empty(len(ks) * n, dtype=complex)
-    for ik, k in enumerate(ks):
+    # at k = 0 the symbol is z**2 exactly (Sigma carries k**2): its double
+    # root 0, which Newton reaches only linearly, is recorded unseeded
+    converged = {ik: [0j] for ik, k in enumerate(ks) if k == 0.0}
+    unconverged = {k: 0 for k in ks if k == 0.0}
+    seeded = [ik for ik in range(len(ks)) if ik not in converged]
+    z = np.empty(len(seeded) * n, dtype=complex)
+    for i, ik in enumerate(seeded):
         rng = np.random.default_rng([SCAN_SEED, ik])
-        radius = k + math.sqrt(l1) + 2.0
-        z[ik * n:(ik + 1) * n] = (rng.uniform(-radius, radius, n)
-                                  + 1j * rng.uniform(-1.0, 1.0, n))
+        radius = ks[ik] + math.sqrt(l1) + 2.0
+        z[i * n:(i + 1) * n] = (rng.uniform(-radius, radius, n)
+                                + 1j * rng.uniform(-1.0, 1.0, n))
     scales = [max(1.0, k * k + l1) for k in ks]
-    ok = _newton_sweep(quad, z, np.repeat([k * k for k in ks], n),
-                       _SCAN_TOL * np.repeat(scales, n))
+    ok = _newton_sweep(quad, z,
+                       np.repeat([ks[ik] * ks[ik] for ik in seeded], n),
+                       _SCAN_TOL * np.repeat([scales[ik] for ik in seeded], n))
+    for i, ik in enumerate(seeded):
+        seeds = slice(i * n, (i + 1) * n)
+        converged[ik] = z[seeds][ok[seeds]].tolist()
+        unconverged[ks[ik]] = n - len(converged[ik])
     max_im = 0.0
     roots: dict = {}
     rejected: dict = {}
-    unconverged: dict = {}
     gaps = []
     for ik, (k, scale) in enumerate(zip(ks, scales)):
-        seeds = slice(ik * n, (ik + 1) * n)
         found: list[complex] = []
         bad: list[complex] = []
-        for z_root in z[seeds][ok[seeds]].tolist():
+        for z_root in converged[ik]:
             y_re = (z_root * z_root).real - k * k
             if y_re + mu_inf <= 1e-10 * scale:
                 if not any(abs(z_root - r) < 1e-8 for r in bad):
@@ -226,12 +234,10 @@ def mode_stability_scan(rho: SpectralDensity,
             if not any(abs(z_root - r) < 1e-8 for r in found):
                 found.append(z_root)
                 max_im = max(max_im, abs(z_root.imag))
-        n_ok = int(ok[seeds].sum())
-        if n_ok == 0:
+        if not converged[ik]:
             gaps.append(k)
         roots[k] = sorted(found, key=lambda z: (z.real, z.imag))
         rejected[k] = sorted(bad, key=lambda z: (z.real, z.imag))
-        unconverged[k] = n - n_ok
     return StabilityScan(max_im, roots, rejected, tuple(gaps), unconverged)
 
 

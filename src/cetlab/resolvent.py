@@ -9,11 +9,15 @@ integrated with classical RK4 on the sample grid.  RK4 is linear, so
 the same scheme is evaluated per mode as an exact phasor recurrence
 solved with cumulative sums (see `_kg_solve`), not stepped sample by
 sample; it matches the stepwise loop to rounding.  The memory operator
-is the weight-ordered sum of mode responses over a mass quadrature; the
+is the weighted sum of mode responses over a mass quadrature.  The
+scheme is linear and time-invariant, so that sum is one causal
+convolution of the source with a kernel summed over the modes, applied
+by FFT, and no mode response is solved (`apply_memory`).  The
 double-resolvent variant applies each mode response twice with weight
 w_j * mu_j.  The positivity functional needs only each mode's last
-phasor, a power sum of the recurrence summed against two power tables
-of O(sqrt(n)) rows (`_terminal_phasor`), so it solves no trajectory.
+phasor.  Both it and the memory kernel are power sums of the
+recurrence, read from two power tables of O(sqrt(n)) rows
+(`_power_tables`), so neither solves a trajectory.
 Midpoint source values for RK4 come from a cubic stencil that never
 looks past the landing sample, so signals that vanish on an initial
 segment produce outputs that are bitwise zero there.
@@ -220,30 +224,89 @@ def _kg_solve(omega2: np.ndarray, f: np.ndarray,
     return v, vd
 
 
+def _power_tables(rot: np.ndarray, count: int):
+    """Blocked power tables of each mode's rot for the exponents p < count.
+
+    p = b*B + j with B ~ sqrt(count): returns inner[j] = rot**j (B rows)
+    and outer[b] = (rot**B)**b (ceil(count / B) rows), so every power is
+    one product of a row of each.
+    """
+    block = math.isqrt(count - 1) + 1
+    inner = rot ** np.arange(block)[:, None]
+    outer = (rot ** block) ** np.arange(-(-count // block))[:, None]
+    return inner, outer
+
+
 def _terminal_phasor(unit: _UnitStep, f: np.ndarray) -> np.ndarray:
     """The last phasor w[n-1] of `_kg_solve`'s recurrence, per mode.
 
     From w[0] = 0 it is the power sum sum_p rot**p u[n-2-p] with u[j] =
-    c0 f[j] + cm fmid[j] + c1 f[j+1].  The exponent p = b*B + j is split
-    into blocks of B ~ sqrt(n) samples, so rot**j and rot**(b*B) are two
-    power tables of O(sqrt(n)) rows per mode: one matmul of the
-    time-reversed, blocked inputs (f, fmid, f[1:]) against the first
-    gives every block's sum, and the second weights the blocks.
+    c0 f[j] + cm fmid[j] + c1 f[j+1].  The exponent p is split by
+    `_power_tables`: one matmul of the time-reversed, blocked inputs (f,
+    fmid, f[1:]) against the inner table gives every block's sum, and
+    the outer table weights the blocks.
     """
     span = f.size - 1
-    block = math.isqrt(span - 1) + 1
-    n_blocks = -(-span // block)
+    inner, outer = _power_tables(unit.rot, span)
+    block, n_blocks = inner.shape[0], outer.shape[0]
     rev = np.zeros((3, n_blocks * block))
     rev[0, :span] = f[-2::-1]
     rev[1, :span] = _midpoints(f)[::-1]
     rev[2, :span] = f[:0:-1]
     rev = rev.reshape(3 * n_blocks, block)
-    rot = unit.rot
-    inner = rot ** np.arange(block)[:, None]
-    outer = (rot ** block) ** np.arange(n_blocks)[:, None]
     sums = (rev @ inner.view(float)).view(complex)
-    sums = np.sum(sums.reshape(3, n_blocks, rot.size) * outer, axis=1)
+    sums = np.sum(sums.reshape(3, n_blocks, -1) * outer, axis=1)
     return unit.c0 * sums[0] + unit.cm * sums[1] + unit.c1 * sums[2]
+
+
+def _smooth_size(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, a fast FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35 << (-(-n // p35) - 1).bit_length()
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _memory_kernel(unit: _UnitStep, weights: np.ndarray,
+                   size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted step kernels of `_kg_solve`'s v, summed over the modes.
+
+    The weighted sum of v's increments at step k is
+
+        S[k] = sum_P h0[P] f[k-P] + hm[P] fmid[k-P] + h1[P] f[k+1-P],
+
+    P < size: P = 0 carries the direct terms sum_j w_j d0_j and sum_j
+    w_j dm_j, and P = p + 1 the phasor terms Re sum_j beta_j c_j rot_j**p
+    with beta_j = w_j (dv_vd - i dv_v / omega).
+    Returns (kernel, edge).  The kernel folds the three streams into
+    one on f, S[k] = sum_Q kernel[Q] f[k+1-Q], taking f as zero before
+    its first sample.  That fold also feeds f[0] in at step -1 (as f[1:]
+    and fmid) and differs from `_midpoints`' boundary rule at fmid[0]
+    and fmid[1]; f[0] * edge[k] is what this adds to S[k].
+    """
+    dv_v, dv_vd, d0, dm, _ = unit.dv
+    beta = weights * (dv_vd - 1j * dv_v / unit.omega)
+    inner, outer = _power_tables(unit.rot, size - 1)
+    coef = beta * np.stack((unit.c0, unit.cm, unit.c1))
+    h = np.empty((3, size))
+    h[:, 0] = weights @ d0, weights @ dm, 0.0
+    # Re(a b) = (Re a, Im a) . (Re b, -Im b): one real product, by einsum
+    # since BLAS would thread it and leave a worker spinning after it
+    terms = (coef[:, None, :] * outer).reshape(-1, weights.size)
+    h[:, 1:] = np.einsum("ik,jk->ij", terms.view(float),
+                         inner.conj().view(float)
+                         ).reshape(3, -1)[:, :size - 1]
+    h0, hm, h1 = h
+    kernel = h1 + np.convolve(hm, (5.0, 15.0, -5.0, 1.0))[:size] / 16.0
+    kernel[1:] += h0[:-1]
+    edge = h1[1:] + np.convolve(hm, (5.0, 4.0, -1.0))[1:size] / 16.0
+    return kernel, edge
 
 
 def kg_retarded(params: ModeParams, f: TimeSeries) -> TimeSeries:
@@ -267,9 +330,35 @@ def _memory_omega2(quad: MassQuadrature, xi: float,
 
 
 def apply_memory(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
-    """Memory operator: ordered sum of w_j times the mode-mu_j response."""
-    v, _ = _kg_solve(_memory_omega2(quad, xi, f), f.samples, f.dt)
-    out = quad.weights @ v if len(quad) else np.zeros_like(f.samples)
+    """Memory operator: sum of w_j times the mode-mu_j response.
+
+    `_kg_solve`'s v summed over the modes without solving any mode: its
+    increments S are one causal convolution of f with the kernel of
+    `_memory_kernel`, done by FFT, and the output is their cumulative
+    sum.  The convolution starts at the first step whose inputs (f,
+    fmid, f[1:]) are not all zero, so the output is +0.0 up to the first
+    nonzero sample of f.  The weights enter divided by a power of two
+    near the largest, which changes no rounding but keeps the FFT
+    products from overflowing before the output does.
+    """
+    omega2 = _memory_omega2(quad, xi, f)
+    samples = f.samples
+    out = np.zeros_like(samples)
+    nonzero = np.flatnonzero(samples)
+    if not len(quad) or not nonzero.size:
+        return TimeSeries(f.t0, f.dt, out)
+    lo = max(int(nonzero[0]) - 1, 0)
+    size = samples.size - lo
+    scale = math.ldexp(1.0, math.frexp(float(quad.weights.max()))[1] - 1)
+    kernel, edge = _memory_kernel(_unit_step(omega2, f.dt),
+                                  quad.weights / scale, size)
+    n_fft = _smooth_size(2 * size - 1)
+    steps = np.fft.irfft(np.fft.rfft(kernel, n_fft)
+                         * np.fft.rfft(samples[lo:], n_fft), n_fft)[1:size]
+    if samples[0]:
+        steps -= samples[0] * edge
+    np.cumsum(steps, out=out[lo + 1:])
+    out *= scale
     return TimeSeries(f.t0, f.dt, out)
 
 

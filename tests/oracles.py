@@ -45,10 +45,14 @@ def scalar_mode_scan(rho, k_grid):
     for ik, k in enumerate(k_grid):
         k = float(k)
         scale = max(1.0, k * k + l1)
-        rng = np.random.default_rng([SCAN_SEED, ik])
-        radius = k + math.sqrt(l1) + 2.0
-        seeds = (rng.uniform(-radius, radius, _SCAN_SEEDS)
-                 + 1j * rng.uniform(-1.0, 1.0, _SCAN_SEEDS))
+        if k == 0.0:
+            # the symbol is z**2 exactly: one start, on its double root 0
+            seeds = [0j]
+        else:
+            rng = np.random.default_rng([SCAN_SEED, ik])
+            radius = k + math.sqrt(l1) + 2.0
+            seeds = (rng.uniform(-radius, radius, _SCAN_SEEDS)
+                     + 1j * rng.uniform(-1.0, 1.0, _SCAN_SEEDS))
         found: list = []
         bad: list = []
         converged_any = False

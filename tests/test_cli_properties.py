@@ -122,6 +122,11 @@ def config_texts(draw):
 # finite inputs whose squares overflow double precision
 @example(argv=_call("pheno", mstar="1e200"))
 @example(argv=_call("memory-test", xi="1e200"))
+# huge weights: the memory operator's FFT products must not overflow
+# before its output does
+@example(argv=_call("memory-test", alpha="1e200"))
+@example(argv=_call("memory-test", density=2, atoms="1e306 0.01",
+                    t_final="1000"))
 @example(argv=_call("memory-test", dt="1e200", t_final="1e200"))
 @example(argv=_call("dispersion", k_grid="1e300"))
 @example(argv=_call("dispersion", density=1, mu0="1e200"))

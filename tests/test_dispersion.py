@@ -169,6 +169,18 @@ class TestBatchedSweep:
         assert scan.counts() == [{"k": 1.0, "roots": 2, "rejected": 2,
                                   "unconverged": 0}]
 
+    def test_k_zero_root_recorded_once(self):
+        # the symbol at k = 0 is z**2: one double root at 0, recorded
+        # without Newton seeds; it lies on the edge of the validity
+        # half-plane of a density supported from 0 and inside it for atoms
+        scan = _quiet_scan(UNIT, (0.0, 0.5))
+        assert scan.counts() == [
+            {"k": 0.0, "roots": 0, "rejected": 1, "unconverged": 0},
+            {"k": 0.5, "roots": 2, "rejected": 2, "unconverged": 0}]
+        assert scan.rejected[0.0] == [0j] and scan.gaps == ()
+        comb = _quiet_scan(DiracComb(((0.5, 1.0), (0.25, 4.0))), (0.0,))
+        assert comb.roots[0.0] == [0j] and comb.max_im == 0.0
+
     @pytest.mark.parametrize("k, msg", [(-1.0, "k must be nonnegative"),
                                         (math.nan, "k must be finite"),
                                         (math.inf, "k must be finite")])

@@ -227,6 +227,64 @@ class TestMemoryOperator:
             apply_memory(quad, 0.0, f)
 
 
+def memory_signals(n):
+    """cos * exp with f[0] = 1, a bump switched on at 40% of the span,
+    and a constant."""
+    t = DT * np.arange(n)
+    t_on = 0.4 * t[-1]
+    return {"cos_exp": np.cos(1.7 * t) * np.exp(-0.3 * t),
+            "switched_bump": np.where(
+                t > t_on, np.exp(-((t - 1.7 * t_on) / (t_on + DT)) ** 2), 0.0),
+            "constant": np.full(n, 0.7)}
+
+
+MEMORY_RULES = {
+    "gl32": build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32),
+    "gl128": build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 128),
+    "one_atom": ONE_ATOM,
+}
+
+
+class TestMemoryConvolution:
+    """apply_memory sums the modes as one FFT convolution; it matches the
+    weighted sum of the per-mode RK4 responses."""
+
+    @staticmethod
+    def assert_matches(quad, xi, f, solve):
+        got = apply_memory(quad, xi, TimeSeries(0.0, DT, f)).samples
+        ref = quad.weights @ solve(quad.nodes + xi ** 2, f, DT)[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 1500])
+    @pytest.mark.parametrize("rule", sorted(MEMORY_RULES))
+    def test_against_stepwise_loop(self, rule, n):
+        for xi in (0.0, 0.3):
+            for f in memory_signals(n).values():
+                self.assert_matches(MEMORY_RULES[rule], xi, f, loop_kg_solve)
+
+    @pytest.mark.parametrize("rule", sorted(MEMORY_RULES))
+    def test_against_mode_solver_12001(self, rule):
+        # the loop's phase rounding grows with the step count; at this
+        # length the mode solver is the reference
+        for xi in (0.0, 0.3):
+            for f in memory_signals(12001).values():
+                self.assert_matches(MEMORY_RULES[rule], xi, f, _kg_solve)
+
+    def test_zero_before_switch_on_bitwise(self):
+        f = memory_signals(12001)["switched_bump"]
+        on = int(np.flatnonzero(f)[0])
+        for rule in MEMORY_RULES.values():
+            out = apply_memory(rule, 0.3, TimeSeries(0.0, DT, f)).samples
+            assert np.all(out[:on] == 0.0)
+            assert not np.any(np.signbit(out[:on]))
+            assert out[on] != 0.0
+
+    def test_zero_signal_gives_positive_zeros(self):
+        out = apply_memory(MEMORY_RULES["gl32"], 0.0,
+                           series(DT, 12001, np.zeros_like)).samples
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+
 class TestDoubleResolvent:
     def test_zero_source(self):
         f = series(0.01, 500, np.zeros_like)
