@@ -40,6 +40,16 @@ full-width march would hold +0.0 at every column >= W - 4 after it, and
 the window's edge rules write exactly that.  The windowed march is
 therefore bitwise the full-width one.
 
+The march builds every view it reads once per window width
+(`_Workspace.set_width`), not per stage or step: the windows of the
+stage buffers and of both (Q, Q_dot) pairs, their flat stencil slices,
+their boundary columns as one strided view, their guard columns, and
+the columns of 1/r and dr^2 r.  A free step (n_r = 256: 490 values)
+costs mostly its numpy calls, and it makes 43 of them, against 91 when
+each stage sliced its own views and formed stage velocities.  `evolve`
+ignores overflow and invalid operations for the whole run, not per
+step; the march itself leaves numpy's error state alone.
+
 The memory sum is one BLAS matvec, w @ X.  OpenBLAS (measured for every
 W up to 2048 at 21 to 90 rows, with one thread or two) sums every column
 of w @ X[:, :W] as at full width except the last W mod 4, and those lie
@@ -283,14 +293,33 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
     return FieldState(0.0, Q, Q_dot)
 
 
+class _Views:
+    """The views of one C-contiguous (rows, W) stack that a step reads:
+    the flat stencil slices, the boundary columns as one strided view,
+    the V row, P row and mode rows, and the guard columns' bits."""
+
+    __slots__ = ("inner", "right", "left", "edges", "v", "p", "x", "guard")
+
+    def __init__(self, Y: np.ndarray):
+        flat = Y.reshape(-1)
+        self.inner, self.right, self.left = flat[1:-1], flat[2:], flat[:-2]
+        self.edges = Y[:, ::Y.shape[1] - 1]
+        self.v, self.p, self.x = Y[0], Y[1], Y[2:]
+        self.guard = Y[:, -GUARD:].view(np.uint64)
+
+
 class _Workspace:
-    """Grid quantities and stage buffers for the RK4 march of one stack.
+    """Grid quantities, stage buffers and views for the RK4 march of one
+    stack.
 
     The stage buffers are flat, of the full stack's size (m+2)(n_r+1),
     and are reused by every step, so a step allocates nothing of that
     size.  A march in the column window [0, W) takes each (m+2, W) stage
-    array from the first (m+2)W elements (`set_width`); the methods read
-    the width from their arguments.
+    array from the first (m+2)W elements, and likewise each state from
+    one of the march's two flat (Q, Q_dot) pairs.  `set_width` builds
+    those windows, their `_Views` and the grid columns once per width;
+    `views` hands out the built ones, and builds the views of any other
+    array (a state in fresh arrays) on the spot.
     """
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
@@ -306,20 +335,50 @@ class _Workspace:
         mu = np.zeros(0) if quad is None else quad.nodes
         self.rows = len(self.w) + 2
         # no source reaches any row: march the bare stencil (module
-        # docstring)
-        self.free = self.rows == 2 and _plus_zero(
-            np.array([cfg.a_null, cfg.b_bad]))
-        # dr^2 times the centre coefficient of Q_rr - mu Q, per row
+        # docstring); the bits decide, so a -0.0 coupling is not free
+        self.free = self.rows == 2 and not np.array(
+            [cfg.a_null, cfg.b_bad]).view(np.uint64).any()
+        # dr^2 times the centre coefficient of Q_rr - mu Q, per row; the
+        # one number -2.0 on a stack without modes, where numpy would
+        # buffer the broadcast column over the whole stack
         self.centre = np.concatenate(
-            ([-2.0, -2.0], -2.0 - mu * grid.dr ** 2))[:, None]
+            ([-2.0, -2.0], -2.0 - mu * grid.dr ** 2))[:, None] \
+            if len(mu) else -2.0
         self._flat = [np.empty(self.rows * (grid.n_r + 1)) for _ in range(3)]
+        self._pairs = ()
         self.set_width(grid.n_r + 1)
         self.column_steps = 0
 
-    def set_width(self, width: int) -> None:
-        # stage field, and two stage accelerations
+    def set_width(self, width: int, pairs=None) -> None:
+        """Build the windows at column width `width` of the stage
+        buffers (stage field S, stage accelerations B and a) and of the
+        flat (Q, Q_dot) pairs `pairs` (the last call's when None), and
+        their views."""
+        if pairs is not None:
+            self._pairs = pairs
+        self.width = width
         self.S, self.B, self.a = (
             _window(flat, self.rows, width) for flat in self._flat)
+        self.pair_windows = tuple(
+            tuple(_window(flat, self.rows, width) for flat in pair)
+            for pair in self._pairs)
+        stacks = (self.S, self.B, self.a, *(Y for pair in self.pair_windows
+                                             for Y in pair))
+        # keyed by id: the workspace holds each of these stacks until the
+        # next call replaces them and the dict together, so no other
+        # array can carry the id of an entry
+        self._views = {id(Y): _Views(Y) for Y in stacks}
+        self._columns = (self.inv_r[:width], self.rs[:width])
+
+    def views(self, Y: np.ndarray) -> _Views:
+        v = self._views.get(id(Y))
+        return _Views(Y) if v is None else v
+
+    def columns(self, width: int) -> tuple:
+        """(1/r, dr^2 r) on the first `width` columns."""
+        if width == self.width:
+            return self._columns
+        return self.inv_r[:width], self.rs[:width]
 
     def laplacian(self, y: np.ndarray) -> np.ndarray:
         """Centered second difference of one row, zero at both ends."""
@@ -328,7 +387,7 @@ class _Workspace:
         return out
 
     def u_of(self, V: np.ndarray) -> np.ndarray:
-        u = V * self.inv_r[:len(V)]
+        u = V * self.columns(len(V))[0]
         u[0] = V[1] / self.dr          # L'Hopital at the origin
         return u
 
@@ -337,7 +396,7 @@ class _Workspace:
         Vr[1:-1] = (V[2:] - V[:-2]) / (2.0 * self.dr)
         Vr[0] = V[1] / self.dr          # odd reflection
         Vr[-1] = (V[-1] - V[-2]) / self.dr
-        ur = (Vr - u) * self.inv_r[:len(V)]
+        ur = (Vr - u) * self.columns(len(V))[0]
         ur[0] = 0.0                     # regularity: u is even in r
         return ur
 
@@ -347,7 +406,7 @@ class _Workspace:
             return np.zeros(width)
         # BLAS orders this sum alike at any width (module docstring)
         S = self.w @ X
-        M = S * self.inv_r[:width]
+        M = S * self.columns(width)[0]
         M[0] = S[1] / self.dr           # L'Hopital at the origin
         return M
 
@@ -368,27 +427,31 @@ class _Workspace:
         """dr^2 Q_tt of every row into the C-contiguous `out`.
 
         `v` is the stage velocity of the V row, the only velocity the
-        sources read.  The stencil runs over the flattened stack; only
-        the boundary columns straddle two rows, and those are pinned
-        afterwards.  A +0.0 column stays +0.0: the centre product is
-        -0.0 there, and adding the +0.0 neighbours makes it +0.0 again.
-        A free stack evaluates no source (module docstring).
+        sources read; a free stack evaluates no source and never reads
+        it (module docstring).  The stencil runs over the flattened
+        stack; only the boundary columns straddle two rows, and those
+        are pinned afterwards.  A +0.0 column stays +0.0: the centre
+        product is -0.0 there, and adding the +0.0 neighbours makes it
+        +0.0 again.
         """
+        q, o = self.views(Q), self.views(out)
         np.multiply(self.centre, Q, out=out)
-        y, inner = Q.reshape(-1), out.reshape(-1)[1:-1]
-        inner += y[2:]
-        inner += y[:-2]
+        inner = o.inner
+        inner += q.right
+        inner += q.left
         if self.free:
-            # as adding the zero sources would: -0.0 becomes +0.0
-            out[:2] += 0.0
+            # as adding the zero sources to rows V and P would: -0.0
+            # becomes +0.0
+            out += 0.0
         else:
-            _, _, _, F, N2 = self.sources(Q[0], v, t)
-            M = self.memory_term(Q[2:])
-            rs = self.rs[:Q.shape[-1]]
-            out[0] += rs * (F + M)
-            out[1] += rs * M
-            out[2:] += rs * N2
-        _pin_boundaries(out)
+            _, _, _, F, N2 = self.sources(q.v, v, t)
+            M = self.memory_term(q.x)
+            rs = self.columns(Q.shape[-1])[1]
+            V, P, X = o.v, o.p, o.x
+            V += rs * (F + M)
+            P += rs * M
+            X += rs * N2
+        o.edges.fill(0.0)
         return out
 
 
@@ -405,13 +468,6 @@ def _pad(row: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _plus_zero(*blocks: np.ndarray) -> bool:
-    """True when every value is +0.0; the bits decide, so -0.0 and NaN
-    count as nonzero."""
-    # count_nonzero is several times cheaper than any() on a few columns
-    return not any(np.count_nonzero(b.view(np.uint64)) for b in blocks)
-
-
 def _start_width(st: FieldState) -> int:
     """GROWTH columns past the last column holding anything but +0.0,
     at most the full grid."""
@@ -421,17 +477,13 @@ def _start_width(st: FieldState) -> int:
     return min(st.Q.shape[1], end + GROWTH)
 
 
-def _relayout(st: FieldState, flats: tuple, width: int) -> FieldState:
-    """`st` copied into the flat pair `flats` at column width `width`,
-    with +0.0 in any new columns."""
-    rows, old = st.Q.shape
-    keep = min(old, width)
-    pair = []
-    for Y, flat in zip((st.Q, st.Q_dot), flats):
-        out = _window(flat, rows, width)
+def _relayout(st: FieldState, pair: tuple) -> FieldState:
+    """`st` copied into the (Q, Q_dot) arrays `pair`, with +0.0 in any
+    columns past its own."""
+    keep = min(st.Q.shape[1], pair[0].shape[1])
+    for Y, out in zip((st.Q, st.Q_dot), pair):
         out[:, :keep] = Y[:, :keep]
         out[:, keep:] = 0.0
-        pair.append(out)
     return FieldState(st.t, *pair)
 
 
@@ -448,45 +500,53 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
     `_Workspace.accel` (a_i = dr^2 Q_tt at stage i), the stage fields
     are Q + h Qd, Q + h Qd + h^2 s a1 and Q + dt Qd + dt h s a2, and
     only the V row's stage velocities Qd + h s a1, Qd + h s a2 and
-    Qd + dt s a3 are formed.  Then
+    Qd + dt s a3 are formed, and none on a free stack, which reads no
+    velocity.  Then
 
         Q_new  = Q + dt Qd + (dt^2 s/6) (a1 + a2 + a3)
         Qd_new = Qd + (dt s/6) (a1 + 2 a2 + 2 a3 + a4),
 
     the written-out RK4 step with its stage velocities substituted.  The
     new (Q, Q_dot) is written into the pair `out`; `st` is never written.
+    Overflow is not trapped here: `evolve` runs the march with
+    overflow and invalid operations ignored.
     """
     t, Q, Qd = st.t, st.Q, st.Q_dot
     K, A = out
     S, B, a = ws.S, ws.B, ws.a
     h, s = 0.5 * dt, ws.inv_dr2
-    v = Qd[0]
-    # overflow during a developing blow-up is expected and detected
-    # afterwards; keep the march itself quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        ws.accel(t, Q, v, a)                    # a = a1
-        np.multiply(Qd, h, out=S)
-        S += Q                                  # S = Q + h Qd
-        ws.accel(t + h, S, v + h * s * a[0], B)     # B = a2
-        S += np.multiply(a, h * h * s, out=K)   # S = stage-3 field
-        np.multiply(B, 2.0, out=A)
-        A += a                                  # A = a1 + 2 a2
-        np.add(a, B, out=K)                     # K = a1 + a2
-        ws.accel(t + h, S, v + h * s * B[0], a)     # a = a3
-        v4 = v + dt * s * a[0]                  # before a is doubled
-        np.multiply(Qd, dt, out=S)
-        S += Q                                  # S = Q + dt Qd
-        B *= dt * h * s
-        B += S                                  # B = stage-4 field
-        K += a                                  # K = a1 + a2 + a3
-        A += np.multiply(a, 2.0, out=a)         # A = a1 + 2 a2 + 2 a3
-        ws.accel(t + dt, B, v4, a)              # a = a4
-        A += a
-        K *= dt * dt * s / 6.0
-        K += S
-        A *= dt * s / 6.0
-        A += Qd
-    _pin_boundaries(K, A)
+    v = v2 = v3 = v4 = ws.views(Qd).v
+    a0, b0 = ws.views(a).v, ws.views(B).v
+    free = ws.free
+    ws.accel(t, Q, v, a)                        # a = a1
+    np.multiply(Qd, h, out=S)
+    S += Q                                      # S = Q + h Qd
+    if not free:
+        v2 = v + h * s * a0
+    ws.accel(t + h, S, v2, B)                   # B = a2
+    S += np.multiply(a, h * h * s, out=K)       # S = stage-3 field
+    np.multiply(B, 2.0, out=A)
+    A += a                                      # A = a1 + 2 a2
+    np.add(a, B, out=K)                         # K = a1 + a2
+    if not free:
+        v3 = v + h * s * b0
+    ws.accel(t + h, S, v3, a)                   # a = a3
+    if not free:
+        v4 = v + dt * s * a0                    # before a is doubled
+    np.multiply(Qd, dt, out=S)
+    S += Q                                      # S = Q + dt Qd
+    B *= dt * h * s
+    B += S                                      # B = stage-4 field
+    K += a                                      # K = a1 + a2 + a3
+    A += np.multiply(a, 2.0, out=a)             # A = a1 + 2 a2 + 2 a3
+    ws.accel(t + dt, B, v4, a)                  # a = a4
+    A += a
+    K *= dt * dt * s / 6.0
+    K += S
+    A *= dt * s / 6.0
+    A += Qd
+    ws.views(K).edges.fill(0.0)
+    ws.views(A).edges.fill(0.0)
     return FieldState(t + dt, K, A)
 
 
@@ -504,26 +564,29 @@ def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
 
     Two flat (Q, Q_dot) pairs alternate, `st`'s own arrays and a spare
     pair, and each (rows, W) state takes the first rows*W elements of
-    one of them.  So `st` may be overwritten from the first step on, and
-    a yielded state holds only until the next one is yielded.
+    one of them; `ws.set_width` builds both pairs' windows and views
+    at the start and at each growth.  So `st` may be overwritten from
+    the first step on, and a yielded state holds only until the next
+    one is yielded.
     """
-    rows, full = st.Q.shape
+    full = st.Q.shape[1]
     pairs = ((st.Q.reshape(-1), st.Q_dot.reshape(-1)),
              (np.empty(st.Q.size), np.empty(st.Q.size)))
     width = full if ws.cfg.n2_override is not None else _start_width(st)
-    spare = 1
+    ws.set_width(width, pairs)
     if width < full:
-        st, spare = _relayout(st, pairs[1], width), 0
-    ws.set_width(width)
+        st, spare = _relayout(st, ws.pair_windows[1]), 0
+    else:
+        st, spare = FieldState(st.t, *ws.pair_windows[0]), 1
     for _ in range(n_steps):
-        out = tuple(_window(flat, rows, width) for flat in pairs[spare])
-        st, spare = _rk4_step(ws, st, dt, out), 1 - spare
+        st, spare = _rk4_step(ws, st, dt, ws.pair_windows[spare]), 1 - spare
         ws.column_steps += width
-        if width < full and not _plus_zero(st.Q[:, -GUARD:],
-                                           st.Q_dot[:, -GUARD:]):
+        # the guard's bits decide: -0.0 and NaN count as nonzero
+        if width < full and (np.count_nonzero(ws.views(st.Q).guard)
+                             or np.count_nonzero(ws.views(st.Q_dot).guard)):
             width = min(full, width + GROWTH)
-            st, spare = _relayout(st, pairs[spare], width), 1 - spare
             ws.set_width(width)
+            st, spare = _relayout(st, ws.pair_windows[spare]), 1 - spare
         yield st
 
 
@@ -633,17 +696,13 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     records, mprofs = [], []
     snapshots = {}
     diagnose_s = 0.0
+    # the steps that record or snapshot
+    stops = {*range(0, n_steps + 1, cadence), n_steps, *snap_steps}
 
-    # the last state before a blow-up may overflow in the diagnostics as
-    # in the march; its record keeps the inf and nan values
-    @np.errstate(over="ignore", invalid="ignore")
     def record(st: FieldState, n: int) -> None:
         nonlocal diagnose_s
-        due = n % cadence == 0 or n == n_steps
-        if not (due or n in snap_steps):
-            return
         start = perf_counter()
-        if due:
+        if n % cadence == 0 or n == n_steps:
             rec, M = _diagnose(ws, st, cfg)
             records.append(rec)
             mprofs.append(M)
@@ -652,16 +711,21 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
         diagnose_s += perf_counter() - start
 
     start = perf_counter()
-    record(st, 0)
     blow_up = {}                # the BlowUpError detail: time and radius
     n = 0
-    for n, st in enumerate(_march(ws, st, dt, n_steps), start=1):
-        try:
-            _check_finite(st, grid)
-        except BlowUpError as exc:
-            blow_up = exc.detail
-            break
-        record(st, n)
+    # overflow during a developing blow-up is expected and detected
+    # afterwards, and the last state before it may overflow in the
+    # diagnostics too; its record keeps the inf and nan values
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(st, 0)
+        for n, st in enumerate(_march(ws, st, dt, n_steps), start=1):
+            try:
+                _check_finite(st, grid)
+            except BlowUpError as exc:
+                blow_up = exc.detail
+                break
+            if n in stops:
+                record(st, n)
     march_s = perf_counter() - start - diagnose_s
 
     return RunOutput(cfg, grid, dt, records, np.array(mprofs), snapshots,

@@ -366,9 +366,12 @@ class TestCli:
         timings = strict_loads((d / "timings.json").read_text())
         assert set(timings) == {"init_s", "march_s", "diagnose_s",
                                 "rhs_evals", "ns_per_value_step",
-                                "output_s", "_tool"}
+                                "us_per_step", "output_s", "_tool"}
         assert not set(timings) & (set(summary) | set(printed)) - {"_tool"}
         assert timings["rhs_evals"] == 4 * summary["n_steps"]
+        assert timings["us_per_step"] > 0.0
+        assert timings["us_per_step"] == pytest.approx(
+            1e6 * timings["march_s"] / summary["n_steps"], rel=1e-12)
         assert timings["march_s"] > 0.0 and timings["diagnose_s"] > 0.0
         assert timings["init_s"] > 0.0 and timings["output_s"] > 0.0
         value_steps = summary["column_steps"] * (summary["n_modes"] + 2)
@@ -395,11 +398,12 @@ class TestCli:
         assert window["n_profiles"] >= 2
         assert set(timings) == {"init_s", "march_s", "diagnose_s",
                                 "rhs_evals", "ns_per_value_step",
-                                "analysis_s", "output_s", "_tool"}
+                                "us_per_step", "analysis_s", "output_s",
+                                "_tool"}
         assert not set(timings) & (set(result) | set(printed)) - {"_tool"}
         assert min(timings[k] for k in ("init_s", "march_s", "diagnose_s",
-                                        "ns_per_value_step", "analysis_s",
-                                        "output_s")) > 0.0
+                                        "ns_per_value_step", "us_per_step",
+                                        "analysis_s", "output_s")) > 0.0
         assert timings["rhs_evals"] % 4 == 0 and timings["rhs_evals"] > 0
 
     @pytest.mark.parametrize("times", ["2", "2,2", "2,3", "3"])
@@ -512,6 +516,20 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["causal_before_source"] is True
+        assert out["uniform_bound_holds"] is True
+
+    def test_memory_test_bound_below_unit_frequency(self, capsys):
+        # omega = sqrt(0.01 + 0.25) < 1: the mode's Duhamel bound
+        # ||f||_1 / omega lies above l1 * ||f||_1, which the sup exceeds
+        rc = main(["memory-test", "--family", "diraccomb", "--atoms",
+                   "1 0.01", "--xi", "0.5", "--dt", "0.05", "--t-final",
+                   "1000", "--t-on", "1"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        l1_f = math.sqrt(math.pi)       # the unit Gaussian bump, to 2e-5
+        assert out["uniform_bound"] == pytest.approx(l1_f / math.sqrt(0.26),
+                                                     rel=1e-4)
+        assert l1_f < out["sup_kf"] < out["uniform_bound"]
         assert out["uniform_bound_holds"] is True
 
     def test_dispersion_json(self, capsys):

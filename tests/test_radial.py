@@ -18,7 +18,8 @@ from cetlab import radial
 from cetlab.errors import PaddingViolatedError
 from cetlab.quadrature import gauss_laguerre_generalized
 from cetlab.radial import (FieldState, _check_finite, _march, _rk4_step,
-                           _Workspace, ghost_q, ghost_q_prime)
+                           _Workspace, ghost_q, ghost_q_prime,
+                           march_schedule)
 from cetlab.resolvent import ModeParams, TimeSeries, kg_retarded
 
 
@@ -187,7 +188,7 @@ def stack_input(kind, n_r=256):
         cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
         grid = Grid(padded_r_max(cfg), n_r)
     elif kind == "free":
-        cfg, grid = free_cfg(), Grid(21.0, 256)
+        cfg, grid = free_cfg(), Grid(21.0, n_r)
     else:
         quad = MassQuadrature(np.array([0.7, 2.5]), np.array([0.4, 0.2]),
                               "diraccomb")
@@ -433,19 +434,21 @@ class TestBufferedStep:
         assert not same_bits(new.Q, Q)
 
     def test_buffered_step_allocates_no_stack(self):
-        # desk-sized stack, 34 x 2049; what a step may allocate is a few
-        # grid rows and numpy's 64 KiB ufunc buffer
-        cfg, grid, st = stack_input("modes32", n_r=2048)
-        march = _march(_Workspace(cfg, grid), st, cfg.cfl * grid.dr, 4)
-        next(march)                     # the spare pair is allocated here
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert sum(1 for _ in march) == 3
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < st.Q.nbytes
+        # desk-sized stacks, 34 x 2049 and 2 x 2049; what a step may
+        # allocate is a few grid rows and numpy's 64 KiB ufunc buffer,
+        # and a free step no grid row
+        for kind in ("modes32", "free"):
+            cfg, grid, st = stack_input(kind, n_r=2048)
+            march = _march(_Workspace(cfg, grid), st, cfg.cfl * grid.dr, 4)
+            next(march)                 # the spare pair is allocated here
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert sum(1 for _ in march) == 3
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < st.Q.nbytes, kind
 
     def test_run_arrays_share_no_memory(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
@@ -491,6 +494,8 @@ WINDOW_KINDS = ["time-symmetric", "ingoing", "negative", "blow_up",
 
 class TestColumnWindow:
     @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    # the march leaves a blow-up's overflow to its caller, as in evolve
+    @np.errstate(over="ignore", invalid="ignore")
     def test_march_matches_full_reference_bitwise(self, kind):
         cfg, grid = window_input(kind)
         full = grid.n_r + 1
@@ -562,6 +567,66 @@ class TestColumnWindow:
         assert out.column_steps == evolve(cfg, grid, cadence=5).column_steps
         assert evolve(free_cfg(t_final=0.0), Grid(21.0, 128)).column_steps \
             == 0
+
+
+def growing_input(kind):
+    """(cfg, grid) of a free run and of a 21-mode run whose march window
+    grows several times."""
+    if kind == "free":
+        cfg = free_cfg()
+    else:
+        cfg = ModelConfig(epsilon=0.05, t_final=16.0, quad=build_quadrature(
+            PowerLawExp(1.0, 1.0, 1.0), 32))
+    return cfg, Grid(padded_r_max(cfg), 512)
+
+
+class TestViewsPerWidth:
+    @pytest.mark.parametrize("kind", ["free", "modes21"])
+    def test_views_built_once_per_width(self, kind, monkeypatch):
+        cfg, grid = growing_input(kind)
+        assert len(_Workspace(cfg, grid).w) == (0 if kind == "free" else 21)
+        ws = _Workspace(cfg, grid)
+        widths, built = [], []
+        set_width, views = _Workspace.set_width, radial._Views
+        monkeypatch.setattr(_Workspace, "set_width", lambda self, *args: (
+            widths.append(args[0]), set_width(self, *args)))
+        monkeypatch.setattr(radial, "_Views", lambda Y: (
+            built.append(Y.shape), views(Y))[1])
+        n_steps = march_schedule(cfg, grid)[0]
+        marched = [new.Q.shape[1] for new in _march(
+            ws, initialize(cfg, grid), cfg.t_final / n_steps, n_steps)]
+        assert len(marched) == n_steps
+        growths = sum(b > a for a, b in zip(marched, marched[1:]))
+        assert growths >= 3
+        # one build at the start and one per growth; the stage buffers
+        # and both (Q, Q_dot) pairs, and nothing built during a step
+        assert len(widths) == growths + 1
+        assert widths == sorted(set(marched))
+        assert len(built) == 7 * len(widths)
+
+
+class TestErrorState:
+    """The march runs with overflow ignored, and numpy's error state is
+    the caller's again once `evolve` returns or the march is closed."""
+
+    @pytest.mark.parametrize("case", ["completed", "blow_up", "closed"])
+    def test_error_state_restored(self, case):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if case == "closed":
+                cfg, grid = growing_input("modes21")
+                march = _march(_Workspace(cfg, grid), initialize(cfg, grid),
+                               cfg.cfl * grid.dr, 10)
+                next(march)
+                assert np.geterr() == before     # nothing held across a yield
+                march.close()
+            else:
+                cfg, grid = window_input(
+                    "blow_up" if case == "blow_up" else "time-symmetric")
+                out = evolve(cfg, grid, cadence=5)
+                assert out.completed == (case == "completed")
+        assert np.geterr() == before
 
 
 def skip_input(kind):
