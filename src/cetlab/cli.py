@@ -201,10 +201,14 @@ def _cmd_memory_test(a) -> int:
     k2f = apply_memory2(quad, a.xi, f)
     causal = bool(np.all(kf.samples[t <= a.t_on] == 0.0))
     # each mode's Duhamel bound ||f||_1 / omega_j, omega_j = sqrt(mu_j +
-    # xi^2), weighted and summed; an overflow makes it an honest inf
-    with np.errstate(over="ignore"):
-        inv_omega = quad.weights / np.hypot(np.sqrt(quad.nodes), a.xi)
-        sup_bound = float(np.sum(inv_omega)) * f.l1()
+    # xi^2), weighted and summed; an overflow makes it an honest inf, and
+    # a zero source's bound is 0 whatever the weights
+    l1_f = f.l1()
+    sup_bound = 0.0
+    if l1_f > 0.0:
+        with np.errstate(over="ignore"):
+            inv_omega = quad.weights / np.hypot(np.sqrt(quad.nodes), a.xi)
+            sup_bound = float(np.sum(inv_omega)) * l1_f
     verdicts = {"causal_before_source": causal,
                 "sup_kf": kf.sup(), "uniform_bound": sup_bound,
                 "uniform_bound_holds": kf.sup() <= sup_bound}

@@ -43,12 +43,12 @@ therefore bitwise the full-width one.
 The march builds every view it reads once per window width
 (`_Workspace.set_width`), not per stage or step: the windows of the
 stage buffers and of both (Q, Q_dot) pairs, their flat stencil slices,
-their boundary columns as one strided view, their guard columns, and
-the columns of 1/r and dr^2 r.  A free step (n_r = 256: 490 values)
-costs mostly its numpy calls, and it makes 43 of them, against 91 when
-each stage sliced its own views and formed stage velocities.  `evolve`
-ignores overflow and invalid operations for the whole run, not per
-step; the march itself leaves numpy's error state alone.
+their boundary columns as one strided view, and their guard columns.
+A free step (n_r = 256: 490 values) costs mostly its numpy calls, and
+it makes 44 of them, against 91 when each stage sliced its own views
+and formed stage velocities.  `evolve` ignores overflow and invalid
+operations for the whole run, not per step; the march itself leaves
+numpy's error state alone.
 
 The memory sum is one BLAS matvec, w @ X.  OpenBLAS (measured for every
 W up to 2048 at 21 to 90 rows, with one thread or two) sums every column
@@ -294,17 +294,16 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
 
 
 class _Views:
-    """The views of one C-contiguous (rows, W) stack that a step reads:
-    the flat stencil slices, the boundary columns as one strided view,
-    the V row, P row and mode rows, and the guard columns' bits."""
+    """The views of one C-contiguous (rows, W) stack that a free step
+    reads: the flat stencil slices, the boundary columns as one strided
+    view, and the guard columns' bits."""
 
-    __slots__ = ("inner", "right", "left", "edges", "v", "p", "x", "guard")
+    __slots__ = ("inner", "right", "left", "edges", "guard")
 
     def __init__(self, Y: np.ndarray):
         flat = Y.reshape(-1)
         self.inner, self.right, self.left = flat[1:-1], flat[2:], flat[:-2]
         self.edges = Y[:, ::Y.shape[1] - 1]
-        self.v, self.p, self.x = Y[0], Y[1], Y[2:]
         self.guard = Y[:, -GUARD:].view(np.uint64)
 
 
@@ -317,7 +316,7 @@ class _Workspace:
     size.  A march in the column window [0, W) takes each (m+2, W) stage
     array from the first (m+2)W elements, and likewise each state from
     one of the march's two flat (Q, Q_dot) pairs.  `set_width` builds
-    those windows, their `_Views` and the grid columns once per width;
+    those windows and their `_Views` once per width;
     `views` hands out the built ones, and builds the views of any other
     array (a state in fresh arrays) on the spot.
     """
@@ -356,7 +355,6 @@ class _Workspace:
         their views."""
         if pairs is not None:
             self._pairs = pairs
-        self.width = width
         self.S, self.B, self.a = (
             _window(flat, self.rows, width) for flat in self._flat)
         self.pair_windows = tuple(
@@ -368,17 +366,10 @@ class _Workspace:
         # next call replaces them and the dict together, so no other
         # array can carry the id of an entry
         self._views = {id(Y): _Views(Y) for Y in stacks}
-        self._columns = (self.inv_r[:width], self.rs[:width])
 
     def views(self, Y: np.ndarray) -> _Views:
         v = self._views.get(id(Y))
         return _Views(Y) if v is None else v
-
-    def columns(self, width: int) -> tuple:
-        """(1/r, dr^2 r) on the first `width` columns."""
-        if width == self.width:
-            return self._columns
-        return self.inv_r[:width], self.rs[:width]
 
     def laplacian(self, y: np.ndarray) -> np.ndarray:
         """Centered second difference of one row, zero at both ends."""
@@ -387,7 +378,7 @@ class _Workspace:
         return out
 
     def u_of(self, V: np.ndarray) -> np.ndarray:
-        u = V * self.columns(len(V))[0]
+        u = V * self.inv_r[:len(V)]
         u[0] = V[1] / self.dr          # L'Hopital at the origin
         return u
 
@@ -396,7 +387,7 @@ class _Workspace:
         Vr[1:-1] = (V[2:] - V[:-2]) / (2.0 * self.dr)
         Vr[0] = V[1] / self.dr          # odd reflection
         Vr[-1] = (V[-1] - V[-2]) / self.dr
-        ur = (Vr - u) * self.columns(len(V))[0]
+        ur = (Vr - u) * self.inv_r[:len(V)]
         ur[0] = 0.0                     # regularity: u is even in r
         return ur
 
@@ -406,7 +397,7 @@ class _Workspace:
             return np.zeros(width)
         # BLAS orders this sum alike at any width (module docstring)
         S = self.w @ X
-        M = S * self.columns(width)[0]
+        M = S * self.inv_r[:width]
         M[0] = S[1] / self.dr           # L'Hopital at the origin
         return M
 
@@ -444,13 +435,12 @@ class _Workspace:
             # becomes +0.0
             out += 0.0
         else:
-            _, _, _, F, N2 = self.sources(q.v, v, t)
-            M = self.memory_term(q.x)
-            rs = self.columns(Q.shape[-1])[1]
-            V, P, X = o.v, o.p, o.x
-            V += rs * (F + M)
-            P += rs * M
-            X += rs * N2
+            _, _, _, F, N2 = self.sources(Q[0], v, t)
+            M = self.memory_term(Q[2:])
+            rs = self.rs[:Q.shape[-1]]
+            out[0] += rs * (F + M)
+            out[1] += rs * M
+            out[2:] += rs * N2
         o.edges.fill(0.0)
         return out
 
@@ -515,24 +505,23 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
     K, A = out
     S, B, a = ws.S, ws.B, ws.a
     h, s = 0.5 * dt, ws.inv_dr2
-    v = v2 = v3 = v4 = ws.views(Qd).v
-    a0, b0 = ws.views(a).v, ws.views(B).v
+    v = v2 = v3 = v4 = Qd[0]
     free = ws.free
     ws.accel(t, Q, v, a)                        # a = a1
     np.multiply(Qd, h, out=S)
     S += Q                                      # S = Q + h Qd
     if not free:
-        v2 = v + h * s * a0
+        v2 = v + h * s * a[0]
     ws.accel(t + h, S, v2, B)                   # B = a2
     S += np.multiply(a, h * h * s, out=K)       # S = stage-3 field
     np.multiply(B, 2.0, out=A)
     A += a                                      # A = a1 + 2 a2
     np.add(a, B, out=K)                         # K = a1 + a2
     if not free:
-        v3 = v + h * s * b0
+        v3 = v + h * s * B[0]
     ws.accel(t + h, S, v3, a)                   # a = a3
     if not free:
-        v4 = v + dt * s * a0                    # before a is doubled
+        v4 = v + dt * s * a[0]                  # before a is doubled
     np.multiply(Qd, dt, out=S)
     S += Q                                      # S = Q + dt Qd
     B *= dt * h * s
@@ -696,13 +685,13 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     records, mprofs = [], []
     snapshots = {}
     diagnose_s = 0.0
-    # the steps that record or snapshot
-    stops = {*range(0, n_steps + 1, cadence), n_steps, *snap_steps}
+    due = {*range(0, n_steps + 1, cadence), n_steps}     # record steps
+    stops = due | snap_steps.keys()
 
     def record(st: FieldState, n: int) -> None:
         nonlocal diagnose_s
         start = perf_counter()
-        if n % cadence == 0 or n == n_steps:
+        if n in due:
             rec, M = _diagnose(ws, st, cfg)
             records.append(rec)
             mprofs.append(M)

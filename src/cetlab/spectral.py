@@ -239,14 +239,16 @@ class DiracComb:
         return float(self.masses[0])
 
     def constants(self, tol: float) -> SpectralConstants:
-        """Sums over the atoms; `tol` is not needed."""
+        """Sums over the atoms; `tol` is not needed.  A sum past double
+        precision is an honest inf."""
         w, m = self.weights, self.masses
-        return SpectralConstants(
-            l1=float(np.sum(w)),
-            c_m1=float(np.sum(w / m)),
-            c_p1=float(np.sum(w * m)),
-            c_prime=None,
-            c_mhalf=float(np.sum(w / np.sqrt(m))))
+        with np.errstate(over="ignore"):
+            return SpectralConstants(
+                l1=float(np.sum(w)),
+                c_m1=float(np.sum(w / m)),
+                c_p1=float(np.sum(w * m)),
+                c_prime=None,
+                c_mhalf=float(np.sum(w / np.sqrt(m))))
 
 
 SpectralDensity = Union[PowerLawExp, BreitWigner, DiracComb]

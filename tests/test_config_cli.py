@@ -532,6 +532,17 @@ class TestCli:
         assert l1_f < out["sup_kf"] < out["uniform_bound"]
         assert out["uniform_bound_holds"] is True
 
+    def test_memory_test_bound_of_zero_source(self, capsys):
+        # w / omega = 1e308 / 0.1 overflows, but a zero source's bound is
+        # 0, not inf * 0
+        rc = main(["memory-test", "--family", "diraccomb", "--atoms",
+                   "1e308 0.01", "--xi", "0", "--t-on", "5", "--t-final",
+                   "3"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sup_kf"] == 0.0 and out["uniform_bound"] == 0.0
+        assert out["uniform_bound_holds"] is True
+
     def test_dispersion_json(self, capsys):
         rc = main(["dispersion", "--family", "diraccomb",
                    "--atoms", "1.0 1.0", "--k-grid", "1.0"])
