@@ -128,9 +128,6 @@ def config_texts(draw):
 @example(argv=_call("memory-test", density=2, atoms="1e306 0.01",
                     t_final="1000"))
 @example(argv=_call("memory-test", dt="1e200", t_final="1e200"))
-# a zero source (t_on past t_final) under a weight whose bound overflows
-@example(argv=_call("memory-test", density=2, atoms="1e308 0.01", xi="0",
-                    t_on="5"))
 @example(argv=_call("dispersion", k_grid="1e300"))
 @example(argv=_call("dispersion", density=1, mu0="1e200"))
 # exit 0 with a symbol or density that overflows inside the computation
