@@ -36,8 +36,8 @@ from .pheno import signature_report
 from .quadrature import build_quadrature
 from .radial import DiagnosticsRecord, evolve, march_schedule
 from .resolvent import TimeSeries, apply_memory, apply_memory2
-from .scattering import (decay_fit, memory_limit, require_two_base_times,
-                         scattering_residual_fit)
+from .scattering import (DEFAULT_RESIDUAL_TIMES, decay_fit, memory_limit,
+                         require_two_base_times, scattering_residual_fit)
 from .spectral import check_conditions, spectral_constants
 
 
@@ -115,9 +115,6 @@ def _emit(obj: dict) -> None:
 # memory-test holds a few (n_nodes, samples) arrays; this cap on
 # n_nodes * samples keeps each one at 64 MiB
 MAX_MODE_SAMPLES = 2 ** 23
-
-# scatter's base times t for the D(t, 2t) fit, criterion 9's
-DEFAULT_RESIDUAL_TIMES = (25.0, 50.0, 100.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,9 +256,21 @@ def _cmd_dispersion(a) -> int:
     return 0
 
 
-def _load_run(path):
-    """Parse a run file that has both sections.  `init_s` is the parse's
-    wall time, which includes building the rule."""
+def _usable_base_times(times, snapshot_times) -> list:
+    """The base times t of `times` whose t and 2t are both snapshots."""
+    return [b for b in times if b in snapshot_times
+            and 2.0 * b in snapshot_times]
+
+
+def _march_run(path, base_times=None):
+    """Parse the run file at `path`, which needs both sections, march it
+    and make its output directory: the run of `evolve` and `scatter`.
+
+    The planned snapshots must hold two of `base_times`, if given,
+    before any step.  Returns the run config, the RunOutput, the run
+    summary and its wall-clock facts for timings.json (`init_s`, the
+    parse's, includes building the rule).
+    """
     t0 = time.perf_counter()
     rc = parse_config(path)
     init_s = time.perf_counter() - t0
@@ -269,39 +278,15 @@ def _load_run(path):
         raise ValidationError(f"{path}: [density] section is required")
     if rc.model is None:
         raise ValidationError(f"{path}: [solver] section is required")
-    return rc, init_s
-
-
-def _run_timings(cfg, out, init_s: float) -> dict:
-    """Wall-clock facts of a run for timings.json.  They differ run to
-    run, so they stay out of every file whose bytes repeat."""
-    n_modes = 0 if cfg.quad is None else len(cfg.quad)
-    value_steps = out.column_steps * (n_modes + 2)
-    return {"init_s": init_s, "march_s": out.march_s,
-            "diagnose_s": out.diagnose_s, "rhs_evals": out.rhs_evals,
-            "ns_per_value_step": 1e9 * out.march_s / value_steps
-            if value_steps else None,
-            "us_per_step": 1e6 * out.march_s / out.n_steps
-            if out.n_steps else None}
-
-
-def _cmd_evolve(a) -> int:
-    rc, init_s = _load_run(a.config)
     cfg, grid, cadence, snaps = rc.model
+    if base_times is not None:
+        # the snapshot times are known before the march: a fit that
+        # cannot be made fails before any step
+        planned = set(march_schedule(cfg, grid, snaps)[2].values())
+        require_two_base_times(_usable_base_times(base_times, planned))
     out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
     n_modes, dropped = (0, 0) if cfg.quad is None else \
         (len(cfg.quad), cfg.quad.moment_report["dropped_nodes"])
-    t0 = time.perf_counter()
-    os.makedirs(rc.output_dir, exist_ok=True)
-    src = rc.source_text
-    if "csv" in rc.formats:
-        cols = {n: out.series(n) for n in DiagnosticsRecord.FIELDS}
-        write_csv(os.path.join(rc.output_dir, "diagnostics.csv"), cols, src)
-        for ts, snap in sorted(out.snapshots.items()):
-            write_csv(os.path.join(rc.output_dir,
-                                   f"snapshot_t{ts:g}.csv"),
-                      {"r": grid.r, "u": snap["u"], "M": snap["M"],
-                       "Phi": snap["Phi"]}, src)
     summary = {"completed": out.completed,
                "integrated_flux": out.integrated_flux,
                "n_records": len(out.records), "dt": out.dt,
@@ -311,36 +296,58 @@ def _cmd_evolve(a) -> int:
     if out.blow_up_time is not None:
         summary["blow_up_time"] = out.blow_up_time
         summary["blow_up_radius"] = out.blow_up_radius
+    value_steps = out.column_steps * (n_modes + 2)
+    timings = {"init_s": init_s, "march_s": out.march_s,
+               "diagnose_s": out.diagnose_s, "rhs_evals": 4 * out.n_steps,
+               "ns_per_value_step": 1e9 * out.march_s / value_steps
+               if value_steps else None,
+               "us_per_step": 1e6 * out.march_s / out.n_steps
+               if out.n_steps else None}
+    os.makedirs(rc.output_dir, exist_ok=True)
+    return rc, out, summary, timings
+
+
+def _end_run(rc, summary, timings, t_out, doc=None) -> int:
+    """Write timings.json, its output_s the seconds since `t_out`, print
+    `doc` as stdout's one document, and end a blown-up run in exit 3
+    with the run summary as the error's detail."""
     if "json" in rc.formats:
-        write_json(os.path.join(rc.output_dir, "summary.json"), summary, src)
         write_json(os.path.join(rc.output_dir, "timings.json"),
-                   {**_run_timings(cfg, out, init_s),
-                    "output_s": time.perf_counter() - t0}, src)
-    _emit(summary)
-    if not out.completed:
+                   {**timings, "output_s": time.perf_counter() - t_out},
+                   rc.source_text)
+    if doc is not None:
+        _emit(doc)
+    if not summary["completed"]:
         raise NumericalError("blow-up-detected: run did not reach t_final",
                              **summary)
     return 0
 
 
-def _usable_base_times(times, snapshot_times) -> list:
-    """The base times t of `times` whose t and 2t are both snapshots."""
-    return [b for b in times if b in snapshot_times
-            and 2.0 * b in snapshot_times]
+def _cmd_evolve(a) -> int:
+    rc, out, summary, timings = _march_run(a.config)
+    t0 = time.perf_counter()
+    src = rc.source_text
+    if "csv" in rc.formats:
+        cols = {n: out.series(n) for n in DiagnosticsRecord.FIELDS}
+        write_csv(os.path.join(rc.output_dir, "diagnostics.csv"), cols, src)
+        for ts, snap in sorted(out.snapshots.items()):
+            write_csv(os.path.join(rc.output_dir,
+                                   f"snapshot_t{ts:g}.csv"),
+                      {"r": out.grid.r, "u": snap["u"], "M": snap["M"],
+                       "Phi": snap["Phi"]}, src)
+    if "json" in rc.formats:
+        write_json(os.path.join(rc.output_dir, "summary.json"), summary, src)
+    return _end_run(rc, summary, timings, t0, summary)
 
 
 def _cmd_scatter(a) -> int:
-    rc, init_s = _load_run(a.config)
-    cfg, grid, cadence, snaps = rc.model
     times = DEFAULT_RESIDUAL_TIMES if a.residual_times is None \
         else a.residual_times
-    if a.residual_times is not None:
-        # the snapshot times are known before the march: a fit that
-        # cannot be made fails before any step
-        planned = set(march_schedule(cfg, grid, snaps)[2].values())
-        require_two_base_times(_usable_base_times(times, planned))
-    out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
+    rc, out, summary, timings = _march_run(a.config, a.residual_times)
     t0 = time.perf_counter()
+    if not out.completed:
+        # no analysis of a partial run: the blow-up is the outcome
+        return _end_run(rc, summary, timings, t0)
     rep = memory_limit(out)
     t = out.series("t")
     fits = {"sup_u": decay_fit(list(zip(t, out.series("sup_u"))),
@@ -358,20 +365,14 @@ def _cmd_scatter(a) -> int:
         sfit = scattering_residual_fit(out, usable)
         result["scattering_residual_fit"] = sfit.as_dict()
     t1 = time.perf_counter()
-    analysis_s = t1 - t0
+    timings["analysis_s"] = t1 - t0
     src = rc.source_text
-    os.makedirs(rc.output_dir, exist_ok=True)
     if "csv" in rc.formats:
         write_csv(os.path.join(rc.output_dir, "m_inf_profile.csv"),
-                  {"r": grid.r, "M_inf": rep.m_inf_profile}, src)
+                  {"r": out.grid.r, "M_inf": rep.m_inf_profile}, src)
     if "json" in rc.formats:
         write_json(os.path.join(rc.output_dir, "scatter.json"), result, src)
-        write_json(os.path.join(rc.output_dir, "timings.json"),
-                   {**_run_timings(cfg, out, init_s),
-                    "analysis_s": analysis_s,
-                    "output_s": time.perf_counter() - t1}, src)
-    _emit(result)
-    return 0
+    return _end_run(rc, summary, timings, t1, result)
 
 
 def _cmd_pheno(a) -> int:

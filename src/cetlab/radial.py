@@ -166,6 +166,7 @@ class ModelConfig:
         return dt * math.sqrt(self.mu_max() + (math.pi / grid.dr) ** 2)
 
     def validate_against(self, grid: Grid, dt: float) -> None:
+        """Raise unless `grid` pads the run and dt passes the guard."""
         need = padded_r_max(self)
         if grid.r_max + 1e-9 < need:
             raise PaddingViolatedError(f"padding-violated: need r_max >= "
@@ -239,11 +240,9 @@ class RunOutput:
     # when every step runs on the full grid
     column_steps: int = 0
     # wall-clock seconds in the march (steps, window growth, finite
-    # checks) and in the records and snapshots, and the stack
-    # accelerations evaluated, four per step
+    # checks) and in the records and snapshots
     march_s: float = 0.0
     diagnose_s: float = 0.0
-    rhs_evals: int = 0
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records])
@@ -273,7 +272,6 @@ def _profile_derivative(cfg: ModelConfig, s: np.ndarray) -> np.ndarray:
 
 def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
     """Wave data on the grid; memory modes and profile start at zero."""
-    cfg.validate_against(grid, dt=cfg.cfl * grid.dr)
     r = grid.r
     u0 = _profile(cfg, r)
     V = r * u0
@@ -671,7 +669,8 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
            snapshot_times=()) -> RunOutput:
     """March to t_final recording diagnostics every `cadence` steps.
 
-    The steps, dt and snapshot steps are `march_schedule`'s.
+    The steps, dt and snapshot steps are `march_schedule`'s, and the
+    padding and the stiffness guard are checked here, once, at that dt.
     A detected blow-up terminates the march and returns the partial
     output with the failure time recorded.
     """
@@ -720,7 +719,7 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     return RunOutput(cfg, grid, dt, records, np.array(mprofs), snapshots,
                      not blow_up, blow_up.get("time"), blow_up.get("radius"),
                      n, cfg.stiffness_guard(grid, dt), ws.column_steps,
-                     march_s, diagnose_s, 4 * n)
+                     march_s, diagnose_s)
 
 
 def free_wave_exact(cfg: ModelConfig, r: np.ndarray, t: float) -> np.ndarray:

@@ -21,6 +21,11 @@ from .errors import (InsufficientSamplesError, MemoryBelowNoiseError,
                      SnapshotUnavailableError, ValidationError)
 from .fitting import fit_loglog
 from .radial import Grid, RunOutput
+from .resolvent import _unit_step
+
+# the base times t of the D(t, 2t) fit that criterion 9 pins and
+# `cetlab scatter` uses by default
+DEFAULT_RESIDUAL_TIMES = (25.0, 50.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -128,15 +133,12 @@ def _free_evolve(run: RunOutput, W: np.ndarray, W_dot: np.ndarray,
 
     The sine transform diagonalizes the Dirichlet second difference with
     frequencies om_k = (2/dr) sin(pi k / 2 n_r).  One RK4 step of
-    y'' = -om^2 y multiplies the phasor y' + i om y by
-    g = 1 - (h om)^2/2 + (h om)^4/24 + i (h - h^3 om^2/6) om, so n steps
-    multiply it by g^n.
+    y'' = -om^2 y multiplies the phasor y' + i om y by the amplification
+    factor g of `resolvent._unit_step`, so n steps multiply it by g^n.
     """
     n_r = run.grid.n_r
-    h = run.dt
     om = (2.0 / run.grid.dr) * np.sin(np.pi * np.arange(1, n_r) / (2 * n_r))
-    h2 = (h * om) ** 2
-    g = 1.0 - h2 / 2.0 + h2 * h2 / 24.0 + 1j * h * (1.0 - h2 / 6.0) * om
+    g = _unit_step(om * om, run.dt).rot
     y, y_dot = _dst1(np.stack([W, W_dot]))[:, 1:-1]
     w = (y_dot + 1j * om * y) * g ** n_steps
     coef = np.zeros((2, n_r + 1))

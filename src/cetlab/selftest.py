@@ -27,6 +27,7 @@ from . import (DiracComb, Grid, ModelConfig, PowerLawExp, TimeSeries,
                pulsar_timing_bound, scattering_residual_fit, solve_branch,
                spectral_constants, tail_crossing)
 from .resolvent import ModeParams
+from .scattering import DEFAULT_RESIDUAL_TIMES
 
 EPS_SWEEP = (0.005, 0.01, 0.02)
 # Criterion 9 floor on the decay exponent of D(t, 2t).  The bound is
@@ -273,7 +274,7 @@ def criterion_9() -> CriterionResult:
                       and all(abs(r - 1.0) <= 0.20 for r in ratios))
         out = _sweep_run(0.01)
         rep = reps[0.01]
-        base_times = (25.0, 50.0, 100.0)
+        base_times = DEFAULT_RESIDUAL_TIMES
         fit = scattering_residual_fit(out, base_times)
         d_vals = [d for _, d in fit.points]
         decreasing = d_vals[0] > d_vals[1] > d_vals[2]
@@ -326,28 +327,20 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_9, criterion_10)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("CETLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return os.cpu_count() or 1
-
-
 def _sweep_pair(eps):
     return eps, _compute_sweep_run(eps)
 
 
 def prewarm_sweep() -> None:
-    """Run the amplitude sweep up front, in parallel when allowed.
+    """Run the amplitude sweep up front, one process per run and CPU.
 
-    CETLAB_THREADS caps the worker count; results are collected in a
-    fixed order, so the outcome is byte-identical either way.
+    Results are collected in a fixed order, so the outcome is
+    byte-identical at any worker count.
     """
     todo = [eps for eps in EPS_SWEEP if eps not in _run_cache]
     if not todo:
         return
-    cap = min(thread_cap(), len(todo))
+    cap = min(len(todo), os.cpu_count() or 1)
     if cap <= 1:
         for eps in todo:
             _sweep_run(eps)

@@ -50,6 +50,29 @@ directory = {out}
 formats = csv, json
 """
 
+# a run of one memory mode that only F drives; the tests fill in the
+# solver values they vary
+ONE_ATOM_RUN = """
+[density]
+family = diraccomb
+atoms = 0.1 1.0
+
+[solver]
+r_max = {r_max}
+n_r = 256
+cfl = {cfl}
+t_final = {t_final}
+epsilon = {epsilon}
+a_null = 0
+b_bad = {b_bad}
+c_grad = 0
+d_quad = 0
+
+[output]
+directory = {out}
+formats = csv, json
+"""
+
 
 class TestConfigParser:
     def test_good_config_builds_model(self, tmp_path):
@@ -463,6 +486,63 @@ class TestCli:
         assert ("scattering_residual_fit" in printed) == fitted
         assert ("scattering_residual_fit" in result) == fitted
         assert captured.err == ""
+
+    @pytest.mark.parametrize("cfl, code", [("0.8", 0), ("0.9", 2)])
+    def test_stiffness_guard_checked_at_the_run_dt(self, tmp_path, capsys,
+                                                   cfl, code):
+        # dr = 21/256: a step of cfl*dr would have the guard 2.51 at cfl
+        # 0.8, but the run steps 16 times by 0.0625 (guard 2.39); at cfl
+        # 0.9 it steps 14 times by 1/14, and that guard is over 2.5
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(ONE_ATOM_RUN.format(
+            out=d, cfl=cfl, epsilon="0.01", b_bad="0", r_max="21",
+            t_final="1"))
+        assert main(["evolve", "--config", str(cfgfile)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            summary = strict_loads(captured.out)
+            assert (summary["n_steps"], summary["dt"]) == (16, 0.0625)
+            assert summary["stiffness_guard"] == pytest.approx(2.3944,
+                                                               abs=1e-4)
+        else:
+            cfg, grid, _, _ = config.parse_config(str(cfgfile)).model
+            guard = cfg.stiffness_guard(grid, 1.0 / 14)
+            err = strict_loads(captured.err)
+            assert err["error"] == "validation-error"
+            assert err["message"] == ("stiffness guard violated: "
+                                      "dt*sqrt(mu_max + (pi/dr)^2) = "
+                                      f"{guard!r} > 2.5")
+
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_blow_up_exit_3(self, tmp_path, capsys, command):
+        # F = 8 u_t^2 at unit amplitude blows up before t_final; evolve
+        # writes the partial run and prints its summary, scatter makes
+        # no analysis; both end in exit 3 with the summary as detail
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(ONE_ATOM_RUN.format(
+            out=d, cfl="0.5", epsilon="1", b_bad="8", r_max="23",
+            t_final="12"))
+        assert main([command, "--config", str(cfgfile)]) == 3
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["message"].startswith("blow-up-detected")
+        detail = err["detail"]
+        assert detail["completed"] is False
+        assert 0.0 < detail["blow_up_time"] < 12.0
+        assert "blow_up_radius" in detail
+        assert (d / "timings.json").exists()
+        assert not (d / "scatter.json").exists()
+        assert not (d / "m_inf_profile.csv").exists()
+        if command == "evolve":
+            assert strict_loads(captured.out) == detail
+            summary = strict_loads((d / "summary.json").read_text())
+            assert {k: v for k, v in summary.items() if k != "_tool"} \
+                == detail
+        else:
+            assert captured.out == ""
+            assert not (d / "summary.json").exists()
 
     def test_evolve_summary_counts_dropped_nodes(self, tmp_path, capsys):
         d = tmp_path / "out"

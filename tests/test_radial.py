@@ -283,12 +283,6 @@ class TestInitialize:
         oracle = (n2(ud) + n2(ur) + n2(u) + n2(udd) + n2(udr) + n2(ud))
         assert e0 == pytest.approx(oracle, rel=1e-2)
 
-    def test_padding_enforced(self):
-        cfg = free_cfg(t_final=50.0)
-        with pytest.raises(PaddingViolatedError):
-            initialize(cfg, Grid(21.0, 128))
-        assert padded_r_max(cfg) == pytest.approx(61.0)
-
 
 class TestStep:
     def test_zero_state_stays_zero(self):
@@ -937,17 +931,44 @@ class TestEvolve:
         assert out.stiffness_guard == guard
         assert 0.0 < out.stiffness_guard <= radial.STIFFNESS_LIMIT
 
+    def test_padding_enforced(self):
+        cfg = free_cfg(t_final=50.0)
+        with pytest.raises(PaddingViolatedError):
+            evolve(cfg, Grid(21.0, 128))
+        assert padded_r_max(cfg) == pytest.approx(61.0)
+        # initialize only builds the data
+        assert initialize(cfg, Grid(21.0, 128)).Q.shape == (2, 129)
+
+    def test_stiffness_guard_checked_at_the_run_dt(self):
+        # a step of cfl*dr would have the guard 0.8 pi > 2.5, but the run
+        # lands 16 steps of 0.0625 on t_final, with the guard 2.3936
+        cfg = free_cfg(cfl=0.8, t_final=1.0)
+        grid = Grid(21.0, 256)
+        assert cfg.stiffness_guard(grid, cfg.cfl * grid.dr) > 2.5
+        out = evolve(cfg, grid)
+        assert out.completed and (out.n_steps, out.dt) == (16, 0.0625)
+        assert out.stiffness_guard == pytest.approx(2.3936, abs=1e-4)
+        # a guard over the limit at the run's own dt is still refused,
+        # and the message quotes that guard: cfl 0.9 takes 14 steps
+        steep = free_cfg(cfl=0.9, t_final=1.0)
+        guard = steep.stiffness_guard(grid, 1.0 / 14)
+        assert guard > 2.5
+        with pytest.raises(ValidationError, match="stiffness") as exc:
+            evolve(steep, grid)
+        assert f"= {guard!r} > 2.5" in str(exc.value)
+
     def test_run_telemetry(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
         cfg = free_cfg(quad=quad, t_final=3.0)
         out = evolve(cfg, Grid(21.0, 128), cadence=5, snapshot_times=(1.0,))
-        assert out.rhs_evals == 4 * out.n_steps > 0
+        assert out.n_steps > 0
         assert out.march_s > 0.0 and out.diagnose_s > 0.0
-        # the blowing-up step is counted; a run of no steps evaluates none
+        # the blowing-up step is counted; a run of no steps takes none
         blown = evolve(*window_input("blow_up"), cadence=5)
-        assert not blown.completed and blown.rhs_evals == 4 * blown.n_steps
+        assert not blown.completed
+        assert blown.n_steps * blown.dt == pytest.approx(blown.blow_up_time)
         still = evolve(free_cfg(t_final=0.0), Grid(21.0, 128))
-        assert still.rhs_evals == 0 and still.march_s >= 0.0
+        assert still.n_steps == 0 and still.march_s >= 0.0
 
     def test_memory_run_pinned(self):
         # pinned end-of-run values: a change to the order of the
