@@ -9,6 +9,7 @@ moment diverges) and the atom list (no absolutely continuous part).
 """
 
 import warnings
+from dataclasses import asdict
 
 from cetlab import (BreitWigner, DiracComb, PowerLawExp, check_conditions,
                     spectral_constants)
@@ -18,7 +19,7 @@ def show(name, rho):
     consts = spectral_constants(rho)
     report = check_conditions(rho, consts)
     print(f"\n{name}")
-    for key, val in consts.as_dict().items():
+    for key, val in asdict(consts).items():
         print(f"  {key:8s} = {val}")
     flags = " ".join(f"S{i}={'Y' if getattr(report, f's{i}') else 'n'}"
                      for i in range(1, 6))

@@ -7,6 +7,8 @@ over the standard one goes like l1^(-1/6).  This script evaluates them
 and inverts the two published-style bounds.
 """
 
+from dataclasses import asdict
+
 from cetlab import (ligo_bound, memory_excess_ratio, phase_shift,
                     pulsar_timing_bound, signature_report, tail_crossing)
 
@@ -32,7 +34,7 @@ print(f"  timing sensitivity 0.1 at M* = 2 => infrared moment <= "
 print("\nfull report for one source configuration:")
 rep = signature_report(d_mpc=400.0, omega_hz=100.0, alpha=1e-20,
                        m_star=1e-3)
-for key, val in rep.as_dict().items():
+for key, val in asdict(rep).items():
     print(f"  {key}: {val}")
 
 print("\nmemory excess ratio is event-dependent:",

@@ -14,7 +14,7 @@ no such mechanism: their symbol is an undamped trigonometric sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -88,12 +88,11 @@ class AveragingReport:
     fit_r_squared: float
 
     def as_dict(self) -> dict:
-        return {"t_grid": self.t_grid.tolist(),
-                "xi_grid": self.xi_grid.tolist(),
-                "bound_constant": self.bound_constant,
-                "worst_ratio": self.worst_ratio,
-                "fitted_exponent": self.fitted_exponent,
-                "fit_r_squared": self.fit_r_squared}
+        """Every field but the symbol table, which `avg-decay` writes to
+        its CSV."""
+        d = asdict(self)
+        del d["symbol"]
+        return d
 
 
 def decay_bound_check(rho: SpectralDensity,

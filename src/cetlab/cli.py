@@ -31,14 +31,14 @@ from .averaging import atomic_no_decay_check, decay_bound_check
 from .config import (DENSITY_PARAMS, FAMILIES, finite_float, float_list,
                      make_density, parse_config)
 from .dispersion import DEFAULT_K_GRID, mode_stability_scan, solve_branch
-from .errors import CetlabError, NumericalError, ValidationError
+from .errors import BlowUpError, CetlabError, NumericalError, ValidationError
 from .pheno import signature_report
-from .quadrature import build_quadrature
+from .quadrature import DEFAULT_N_NODES, build_quadrature
 from .radial import DiagnosticsRecord, evolve, march_schedule
 from .resolvent import TimeSeries, apply_memory, apply_memory2
 from .scattering import (DEFAULT_RESIDUAL_TIMES, decay_fit, memory_limit,
                          require_two_base_times, scattering_residual_fit)
-from .spectral import check_conditions, spectral_constants
+from .spectral import DEFAULT_TOL, check_conditions, spectral_constants
 
 
 def _nonfinite_name(x: float) -> str:
@@ -159,7 +159,8 @@ def _cmd_kernel(a) -> int:
     rho = _density_from_args(a)
     consts = spectral_constants(rho, tol=a.tol)
     report = check_conditions(rho, consts)
-    _emit({"constants": consts.as_dict(), "conditions": report.as_dict()})
+    _emit({"constants": dataclasses.asdict(consts),
+           "conditions": dataclasses.asdict(report)})
     return 0
 
 
@@ -169,11 +170,10 @@ def _cmd_quad(a) -> int:
     src = repr((rho, a.n_nodes, a.tol))
     if a.out_csv:
         write_csv(a.out_csv, {"mu": quad.nodes, "weight": quad.weights}, src)
+    doc = {"n_nodes": len(quad), "moment_report": quad.moment_report}
     if a.out_json:
-        write_json(a.out_json, {"n_nodes": len(quad),
-                                "moment_report": quad.moment_report}, src)
-    _emit({"n_nodes": len(quad), "moment_report": quad.moment_report,
-           "mu_min": float(quad.nodes.min()),
+        write_json(a.out_json, doc, src)
+    _emit({**doc, "mu_min": float(quad.nodes.min()),
            "mu_max": float(quad.nodes.max())})
     return 0
 
@@ -187,7 +187,7 @@ def _cmd_memory_test(a) -> int:
         raise ValidationError(f"--n-nodes * (--t-final / --dt + 1) exceeds "
                               f"{MAX_MODE_SAMPLES} mode samples")
     rho = _density_from_args(a)
-    quad = build_quadrature(rho, a.n_nodes, 1e-10)
+    quad = build_quadrature(rho, a.n_nodes)
     n = int(round(span)) + 1
     t = dt * np.arange(n)
     with np.errstate(over="ignore"):  # far from t_on the bump is 0 anyway
@@ -243,15 +243,11 @@ def _cmd_dispersion(a) -> int:
     points = [solve_branch(rho, k, tol=a.tol) for k in k_grid]
     scan = mode_stability_scan(rho, k_grid)
     src = repr((rho, k_grid, a.tol))
+    rows = [dataclasses.asdict(p) for p in points]
     if a.out_csv:
-        write_csv(a.out_csv,
-                  {"k": [p.k for p in points],
-                   "omega": [p.omega for p in points],
-                   "sigma": [p.sigma for p in points],
-                   "residual": [p.residual for p in points]}, src)
-    _emit({"branch": [{"k": p.k, "omega": p.omega, "sigma": p.sigma,
-                       "residual": p.residual} for p in points],
-           "max_im": scan.max_im, "gaps": list(scan.gaps),
+        write_csv(a.out_csv, {name: [row[name] for row in rows]
+                              for name in rows[0]}, src)
+    _emit({"branch": rows, "max_im": scan.max_im, "gaps": list(scan.gaps),
            "scan_counts": scan.counts()})
     return 0
 
@@ -284,7 +280,13 @@ def _march_run(path, base_times=None):
         # cannot be made fails before any step
         planned = set(march_schedule(cfg, grid, snaps)[2].values())
         require_two_base_times(_usable_base_times(base_times, planned))
-    out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
+    try:
+        out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
+    except ValidationError as exc:
+        # the run-level invariants (padding, stiffness guard, cadence)
+        # are checked after the parse: name the file, keep the error
+        exc.args = (f"{path}: {exc}",)
+        raise
     n_modes, dropped = (0, 0) if cfg.quad is None else \
         (len(cfg.quad), cfg.quad.moment_report["dropped_nodes"])
     summary = {"completed": out.completed,
@@ -318,8 +320,8 @@ def _end_run(rc, summary, timings, t_out, doc=None) -> int:
     if doc is not None:
         _emit(doc)
     if not summary["completed"]:
-        raise NumericalError("blow-up-detected: run did not reach t_final",
-                             **summary)
+        raise BlowUpError("blow-up-detected: run did not reach t_final",
+                          **summary)
     return 0
 
 
@@ -378,12 +380,12 @@ def _cmd_scatter(a) -> int:
 def _cmd_pheno(a) -> int:
     rep = signature_report(a.d_mpc, a.omega_hz, a.alpha, a.mstar,
                            l1=a.l1)
-    _emit(rep.as_dict())
+    _emit(dataclasses.asdict(rep))
     return 0
 
 
 def _cmd_selftest(a) -> int:
-    from .selftest import ALL_CRITERIA, prewarm_sweep, run_all
+    from .selftest import ALL_CRITERIA, run_all
     wanted = ALL_CRITERIA
     if a.only:
         wanted = tuple(fn for i, fn in enumerate(ALL_CRITERIA, start=1)
@@ -391,8 +393,6 @@ def _cmd_selftest(a) -> int:
         if not wanted:
             raise ValidationError("no criteria match --only "
                                   + ",".join(map(str, a.only)))
-    if any(fn.__name__ in ("criterion_8", "criterion_9") for fn in wanted):
-        prewarm_sweep()
     # with --json, stdout carries only the JSON document
     progress = sys.stderr if a.json else sys.stdout
     results = run_all(wanted, stream=progress)
@@ -418,13 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="spectral constants and conditions")
     _density_args(p)
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
     p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("quad", help="mass quadrature nodes and weights")
     _density_args(p)
-    p.add_argument("--n-nodes", type=int, default=32)
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.add_argument("--n-nodes", type=int, default=DEFAULT_N_NODES)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
     p.set_defaults(fn=_cmd_quad)
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("memory-test", help="memory operator checks at "
                                            "fixed wavenumber")
     _density_args(p)
-    p.add_argument("--n-nodes", type=int, default=32)
+    p.add_argument("--n-nodes", type=int, default=DEFAULT_N_NODES)
     p.add_argument("--xi", type=_finite_float, default=0.0)
     p.add_argument("--dt", type=_finite_float, default=0.01)
     p.add_argument("--t-final", type=_finite_float, default=20.0)
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=_flag_type(float_list),
                    help="comma list, default "
                    + ",".join(map(str, DEFAULT_K_GRID)))
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
     p.add_argument("--out-csv")
     p.set_defaults(fn=_cmd_dispersion)
 

@@ -24,12 +24,13 @@ ValidationError carrying file and line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ValidationError
 from .quadrature import DEFAULT_N_NODES, build_quadrature
 from .radial import Grid, ModelConfig, padded_r_max
-from .spectral import BreitWigner, DiracComb, PowerLawExp, SpectralDensity
+from .spectral import (DEFAULT_TOL, BreitWigner, DiracComb, PowerLawExp,
+                       SpectralDensity)
 
 _SECTIONS = ("density", "quadrature", "solver", "output")
 
@@ -40,9 +41,10 @@ DENSITY_PARAMS = tuple(dict.fromkeys(
     name for cls in FAMILIES.values() for name in cls.params))
 _DENSITY_KEYS = {"family", *DENSITY_PARAMS}
 _QUAD_KEYS = {"n_nodes", "tol"}
-_SOLVER_KEYS = {"r_max", "n_r", "cfl", "t_final", "epsilon", "a_null",
-                "b_bad", "c_grad", "d_quad", "r_c", "sigma", "velocity_mode",
-                "delta0", "cadence", "snapshot_times"}
+# every ModelConfig field that a run file can set, and the run's grid,
+# record cadence and snapshot times
+_SOLVER_KEYS = ({f.name for f in fields(ModelConfig)} - {"quad", "n2_override"}
+                | {"r_max", "n_r", "cadence", "snapshot_times"})
 _OUTPUT_KEYS = {"directory", "formats"}
 _INTEGER_KEYS = {"n_nodes", "n_r", "cadence"}
 
@@ -208,7 +210,7 @@ def _build(sections, lines, path, text) -> RunConfig:
     quad = {key: _number(path, lines[("quadrature", key)], key, raw)
             for key, raw in sections["quadrature"].items()}
     n_nodes = quad.get("n_nodes", DEFAULT_N_NODES)
-    quad_tol = quad.get("tol", 1e-10)
+    quad_tol = quad.get("tol", DEFAULT_TOL)
 
     solver = {}
     s = sections["solver"]

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PrincipalValueError, RootBracketError, ValidationError
 from .integrals import flagged_integral
 from .quadrature import MassQuadrature, build_quadrature
-from .spectral import SpectralDensity, spectral_constants
+from .spectral import DEFAULT_TOL, SpectralDensity, spectral_constants
 
 DEFAULT_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 SCAN_SEED = 411
@@ -56,7 +56,7 @@ def _require_wavenumber(k) -> float:
 
 
 def self_energy(rho: SpectralDensity, omega: float, k: float,
-                tol: float = 1e-10) -> float:
+                tol: float = DEFAULT_TOL) -> float:
     """Sigma(omega, k^2) on the real axis."""
     k = _require_wavenumber(k)
     if k == 0.0:
@@ -84,7 +84,7 @@ def self_energy(rho: SpectralDensity, omega: float, k: float,
 
 
 def solve_branch(rho: SpectralDensity, k: float,
-                 tol: float = 1e-10) -> DispersionPoint:
+                 tol: float = DEFAULT_TOL) -> DispersionPoint:
     """Principal branch root of g(omega) = omega^2 - k^2 - Sigma(omega).
 
     g is strictly increasing on omega > k, negative at omega = k+ and
@@ -98,8 +98,10 @@ def solve_branch(rho: SpectralDensity, k: float,
     if not consts.finite("l1"):
         raise ValidationError("solve_branch requires finite total mass (S2)")
 
+    sigma_tol = min(tol, DEFAULT_TOL)
+
     def g(om: float) -> float:
-        return om * om - k * k - self_energy(rho, om, k, tol=min(tol, 1e-10))
+        return om * om - k * k - self_energy(rho, om, k, tol=sigma_tol)
 
     lo = k
     hi = math.sqrt(k * k + consts.l1) + k + 1.0
@@ -118,7 +120,7 @@ def solve_branch(rho: SpectralDensity, k: float,
         if hi - lo < 1e-15 * max(1.0, hi) and abs(gm) <= tol:
             break
     omega = 0.5 * (lo + hi)
-    sigma = self_energy(rho, omega, k, tol=min(tol, 1e-10))
+    sigma = self_energy(rho, omega, k, tol=sigma_tol)
     return DispersionPoint(k, omega, sigma, abs(omega * omega - k * k - sigma))
 
 

@@ -102,14 +102,6 @@ class SignatureReport:
     tail_amplitude_at: float
     quoted_coeff_note: str
 
-    def as_dict(self) -> dict:
-        return {"memory_excess_ratio": self.memory_excess_ratio,
-                "phase_shift_natural": self.phase_shift_natural,
-                "phase_shift_si": self.phase_shift_si,
-                "tail_crossing": self.tail_crossing,
-                "tail_amplitude_at": self.tail_amplitude_at,
-                "quoted_coeff_note": self.quoted_coeff_note}
-
 
 def signature_report(d_mpc: float, omega_hz: float, alpha: float,
                      m_star: float, l1: float | None = None) -> SignatureReport:

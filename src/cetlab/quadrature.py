@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import QuadratureConstructionError, ValidationError
 from .integrals import leggauss, panel_rule
-from .spectral import (BreitWigner, DiracComb, PowerLawExp, SpectralConstants,
-                       SpectralDensity, spectral_constants)
+from .spectral import (DEFAULT_TOL, BreitWigner, DiracComb, PowerLawExp,
+                       SpectralConstants, SpectralDensity, spectral_constants)
 
 DEFAULT_N_NODES = 32
 
@@ -140,7 +140,7 @@ _RULES = {DiracComb: lambda rho, n, tol: (rho.masses, rho.weights),
 
 
 def build_quadrature(rho: SpectralDensity, n_nodes: int = DEFAULT_N_NODES,
-                     tol: float = 1e-10) -> MassQuadrature:
+                     tol: float = DEFAULT_TOL) -> MassQuadrature:
     """Discretize rho(mu) dmu into at most 512 positive nodes.
 
     n_nodes is the size of a continuous family's rule (atoms give one
@@ -153,7 +153,7 @@ def build_quadrature(rho: SpectralDensity, n_nodes: int = DEFAULT_N_NODES,
     if rule is None:
         raise ValidationError(f"unknown density {type(rho).__name__}")
     nodes, weights = rule(rho, n_nodes, tol)
-    consts = spectral_constants(rho, min(tol, 1e-10))
+    consts = spectral_constants(rho, min(tol, DEFAULT_TOL))
     keep = weights > np.finfo(float).eps * consts.l1
     quad = MassQuadrature(nodes[keep], weights[keep], rho.family)
     quad.moment_report.update(validate_moments(quad, consts),

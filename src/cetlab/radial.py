@@ -44,11 +44,9 @@ The march builds every view it reads once per window width
 (`_Workspace.set_width`), not per stage or step: the windows of the
 stage buffers and of both (Q, Q_dot) pairs, their flat stencil slices,
 their boundary columns as one strided view, and their guard columns.
-A free step (n_r = 256: 490 values) costs mostly its numpy calls, and
-it makes 44 of them, against 91 when each stage sliced its own views
-and formed stage velocities.  `evolve` ignores overflow and invalid
-operations for the whole run, not per step; the march itself leaves
-numpy's error state alone.
+A free step (n_r = 256: 490 values) costs mostly its numpy calls, 44 of
+them.  `evolve` ignores overflow and invalid operations for the whole
+run, not per step; the march itself leaves numpy's error state alone.
 
 The memory sum is one BLAS matvec, w @ X.  OpenBLAS (measured for every
 W up to 2048 at 21 to 90 rows, with one thread or two) sums every column
@@ -64,7 +62,7 @@ and L2(r^2 dr) norms of the memory term and its source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from time import perf_counter
 
 import numpy as np
@@ -215,8 +213,8 @@ class DiagnosticsRecord:
     mem_norm: float
     src_norm: float
 
-    FIELDS = ("t", "E_std", "E_ghost", "flux", "sup_u", "u_origin",
-              "mem_norm", "src_norm")
+
+DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass

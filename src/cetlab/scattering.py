@@ -13,7 +13,7 @@ mode's RK4 amplification factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class DecayFit:
     points: tuple = ()
 
     def as_dict(self) -> dict:
-        return {"exponent": self.exponent, "amplitude": self.amplitude,
-                "r_squared": self.r_squared, "window": list(self.window)}
+        d = asdict(self)
+        del d["points"]
+        return d
 
 
 def decay_fit(series, window) -> DecayFit:

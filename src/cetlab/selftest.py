@@ -71,8 +71,10 @@ _run_cache: dict = {}
 
 def _compute_sweep_run(epsilon: float):
     cfg, grid = default_run_config(epsilon)
-    return evolve(cfg, grid, cadence=10,
-                  snapshot_times=(25.0, 50.0, 100.0, 200.0))
+    # criterion 9's D(t, 2t) needs a snapshot at every base time and its
+    # double
+    return evolve(cfg, grid, cadence=10, snapshot_times=sorted(
+        {*DEFAULT_RESIDUAL_TIMES, *(2.0 * t for t in DEFAULT_RESIDUAL_TIMES)}))
 
 
 def _sweep_run(epsilon: float):
@@ -226,13 +228,12 @@ def criterion_7() -> CriterionResult:
         orders = [math.log2(errs[256] / errs[512]),
                   math.log2(errs[512] / errs[1024])]
 
-        grid1 = Grid(21.0, 1024)
-        out1 = evolve(cfg, grid1, cadence=10 ** 9, snapshot_times=(10.0,))
+        # the n_r = 1024 rung against the same spacing on a longer grid
         extra = 208  # about 4 extra length units at the same spacing
-        grid2 = Grid(grid1.dr * (1024 + extra), 1024 + extra)
+        grid2 = Grid(grid.dr * (1024 + extra), 1024 + extra)
         out2 = evolve(cfg, grid2, cadence=10 ** 9, snapshot_times=(10.0,))
         pad_diff = float(np.max(np.abs(
-            out1.snapshots[10.0]["V"] - out2.snapshots[10.0]["V"][:1025])))
+            out.snapshots[10.0]["V"] - out2.snapshots[10.0]["V"][:1025])))
         ok = all(1.7 <= o <= 2.3 for o in orders) and pad_diff <= 1e-10
         return ok, {"oracle_errors": errs, "orders": orders,
                     "padding_diff": pad_diff}
@@ -327,40 +328,37 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_9, criterion_10)
 
 
-def _sweep_pair(eps):
-    return eps, _compute_sweep_run(eps)
-
-
 def prewarm_sweep() -> None:
-    """Run the amplitude sweep up front, one process per run and CPU.
+    """Run the amplitude sweep up front, one process per run and CPU,
+    or in this process on one CPU or when the pool fails.
 
-    Results are collected in a fixed order, so the outcome is
+    `pool.map` keeps the order of the runs, so the outcome is
     byte-identical at any worker count.
     """
     todo = [eps for eps in EPS_SWEEP if eps not in _run_cache]
-    if not todo:
-        return
     cap = min(len(todo), os.cpu_count() or 1)
-    if cap <= 1:
-        for eps in todo:
-            _sweep_run(eps)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    try:
-        with ProcessPoolExecutor(max_workers=cap) as pool:
-            runs = list(pool.map(_sweep_pair, todo))
-    except (OSError, BrokenProcessPool):
-        runs = [_sweep_pair(eps) for eps in todo]
-    for eps, run in runs:
-        _run_cache[eps] = run
+    if cap > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=cap) as pool:
+                runs = list(pool.map(_compute_sweep_run, todo))
+            _run_cache.update(zip(todo, runs))
+            return
+        except (OSError, BrokenProcessPool):
+            pass        # the serial path below
+    _run_cache.update(zip(todo, map(_compute_sweep_run, todo)))
 
 
 def run_all(criteria=None, stream=None) -> list:
     """Run the criteria, printing each result line to `stream` (default
-    stdout) as it finishes."""
+    stdout) as it finishes.  The amplitude sweep behind criteria 8 and 9
+    is prewarmed first when either of them is selected."""
+    criteria = criteria or ALL_CRITERIA
+    if criterion_8 in criteria or criterion_9 in criteria:
+        prewarm_sweep()
     results = []
-    for fn in (criteria or ALL_CRITERIA):
+    for fn in criteria:
         res = fn()
         print(res.line(), flush=True, file=stream)
         results.append(res)

@@ -271,14 +271,6 @@ class SpectralConstants:
         v = getattr(self, name)
         return v is not None and math.isfinite(v)
 
-    def as_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            return "inf" if math.isinf(v) else v
-        return {k: enc(getattr(self, k))
-                for k in ("l1", "c_m1", "c_p1", "c_prime", "c_mhalf")}
-
 
 def adaptive_constants(rho: SpectralDensity,
                        tol: float = DEFAULT_TOL) -> SpectralConstants:
@@ -323,11 +315,6 @@ class ConditionReport:
     @property
     def all_hold(self) -> bool:
         return self.s1 and self.s2 and self.s3 and self.s4 and self.s5
-
-    def as_dict(self) -> dict:
-        return {"s1": self.s1, "s2": self.s2, "s3": self.s3, "s4": self.s4,
-                "s5": self.s5, "messages": list(self.messages),
-                "decay_path": self.decay_path}
 
 
 def check_conditions(rho: SpectralDensity,

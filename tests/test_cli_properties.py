@@ -8,22 +8,34 @@ generated run is heavy; the evolve, scatter and selftest commands are
 left out for the same reason.  A nonzero exit must not come with a
 numpy `RuntimeWarning`, which a real process would print on stderr
 (ahead of the JSON object on a nonzero exit), and no error message may
-run to hundreds of characters.
+run to hundreds of characters.  A message that starts with an error
+code and ": " must come with that code in the `error` field, and
+`test_message_codes_match_their_class` checks the same of every
+`raise` in the source.
 """
 
+import ast
 import contextlib
 import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cetlab
+from cetlab import errors
 from cetlab.cli import main
 from cetlab.config import parse_config_text
 from cetlab.errors import CetlabError
+
+# every error class of the library by name, and every code they carry
+ERROR_CLASSES = {name: cls for name, cls in vars(errors).items()
+                 if isinstance(cls, type) and issubclass(cls, CetlabError)}
+CODES = {cls.code for cls in ERROR_CLASSES.values()}
 
 TOKENS = ("1", "0.5", "2", "3", "1e-6", "1e200", "0", "-1", "nan", "inf",
           "-inf", "abc", "", "1,2", "2,,0.5", "1 1", "0.5 1; 2 3", "1;")
@@ -145,6 +157,9 @@ def test_cli_exit_codes_total(argv):
         error = json.loads(err.getvalue())
         assert isinstance(error["error"], str)
         assert len(error["message"]) < 200
+        prefix, sep, _ = error["message"].partition(": ")
+        if sep and prefix in CODES:
+            assert error["error"] == prefix
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -166,3 +181,35 @@ def test_config_errors_are_coded(text):
     numbers = [rc.quad_tol, *rc.solver.get("snapshot_times", ())]
     numbers += [v for v in rc.solver.values() if isinstance(v, (int, float))]
     assert all(math.isfinite(v) for v in numbers)
+
+
+def _leading_text(node):
+    """The literal text a message expression starts with, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr) and node.values:
+        return _leading_text(node.values[0])
+    return None
+
+
+def test_message_codes_match_their_class():
+    """A `raise Error("code: ...")` whose literal message starts with an
+    error code raises the class that carries that code, so the JSON
+    `error` field and the message agree."""
+    drift = []
+    for path in sorted(Path(cetlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            text = _leading_text(node.exc.args[0])
+            prefix = (text or "").partition(":")[0]
+            if prefix not in CODES:
+                continue
+            func = node.exc.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            cls = ERROR_CLASSES.get(name)
+            if cls is None or cls.code != prefix:
+                drift.append(f"{path.name}:{node.lineno}: {name} raises "
+                             f"'{prefix}'")
+    assert not drift

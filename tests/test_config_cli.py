@@ -197,6 +197,11 @@ class TestGrammarParity:
         assert str(key_err.value) == "<config>:3: " + message
 
 
+PL_111 = ("--family", "powerlaw", "--alpha", "1", "--beta", "1",
+          "--lambda", "1")
+TWO_ATOMS = ("--family", "diraccomb", "--atoms", "0.5 1.0; 0.25 4.0")
+
+
 class TestCli:
     def test_kernel_constants(self, capsys):
         rc = main(["kernel", "--family", "powerlaw", "--alpha", "1",
@@ -239,6 +244,43 @@ class TestCli:
         assert rc == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
             "03664a0aee07fb175af6cd8ed88c0f91a603300bfabd4e2dc1a8d8505083459d")
+
+    @pytest.mark.filterwarnings("ignore:beta = 0")
+    @pytest.mark.parametrize("argv, digest", [
+        (["kernel", *PL_111],
+         "e28ac3190f6d639961762f4199f59355426aa12f5f28e8b4f4030ce22c8d0be3"),
+        (["kernel", "--family", "powerlaw", "--alpha", "1", "--beta", "0",
+          "--lambda", "1"],
+         "f62579a96c9e976ff2a035312a5814d9431fb2bc17e3c6e44e7ac8a6349d7603"),
+        (["kernel", "--family", "breitwigner", "--alpha", "1", "--gamma",
+          "0.1", "--mu0", "1"],
+         "0b7a7376770cb6850816a4bbd32195af71a60c34b0cb6260d081e2da39607781"),
+        (["kernel", *TWO_ATOMS],
+         "5dd28b83bd5455a68e78a6421ec845cfae18a926c2bd28ca10a908a4ce982cbf"),
+        (["pheno", "--d-mpc", "400", "--omega-hz", "100", "--alpha", "1",
+          "--mstar", "1"],
+         "a1bb0e367e8dabf2c143fb40ba9c3c2e1a7e2c4c9d1a9acd4efa170b021535d4"),
+        (["avg-decay", *PL_111],
+         "144456d90a4f4d29d985932e71c9bb075c035765ee0d9238f00509252871940e"),
+        (["dispersion", *TWO_ATOMS],
+         "756c0ecacd9805967c11774ccc611d0b633ff80b1c2d257be62a7329876b0df0"),
+    ])
+    def test_stdout_bytes_pinned(self, capsys, argv, digest):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, flag, digest", [
+        (["dispersion", *TWO_ATOMS], "--out-csv",
+         "72d036ef4376c38db72f0c8436223088ee9ad12c7dd7fd416d5bdbe11d14b867"),
+        (["quad", *PL_111], "--out-json",
+         "f3a31db66aef35c4c1e0cc900e2197c5919c482ba588ef2544de44af095f7ca9"),
+    ])
+    def test_written_bytes_pinned(self, tmp_path, capsys, argv, flag,
+                                  digest):
+        path = tmp_path / "out"
+        assert main([*argv, flag, str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bad_atom_number_exit_2(self, capsys):
         rc = main(["dispersion", "--family", "diraccomb", "--atoms", "a b"])
@@ -510,9 +552,22 @@ class TestCli:
             guard = cfg.stiffness_guard(grid, 1.0 / 14)
             err = strict_loads(captured.err)
             assert err["error"] == "validation-error"
-            assert err["message"] == ("stiffness guard violated: "
+            assert err["message"] == (f"{cfgfile}: stiffness guard violated: "
                                       "dt*sqrt(mu_max + (pi/dr)^2) = "
                                       f"{guard!r} > 2.5")
+
+    def test_padding_violation_names_the_run_file(self, tmp_path, capsys):
+        # padded_r_max = r_c + 4 sigma + t_final + 2 = 31 > r_max = 21;
+        # evolve checks it after the parse, and the error names the file
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(ONE_ATOM_RUN.format(
+            out=tmp_path / "out", cfl="0.5", epsilon="0.01", b_bad="0",
+            r_max="21", t_final="20"))
+        assert main(["evolve", "--config", str(cfgfile)]) == 2
+        err = strict_loads(capsys.readouterr().err)
+        assert err["error"] == "padding-violated"
+        assert err["message"] == (f"{cfgfile}: padding-violated: "
+                                  "need r_max >= 31, got 21")
 
     @pytest.mark.parametrize("command", ["evolve", "scatter"])
     def test_blow_up_exit_3(self, tmp_path, capsys, command):
@@ -527,7 +582,8 @@ class TestCli:
         assert main([command, "--config", str(cfgfile)]) == 3
         captured = capsys.readouterr()
         err = strict_loads(captured.err)
-        assert err["message"].startswith("blow-up-detected")
+        assert err["error"] == "blow-up-detected"
+        assert err["message"].startswith("blow-up-detected: ")
         detail = err["detail"]
         assert detail["completed"] is False
         assert 0.0 < detail["blow_up_time"] < 12.0

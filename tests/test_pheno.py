@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -91,7 +92,7 @@ class TestSignatureReport:
         assert rep.phase_shift_natural > 0
         assert rep.phase_shift_si > rep.phase_shift_natural
         assert "unstated unit convention" in rep.quoted_coeff_note
-        d = rep.as_dict()
+        d = asdict(rep)
         assert set(d) == {"memory_excess_ratio", "phase_shift_natural",
                           "phase_shift_si", "tail_crossing",
                           "tail_amplitude_at", "quoted_coeff_note"}
