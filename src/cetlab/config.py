@@ -23,12 +23,13 @@ ValidationError carrying file and line.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ValidationError
 from .quadrature import DEFAULT_N_NODES, build_quadrature
-from .radial import Grid, ModelConfig, padded_r_max
+from .radial import Grid, ModelConfig, evolve, padded_r_max
 from .spectral import (DEFAULT_TOL, BreitWigner, DiracComb, PowerLawExp,
                        SpectralDensity)
 
@@ -67,7 +68,9 @@ class RunConfig:
             quad = build_quadrature(self.density, self.n_nodes, self.quad_tol)
         s = dict(self.solver)
         n_r = int(s.pop("n_r", 1024))
-        cadence = int(s.pop("cadence", 10))
+        # a run file without a cadence records at evolve's own default
+        cadence = int(s.pop("cadence", inspect.signature(
+            evolve).parameters["cadence"].default))
         snapshot_times = tuple(s.pop("snapshot_times", ()))
         r_max = s.pop("r_max", None)
         cfg = ModelConfig(quad=quad, **s)

@@ -62,6 +62,10 @@ class PaddingViolatedError(ValidationError):
     code = "padding-violated"
 
 
+class StiffnessGuardError(ValidationError):
+    code = "stiffness-guard-violated"
+
+
 class BlowUpError(NumericalError):
     code = "blow-up-detected"
 

@@ -42,11 +42,24 @@ therefore bitwise the full-width one.
 
 The march builds every view it reads once per window width
 (`_Workspace.set_width`), not per stage or step: the windows of the
-stage buffers and of both (Q, Q_dot) pairs, their flat stencil slices,
-their boundary columns as one strided view, and their guard columns.
-A free step (n_r = 256: 490 values) costs mostly its numpy calls, 44 of
-them.  `evolve` ignores overflow and invalid operations for the whole
-run, not per step; the march itself leaves numpy's error state alone.
+stage buffers and of both (Q, Q_dot) pairs, with their flat stencil
+slices, their rows, their boundary columns as one strided view and
+their guard columns; the windows of the row buffers; and, on a stack
+with modes, a C-contiguous (rows, W) window of the stencil's centre
+coefficients, which numpy multiplies without buffering a broadcast of
+their (rows, 1) column.  A non-free step computes its sources, memory
+term and stage velocities in those full-width row buffers, with `out=`
+ufuncs and the operands of the allocating formulas, each square formed
+once, so its bits are the formulas'.  Three desk-sized 21-mode steps
+(n_r = 2048) peak at 3.1 grid rows of temporaries, numpy's buffer for
+the N2 row broadcast over the mode rows, where the allocating sources
+peaked at 11.2.  A free step (n_r = 256: 490 values) costs mostly its
+numpy calls, 44 of them; a non-free step makes 257, against 305 with
+the allocating sources (counting ufunc calls, array operators,
+indexing, array methods and numpy scalar operations, and the march's
+two guard counts).  `evolve` ignores overflow and invalid operations
+for the whole run, not per step; the march itself leaves numpy's error
+state alone.
 
 The memory sum is one BLAS matvec, w @ X.  OpenBLAS (measured for every
 W up to 2048 at 21 to 90 rows, with one thread or two) sums every column
@@ -67,7 +80,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import BlowUpError, PaddingViolatedError, ValidationError
+from .errors import (BlowUpError, PaddingViolatedError, StiffnessGuardError,
+                     ValidationError)
 from .quadrature import MassQuadrature
 
 STIFFNESS_LIMIT = 2.5
@@ -172,8 +186,8 @@ class ModelConfig:
         guard = self.stiffness_guard(grid, dt)
         if guard > STIFFNESS_LIMIT:
             # shortest round-trip digits: never equal to the limit's
-            raise ValidationError(
-                f"stiffness guard violated: dt*sqrt(mu_max + (pi/dr)^2) = "
+            raise StiffnessGuardError(
+                f"stiffness-guard-violated: dt*sqrt(mu_max + (pi/dr)^2) = "
                 f"{guard} > {STIFFNESS_LIMIT}")
 
 
@@ -290,31 +304,49 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
 
 
 class _Views:
-    """The views of one C-contiguous (rows, W) stack that a free step
-    reads: the flat stencil slices, the boundary columns as one strided
-    view, and the guard columns' bits."""
+    """The views of one C-contiguous (rows, W) stack that a step reads:
+    the flat stencil slices, the V row, the P row and the mode rows, the
+    boundary columns as one strided view, and the guard columns' bits."""
 
-    __slots__ = ("inner", "right", "left", "edges", "guard")
+    __slots__ = ("inner", "right", "left", "V", "P", "X", "edges", "guard")
 
     def __init__(self, Y: np.ndarray):
         flat = Y.reshape(-1)
         self.inner, self.right, self.left = flat[1:-1], flat[2:], flat[:-2]
+        self.V, self.P, self.X = Y[0], Y[1], Y[2:]
         self.edges = Y[:, ::Y.shape[1] - 1]
         self.guard = Y[:, -GUARD:].view(np.uint64)
 
 
+class _Rows:
+    """The first `width` columns of the workspace's row buffers: u, u_t,
+    u_r, u_t^2, u_r^2, F, N2, M, a scratch row and the V row's stage
+    velocity."""
+
+    BUFFERS = ("u", "ud", "ur", "ud2", "ur2", "F", "N2", "M", "tmp", "v")
+    __slots__ = (*BUFFERS, "width")
+
+    def __init__(self, buffers: np.ndarray, width: int):
+        for name, row in zip(self.BUFFERS, buffers[:, :width]):
+            setattr(self, name, row)
+        self.width = width
+
+
 class _Workspace:
-    """Grid quantities, stage buffers and views for the RK4 march of one
-    stack.
+    """Grid quantities, buffers and views for the RK4 march of one stack.
 
     The stage buffers are flat, of the full stack's size (m+2)(n_r+1),
     and are reused by every step, so a step allocates nothing of that
     size.  A march in the column window [0, W) takes each (m+2, W) stage
     array from the first (m+2)W elements, and likewise each state from
-    one of the march's two flat (Q, Q_dot) pairs.  `set_width` builds
-    those windows and their `_Views` once per width;
-    `views` hands out the built ones, and builds the views of any other
-    array (a state in fresh arrays) on the spot.
+    one of the march's two flat (Q, Q_dot) pairs and, on a stack with
+    modes, the stencil's centre coefficients from a flat buffer of their
+    own.  The sources, the memory term and the V row's stage velocities
+    go into full-width row buffers (`_Rows`), so the step allocates no
+    grid row of its own either (module docstring).  `set_width` builds those windows, their `_Views`
+    and the rows' `_Rows` once per width; `views` and `row_buffers` hand
+    out the built ones, and build those of any other array or width (a
+    state in fresh arrays, the diagnostics' full width) on the spot.
     """
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
@@ -334,21 +366,26 @@ class _Workspace:
         self.free = self.rows == 2 and not np.array(
             [cfg.a_null, cfg.b_bad]).view(np.uint64).any()
         # dr^2 times the centre coefficient of Q_rr - mu Q, per row; the
-        # one number -2.0 on a stack without modes, where numpy would
-        # buffer the broadcast column over the whole stack
+        # one number -2.0 on a stack without modes.  With modes,
+        # `set_width` spreads the column over a C-contiguous window, as
+        # numpy would buffer the broadcast column over the whole stack
         self.centre = np.concatenate(
             ([-2.0, -2.0], -2.0 - mu * grid.dr ** 2))[:, None] \
             if len(mu) else -2.0
-        self._flat = [np.empty(self.rows * (grid.n_r + 1)) for _ in range(3)]
+        self.centre_window = self.centre
+        size = self.rows * (grid.n_r + 1)
+        self._centre_flat = np.empty(size) if len(mu) else None
+        self._flat = [np.empty(size) for _ in range(3)]
+        self._row_buffers = np.empty((len(_Rows.BUFFERS), grid.n_r + 1))
         self._pairs = ()
         self.set_width(grid.n_r + 1)
         self.column_steps = 0
 
     def set_width(self, width: int, pairs=None) -> None:
         """Build the windows at column width `width` of the stage
-        buffers (stage field S, stage accelerations B and a) and of the
-        flat (Q, Q_dot) pairs `pairs` (the last call's when None), and
-        their views."""
+        buffers (stage field S, stage accelerations B and a), of the
+        flat (Q, Q_dot) pairs `pairs` (the last call's when None) and of
+        the centre coefficients, their views and the row buffers'."""
         if pairs is not None:
             self._pairs = pairs
         self.S, self.B, self.a = (
@@ -356,16 +393,25 @@ class _Workspace:
         self.pair_windows = tuple(
             tuple(_window(flat, self.rows, width) for flat in pair)
             for pair in self._pairs)
+        if self._centre_flat is not None:
+            self.centre_window = _window(self._centre_flat, self.rows, width)
+            self.centre_window[...] = self.centre
         stacks = (self.S, self.B, self.a, *(Y for pair in self.pair_windows
                                              for Y in pair))
         # keyed by id: the workspace holds each of these stacks until the
         # next call replaces them and the dict together, so no other
         # array can carry the id of an entry
         self._views = {id(Y): _Views(Y) for Y in stacks}
+        self._rows = _Rows(self._row_buffers, width)
 
     def views(self, Y: np.ndarray) -> _Views:
         v = self._views.get(id(Y))
         return _Views(Y) if v is None else v
+
+    def row_buffers(self, width: int) -> _Rows:
+        rows = self._rows
+        return rows if rows.width == width else _Rows(self._row_buffers,
+                                                       width)
 
     def laplacian(self, y: np.ndarray) -> np.ndarray:
         """Centered second difference of one row, zero at both ends."""
@@ -373,40 +419,65 @@ class _Workspace:
         out[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * self.inv_dr2
         return out
 
-    def u_of(self, V: np.ndarray) -> np.ndarray:
-        u = V * self.inv_r[:len(V)]
+    def u_of(self, V: np.ndarray, out=None) -> np.ndarray:
+        """V/r into `out`, a fresh array when None."""
+        u = np.multiply(V, self.inv_r[:len(V)], out=out)
         u[0] = V[1] / self.dr          # L'Hopital at the origin
         return u
 
-    def du_dr(self, V: np.ndarray, u: np.ndarray) -> np.ndarray:
-        Vr = np.zeros_like(V)
-        Vr[1:-1] = (V[2:] - V[:-2]) / (2.0 * self.dr)
+    def du_dr(self, V: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+        """d(V/r)/dr from V and u = V/r into `out`, a fresh array when
+        None."""
+        Vr = np.empty_like(V) if out is None else out
+        inner = np.subtract(V[2:], V[:-2], out=Vr[1:-1])
+        np.divide(inner, 2.0 * self.dr, out=inner)
         Vr[0] = V[1] / self.dr          # odd reflection
         Vr[-1] = (V[-1] - V[-2]) / self.dr
-        ur = (Vr - u) * self.inv_r[:len(V)]
+        ur = np.subtract(Vr, u, out=Vr)
+        np.multiply(ur, self.inv_r[:len(V)], out=ur)
         ur[0] = 0.0                     # regularity: u is even in r
         return ur
 
     def memory_term(self, X: np.ndarray) -> np.ndarray:
+        """M = (w @ X)/r in the row buffer M, which holds only until the
+        next call."""
         width = X.shape[-1]
+        M = self.row_buffers(width).M
         if self.w.size == 0:
-            return np.zeros(width)
+            M.fill(0.0)
+            return M
         # BLAS orders this sum alike at any width (module docstring)
-        S = self.w @ X
-        M = S * self.inv_r[:width]
-        M[0] = S[1] / self.dr           # L'Hopital at the origin
+        S = np.matmul(self.w, X, out=M)
+        origin = S[1] / self.dr         # L'Hopital at the origin
+        np.multiply(S, self.inv_r[:width], out=M)
+        M[0] = origin
         return M
 
     def sources(self, V, V_dot, t: float = 0.0):
-        cfg = self.cfg
-        u = self.u_of(V)
-        ud = self.u_of(V_dot)
-        ur = self.du_dr(V, u)
-        F = cfg.a_null * (ud ** 2 - ur ** 2) + cfg.b_bad * ud ** 2
+        """(u, u_t, u_r, F, N2) of the V row and its velocity `V_dot`.
+
+        F = a_null (u_t^2 - u_r^2) + b_bad u_t^2 and, unless `n2_override`
+        prescribes it, N2 = c_grad (u_t^2 + u_r^2) + d_quad u^2, each
+        product and sum with the operands of that formula and each
+        square formed once.  The rows are the workspace's row buffers
+        (a prescribed N2 excepted): they hold only until the next call.
+        """
+        cfg, b = self.cfg, self.row_buffers(len(V))
+        u = self.u_of(V, out=b.u)
+        ud = self.u_of(V_dot, out=b.ud)
+        ur = self.du_dr(V, u, out=b.ur)
+        ud2 = np.multiply(ud, ud, out=b.ud2)
+        ur2 = np.multiply(ur, ur, out=b.ur2)
+        F = np.subtract(ud2, ur2, out=b.F)
+        np.multiply(cfg.a_null, F, out=F)
+        F += np.multiply(cfg.b_bad, ud2, out=b.tmp)
         if cfg.n2_override is not None:
             N2 = cfg.n2_override(t, self.r[:len(V)])
         else:
-            N2 = cfg.c_grad * (ud ** 2 + ur ** 2) + cfg.d_quad * u ** 2
+            N2 = np.add(ud2, ur2, out=b.N2)
+            np.multiply(cfg.c_grad, N2, out=N2)
+            u2 = np.multiply(u, u, out=b.tmp)
+            N2 += np.multiply(cfg.d_quad, u2, out=u2)
         return u, ud, ur, F, N2
 
     def accel(self, t: float, Q: np.ndarray, v: np.ndarray,
@@ -419,10 +490,10 @@ class _Workspace:
         stack; only the boundary columns straddle two rows, and those
         are pinned afterwards.  A +0.0 column stays +0.0: the centre
         product is -0.0 there, and adding the +0.0 neighbours makes it
-        +0.0 again.
+        +0.0 again.  The source terms go through the scratch row.
         """
         q, o = self.views(Q), self.views(out)
-        np.multiply(self.centre, Q, out=out)
+        np.multiply(self.centre_window, Q, out=out)
         inner = o.inner
         inner += q.right
         inner += q.left
@@ -431,12 +502,13 @@ class _Workspace:
             # becomes +0.0
             out += 0.0
         else:
-            _, _, _, F, N2 = self.sources(Q[0], v, t)
-            M = self.memory_term(Q[2:])
+            _, _, _, F, N2 = self.sources(q.V, v, t)
+            M = self.memory_term(q.X)
             rs = self.rs[:Q.shape[-1]]
-            out[0] += rs * (F + M)
-            out[1] += rs * M
-            out[2:] += rs * N2
+            tmp = self.row_buffers(Q.shape[-1]).tmp
+            o.V += np.multiply(rs, np.add(F, M, out=tmp), out=tmp)
+            o.P += np.multiply(rs, M, out=tmp)
+            o.X += np.multiply(rs, N2, out=tmp)
         o.edges.fill(0.0)
         return out
 
@@ -486,8 +558,8 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
     `_Workspace.accel` (a_i = dr^2 Q_tt at stage i), the stage fields
     are Q + h Qd, Q + h Qd + h^2 s a1 and Q + dt Qd + dt h s a2, and
     only the V row's stage velocities Qd + h s a1, Qd + h s a2 and
-    Qd + dt s a3 are formed, and none on a free stack, which reads no
-    velocity.  Then
+    Qd + dt s a3 are formed, in one row buffer, and none on a free
+    stack, which reads no velocity.  Then
 
         Q_new  = Q + dt Qd + (dt^2 s/6) (a1 + a2 + a3)
         Qd_new = Qd + (dt s/6) (a1 + 2 a2 + 2 a3 + a4),
@@ -503,21 +575,23 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
     h, s = 0.5 * dt, ws.inv_dr2
     v = v2 = v3 = v4 = Qd[0]
     free = ws.free
+    if not free:
+        w = ws.row_buffers(Q.shape[1]).v       # each stage velocity
     ws.accel(t, Q, v, a)                        # a = a1
     np.multiply(Qd, h, out=S)
     S += Q                                      # S = Q + h Qd
     if not free:
-        v2 = v + h * s * a[0]
+        v2 = np.add(v, np.multiply(h * s, a[0], out=w), out=w)
     ws.accel(t + h, S, v2, B)                   # B = a2
     S += np.multiply(a, h * h * s, out=K)       # S = stage-3 field
     np.multiply(B, 2.0, out=A)
     A += a                                      # A = a1 + 2 a2
     np.add(a, B, out=K)                         # K = a1 + a2
     if not free:
-        v3 = v + h * s * B[0]
+        v3 = np.add(v, np.multiply(h * s, B[0], out=w), out=w)
     ws.accel(t + h, S, v3, a)                   # a = a3
-    if not free:
-        v4 = v + dt * s * a[0]                  # before a is doubled
+    if not free:                                # before a is doubled
+        v4 = np.add(v, np.multiply(dt * s, a[0], out=w), out=w)
     np.multiply(Qd, dt, out=S)
     S += Q                                      # S = Q + dt Qd
     B *= dt * h * s

@@ -73,7 +73,7 @@ def _compute_sweep_run(epsilon: float):
     cfg, grid = default_run_config(epsilon)
     # criterion 9's D(t, 2t) needs a snapshot at every base time and its
     # double
-    return evolve(cfg, grid, cadence=10, snapshot_times=sorted(
+    return evolve(cfg, grid, snapshot_times=sorted(
         {*DEFAULT_RESIDUAL_TIMES, *(2.0 * t for t in DEFAULT_RESIDUAL_TIMES)}))
 
 

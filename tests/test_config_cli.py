@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cetlab import PowerLawExp, ValidationError, config
+from cetlab import PowerLawExp, ValidationError, config, evolve
 from cetlab.cli import _density_from_args, _dumps, build_parser, main, \
     write_json
 from cetlab.config import FAMILIES, parse_config_text
@@ -85,6 +85,14 @@ class TestConfigParser:
         assert cfg.epsilon == 0.01
         # r_max auto-padded: support + t_final + 2
         assert grid.r_max == pytest.approx(15.0)
+
+    def test_cadence_defaults_to_evolve_own(self, monkeypatch):
+        # the run file's default is read from evolve's signature, not kept
+        # as a second literal
+        rc = parse_config_text("[solver]\nepsilon = 0.01\n")
+        assert rc.model[2] == 10
+        monkeypatch.setattr(evolve, "__defaults__", (7, ()))
+        assert parse_config_text("[solver]\nepsilon = 0.01\n").model[2] == 7
 
     def test_unknown_key_reports_line(self):
         bad = "[solver]\nepsilon = 0.01\nwavelets = 3\n"
@@ -551,8 +559,8 @@ class TestCli:
             cfg, grid, _, _ = config.parse_config(str(cfgfile)).model
             guard = cfg.stiffness_guard(grid, 1.0 / 14)
             err = strict_loads(captured.err)
-            assert err["error"] == "validation-error"
-            assert err["message"] == (f"{cfgfile}: stiffness guard violated: "
+            assert err["error"] == "stiffness-guard-violated"
+            assert err["message"] == (f"{cfgfile}: stiffness-guard-violated: "
                                       "dt*sqrt(mu_max + (pi/dr)^2) = "
                                       f"{guard!r} > 2.5")
 

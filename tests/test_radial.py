@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -49,6 +51,50 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# The sources and the memory term as allocating formulas, each on fresh
+# arrays: the oracle that the workspace's row buffers must match bit for
+# bit (TestInPlaceSources, and through `all_terms_accel` and
+# `reference_accel` every march test).
+
+def reference_u_of(ws, V):
+    u = V * ws.inv_r[:len(V)]
+    u[0] = V[1] / ws.dr
+    return u
+
+
+def reference_du_dr(ws, V, u):
+    Vr = np.zeros_like(V)
+    Vr[1:-1] = (V[2:] - V[:-2]) / (2.0 * ws.dr)
+    Vr[0] = V[1] / ws.dr
+    Vr[-1] = (V[-1] - V[-2]) / ws.dr
+    ur = (Vr - u) * ws.inv_r[:len(V)]
+    ur[0] = 0.0
+    return ur
+
+
+def reference_sources(ws, V, V_dot, t=0.0):
+    cfg = ws.cfg
+    u = reference_u_of(ws, V)
+    ud = reference_u_of(ws, V_dot)
+    ur = reference_du_dr(ws, V, u)
+    F = cfg.a_null * (ud ** 2 - ur ** 2) + cfg.b_bad * ud ** 2
+    if cfg.n2_override is not None:
+        N2 = cfg.n2_override(t, ws.r[:len(V)])
+    else:
+        N2 = cfg.c_grad * (ud ** 2 + ur ** 2) + cfg.d_quad * u ** 2
+    return u, ud, ur, F, N2
+
+
+def reference_memory_term(ws, X):
+    width = X.shape[-1]
+    if ws.w.size == 0:
+        return np.zeros(width)
+    S = ws.w @ X
+    M = S * ws.inv_r[:width]
+    M[0] = S[1] / ws.dr
+    return M
+
+
 # The written-out RK4 step on the first-order pair (Q, Q_dot), with an
 # allocating stencil, memory sum and acceleration: the arithmetic that
 # the Nystrom step replaced, kept as the oracle it must match to a stated
@@ -59,15 +105,6 @@ def reference_laplacian(ws, Y):
     out[..., 1:-1] = (Y[..., 2:] - 2.0 * Y[..., 1:-1] + Y[..., :-2]) \
         * ws.inv_dr2
     return out
-
-
-def reference_memory_term(ws, X):
-    if ws.w.size == 0:
-        return np.zeros_like(ws.r)
-    S = ws.w @ X
-    M = S * ws.inv_r
-    M[0] = S[1] / ws.dr
-    return M
 
 
 # The arithmetic before the memory sum became a BLAS matvec and the
@@ -95,11 +132,14 @@ OLD_ARITHMETIC = (old_laplacian, old_memory_term)
 
 
 def all_terms_accel(ws, t, Q, v, out):
-    """`_Workspace.accel` as it was before it skipped the source terms a
-    stack never reads: F, M and N2 evaluated and added on every stack.
-    The skipping march must match it bit for bit (TestSourceSkip)."""
-    _, _, _, F, N2 = ws.sources(Q[0], v, t)
-    M = ws.memory_term(Q[2:])
+    """`_Workspace.accel` before it skipped the source terms a stack
+    never reads and before its sources moved into row buffers: F, M and
+    N2 from the allocating oracle, added on every stack, and the centre
+    coefficients broadcast from their column.  The skipping, buffered
+    march must match it bit for bit (TestSourceSkip,
+    TestInPlaceSources)."""
+    _, _, _, F, N2 = reference_sources(ws, Q[0], v, t)
+    M = reference_memory_term(ws, Q[2:])
     rs = ws.rs[:Q.shape[-1]]
     np.multiply(ws.centre, Q, out=out)
     y, inner = Q.reshape(-1), out.reshape(-1)[1:-1]
@@ -114,7 +154,7 @@ def all_terms_accel(ws, t, Q, v, out):
 
 def reference_accel(ws, t, Q, Q_dot, laplacian=reference_laplacian,
                     memory_term=reference_memory_term):
-    _, _, _, F, N2 = ws.sources(Q[0], Q_dot[0], t)
+    _, _, _, F, N2 = reference_sources(ws, Q[0], Q_dot[0], t)
     M = memory_term(ws, Q[2:])
     acc = laplacian(ws, Q)
     quad = ws.cfg.quad
@@ -365,8 +405,8 @@ class TestLaplacian:
             for i, row in enumerate(Y):
                 want[i, 1:-1] = ws.centre[i, 0] * row[1:-1] + row[2:] \
                     + row[:-2]
-            _, _, _, F, N2 = ws.sources(Y[0], v, 0.5)
-            M = ws.memory_term(Y[2:])
+            _, _, _, F, N2 = reference_sources(ws, Y[0], v, 0.5)
+            M = reference_memory_term(ws, Y[2:])
             want[0] += ws.rs * (F + M)
             want[1] += ws.rs * M
             want[2:] += ws.rs * N2
@@ -380,6 +420,97 @@ class TestLaplacian:
             ([-2.0, -2.0], -2.0 - quad.nodes * grid.dr ** 2)))
         # the diagnostics' stencil of one row
         assert same_bits(ws.laplacian(Y[0]), reference_laplacian(ws, Y[0]))
+
+
+def source_input(kind):
+    """(ws, Q, v) for TestInPlaceSources: a 21-mode stack and a V-row
+    velocity, rough inside r < 12 and +0.0 beyond it.  "negative" has
+    negative couplings, so F and N2 are -0.0 there; "nonfinite" has
+    TestLaplacian's inf and nan entries on rows P and X_1."""
+    quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+    couplings = {"negative": dict(a_null=-1.0, b_bad=-0.5, c_grad=-1.0,
+                                  d_quad=-0.25),
+                 "b_bad": dict(b_bad=0.5)}.get(kind, {})
+    cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0, **couplings)
+    grid = Grid(padded_r_max(cfg), 256)
+    if kind == "n2_override":
+        cfg = dataclasses.replace(cfg, n2_override=separable_override(grid))
+    ws = _Workspace(cfg, grid)
+    rng = np.random.default_rng(11)
+    inside = grid.r < 12.0
+    Q = np.zeros((ws.rows, grid.n_r + 1))
+    v = np.zeros(grid.n_r + 1)
+    Q[:, inside] = 1e-3 * rng.standard_normal((ws.rows, inside.sum()))
+    v[inside] = 1e-3 * rng.standard_normal(inside.sum())
+    Q[:, 0] = v[0] = 0.0
+    if kind == "nonfinite":
+        Q[1, -1], Q[3, 0], Q[1, 5] = np.inf, np.nan, -np.inf
+    return ws, Q, v
+
+
+SOURCE_KINDS = ["modes32", "negative", "b_bad", "n2_override", "nonfinite"]
+
+
+class TestInPlaceSources:
+    """`sources`, `memory_term` and `accel` write into the workspace's row
+    buffers and stencil windows; the allocating oracle
+    (`reference_sources`, `reference_memory_term`, `all_terms_accel`)
+    must agree with them bit for bit, on the full grid and in a window."""
+
+    @staticmethod
+    def assert_same(got, want, kind):
+        if kind == "nonfinite":
+            assert np.array_equal(got, want, equal_nan=True)
+            finite = np.isfinite(want)
+            assert same_bits(got[finite], want[finite])
+        else:
+            assert same_bits(got, want)
+
+    @staticmethod
+    def cut(ws, Q, v, width):
+        if width == "window":
+            width = 160
+            ws.set_width(width)
+            return np.ascontiguousarray(Q[:, :width]), v[:width].copy()
+        return Q, v
+
+    @pytest.mark.parametrize("width", ["full", "window"])
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    @np.errstate(invalid="ignore")
+    def test_accel_matches_oracle(self, kind, width):
+        ws, Q, v = source_input(kind)
+        Q, v = self.cut(ws, Q, v, width)
+        got, want = np.empty_like(Q), np.empty_like(Q)
+        ws.accel(0.5, Q, v, got)
+        all_terms_accel(ws, 0.5, Q, v, want)
+        self.assert_same(got, want, kind)
+        assert not ws.free and (got[2:] != 0.0).any(axis=1).all()
+
+    @pytest.mark.parametrize("width", ["full", "window"])
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    @np.errstate(invalid="ignore")
+    def test_sources_match_oracle(self, kind, width):
+        ws, Q, v = source_input(kind)
+        Q, v = self.cut(ws, Q, v, width)
+        want = reference_sources(ws, Q[0], v, 0.5)
+        got = ws.sources(Q[0], v, 0.5)
+        for name, g, w in zip(("u", "ud", "ur", "F", "N2"), got, want):
+            assert same_bits(g, w), name
+        self.assert_same(ws.memory_term(Q[2:]),
+                         reference_memory_term(ws, Q[2:]), kind)
+        if kind == "negative":
+            # the signed zeros past the data and its differences
+            for row in got[3:]:
+                tail = row[ws.r[:len(row)] > 13.0]
+                assert (tail == 0.0).all() and np.signbit(tail).all()
+
+    def test_rows_hold_until_the_next_call(self):
+        ws, Q, v = source_input("modes32")
+        first = [row.copy() for row in ws.sources(Q[0], v)]
+        again = ws.sources(Q[0], 2.0 * v)
+        assert not same_bits(again[1], first[1])
+        assert all(np.shares_memory(a, b) for a, b in zip(
+            again[:4], ws.sources(Q[0], v)[:4]))
 
 
 class TestBufferedStep:
@@ -443,6 +574,11 @@ class TestBufferedStep:
             finally:
                 tracemalloc.stop()
             assert peak < st.Q.nbytes, kind
+            if kind == "modes32":
+                # the sources, the memory term and the stage velocities
+                # go into row buffers; what is left is numpy's buffer for
+                # the N2 row broadcast over the mode rows
+                assert peak < 4 * st.Q[0].nbytes
 
     def test_run_arrays_share_no_memory(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
@@ -561,6 +697,31 @@ class TestColumnWindow:
         assert out.column_steps == evolve(cfg, grid, cadence=5).column_steps
         assert evolve(free_cfg(t_final=0.0), Grid(21.0, 128)).column_steps \
             == 0
+
+
+def run_digest(out) -> str:
+    """SHA-256 over the names and bytes of every array of a RunOutput."""
+    digest = hashlib.sha256()
+    for name, value in sorted(run_arrays(out).items()):
+        digest.update(name.encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("time-symmetric",
+     "0d2d521dfe92c3e68e48186f58359a557da413d38fec66274476ad8acee18972"),
+    ("negative",
+     "60d0d2caa7e6c110dc0b600b3a91a88cfb0b91e5ed5d8e1e1dc85d809bae1e72"),
+])
+def test_run_arrays_pinned(kind, digest):
+    # pinned before the sources moved into row buffers (numpy 2.4 with
+    # its bundled OpenBLAS, x86-64): a change to the march's arithmetic
+    # shows here
+    cfg, grid = window_input(kind)
+    out = evolve(cfg, grid, cadence=5, snapshot_times=(
+        0.0, cfg.t_final / 4, cfg.t_final / 2, cfg.t_final))
+    assert run_digest(out) == digest
 
 
 def growing_input(kind):
