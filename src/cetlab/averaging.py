@@ -33,22 +33,23 @@ _PANEL_ORDER = 8
 _MAX_PANELS = 4_000_000
 
 
-def _tail_cut(rho: SpectralDensity, xi: float, tol: float) -> float:
-    """Frequency w beyond which the remaining symbol mass is below tol:
-    the tail of int rho/sqrt(xi^2+mu) dmu is at most the mass above
-    mu_cut over sqrt(mu_cut)."""
+def _tail_cut(rho: SpectralDensity, tol: float) -> float:
+    """Mass mu_cut beyond which the remaining symbol mass is below tol
+    at every t and xi: the tail of int rho/sqrt(xi^2+mu) dmu is at most
+    the mass above mu_cut over sqrt(mu_cut)."""
     mu_cut = rho.tail_start
     for _ in range(200):
         if rho.mass_above(mu_cut) / math.sqrt(mu_cut) < tol:
             break
         mu_cut *= 1.5
-    return math.sqrt(xi ** 2 + mu_cut)
+    return mu_cut
 
 
 def _half_symbol(rho: SpectralDensity, t: float, xi: float,
-                 tol: float) -> float:
-    """Oscillation-resolved value of int_xi^inf rho(w^2-xi^2) sin(tw) dw."""
-    w_hi = _tail_cut(rho, xi, tol)
+                 mu_cut: float) -> float:
+    """Oscillation-resolved value of int_xi^inf rho(w^2-xi^2) sin(tw) dw,
+    cut at the frequency of the mass `mu_cut` (`_tail_cut`)."""
+    w_hi = math.sqrt(xi ** 2 + mu_cut)
     width = min((2.0 * math.pi / t) / _PANELS_PER_PERIOD,
                 max((w_hi - xi) / 64.0, 1e-12))
     n_panels = int(math.ceil((w_hi - xi) / width))
@@ -74,7 +75,7 @@ def averaged_symbol(rho: SpectralDensity, t: float, xi: float,
     if not rho.continuous:
         om = np.sqrt(xi ** 2 + rho.masses)
         return float(np.sum(rho.weights * np.sin(t * om) / om))
-    return 2.0 * _half_symbol(rho, t, xi, tol)
+    return 2.0 * _half_symbol(rho, t, xi, _tail_cut(rho, tol))
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,10 @@ def decay_bound_check(rho: SpectralDensity,
     bound = rho.density_at_zero() + consts.c_prime
     symbol = np.empty((t_grid.size, xi_grid.size))
     worst = 0.0
+    mu_cut = _tail_cut(rho, _SYMBOL_TOL)     # the same at every (t, xi)
     for i, t in enumerate(t_grid):
         for j, xi in enumerate(xi_grid):
-            half = _half_symbol(rho, float(t), float(xi), _SYMBOL_TOL)
+            half = _half_symbol(rho, float(t), float(xi), mu_cut)
             symbol[i, j] = 2.0 * half
             worst = max(worst, t * abs(half) / bound)
     sup_t = np.max(np.abs(symbol), axis=1)

@@ -298,7 +298,7 @@ def _march_run(path, base_times=None):
     if out.blow_up_time is not None:
         summary["blow_up_time"] = out.blow_up_time
         summary["blow_up_radius"] = out.blow_up_radius
-    value_steps = out.column_steps * (n_modes + 2)
+    value_steps = out.column_steps * out.rows
     timings = {"init_s": init_s, "march_s": out.march_s,
                "diagnose_s": out.diagnose_s, "rhs_evals": 4 * out.n_steps,
                "ns_per_value_step": 1e9 * out.march_s / value_steps

@@ -22,14 +22,23 @@ This is the classical RK4 step; against the written-out form on the
 pair (Q, Q_dot) the values differ by rounding, about 1e-16 of each
 row's sup on Q and 1e-14 on Q_dot per step.
 
+A stack without memory modes marches the V row alone.  There M is
++0.0, so P_tt = P_rr + r*M keeps P at +0.0, bit for bit, at every
+stage, and V never reads P (the only columns the flat stencil shares
+between rows are pinned after it); the march would only carry that
+row along.  So the stack is Q = (V,) without modes and
+Q = (V, P, X_0 .. X_{m-1}) with m of them (`stack_rows`), and
+`FieldState.P` of a one-row stack is a +0.0 row.  A non-free mode-less
+stack still adds r*(F + M), M = +0.0, to V.
+
 A free stack (no mode rows, a_null and b_bad both +0.0) marches the
-bare stencil and evaluates no source: there F, M and N2 are zero or
-land on no row.  Adding those zeros would turn a -0.0 on rows V and P
-into +0.0, and the window reads bits, so a free stack adds 0.0 to both
-rows and stays bitwise the sum of every term.  Every other stack
-evaluates and adds every term.  A free run whose u^2 overflows thus
-completes unless V itself overflows (the source sum would meet
-0 * inf = nan in F), and its records hold the overflowed energies.
+bare stencil and evaluates no source: there F and M are zero and N2
+lands on no row.  Adding those zeros would turn a -0.0 on row V into
++0.0, and the window reads bits, so a free stack adds 0.0 to its row
+and stays bitwise the sum of every term.  Every other stack evaluates
+and adds every term.  A free run whose u^2 overflows thus completes
+unless V itself overflows (the source sum would meet 0 * inf = nan in
+F), and its records hold the overflowed energies.
 
 The march runs in a column window [0, W) that grows behind the front.
 Compactly supported data stay compactly supported: ahead of the front
@@ -53,7 +62,7 @@ ufuncs and the operands of the allocating formulas, each square formed
 once, so its bits are the formulas'.  Three desk-sized 21-mode steps
 (n_r = 2048) peak at 3.1 grid rows of temporaries, numpy's buffer for
 the N2 row broadcast over the mode rows, where the allocating sources
-peaked at 11.2.  A free step (n_r = 256: 490 values) costs mostly its
+peaked at 11.2.  A free step (n_r = 256: 245 values) costs mostly its
 numpy calls, 44 of them; a non-free step makes 257, against 305 with
 the allocating sources (counting ufunc calls, array operators,
 indexing, array methods and numpy scalar operations, and the march's
@@ -196,13 +205,23 @@ def padded_r_max(cfg: ModelConfig) -> float:
     return cfg.support_radius + cfg.t_final + 2.0
 
 
+def stack_rows(cfg: ModelConfig) -> int:
+    """Rows of the marched stack: 1 (V) without memory modes, m + 2
+    (V, P, X_0 .. X_{m-1}) with m (module docstring)."""
+    m = 0 if cfg.quad is None else len(cfg.quad)
+    return m + 2 if m else 1
+
+
 @dataclass
 class FieldState:
-    """Field rows Q = (V, P, X_0 .. X_{m-1}), shape (m+2, n_r+1), and Q_dot.
+    """Field rows Q = (V, P, X_0 .. X_{m-1}), shape (m+2, n_r+1), and
+    Q_dot; without memory modes Q = (V,), shape (1, n_r+1).
 
     Every row obeys Q_tt = Q_rr - mu Q + source, with mu = 0 on V and P
     and mu = mu_j on X_j.  V, V_dot, P, P_dot, X and X_dot are read-only
-    properties that return views of the rows.
+    properties that return views of the rows; on a one-row stack P and
+    P_dot are fresh +0.0 rows, the values that row would hold, and X and
+    X_dot have no rows.
     """
     t: float
     Q: np.ndarray
@@ -210,10 +229,15 @@ class FieldState:
 
     V = property(lambda self: self.Q[0])
     V_dot = property(lambda self: self.Q_dot[0])
-    P = property(lambda self: self.Q[1])
-    P_dot = property(lambda self: self.Q_dot[1])
+    P = property(lambda self: _profile_row(self.Q))
+    P_dot = property(lambda self: _profile_row(self.Q_dot))
     X = property(lambda self: self.Q[2:])
     X_dot = property(lambda self: self.Q_dot[2:])
+
+
+def _profile_row(Y: np.ndarray) -> np.ndarray:
+    """Row P of the stack `Y`, or +0.0 of its width on a one-row stack."""
+    return Y[1] if len(Y) > 1 else np.zeros(Y.shape[1])
 
 
 @dataclass(frozen=True)
@@ -251,6 +275,9 @@ class RunOutput:
     # the march's window width summed over those steps; n_steps*(n_r+1)
     # when every step runs on the full grid
     column_steps: int = 0
+    # rows of the marched stack (`stack_rows`): column_steps*rows values
+    # were marched
+    rows: int = 0
     # wall-clock seconds in the march (steps, window growth, finite
     # checks) and in the records and snapshots
     march_s: float = 0.0
@@ -295,8 +322,7 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
         # the expression is -0.0 outside the support; + 0.0 makes that
         # +0.0, as the march's window needs, and leaves the rest alone
         V_dot += 0.0
-    n_modes = 0 if cfg.quad is None else len(cfg.quad)
-    Q = np.zeros((n_modes + 2, grid.n_r + 1))
+    Q = np.zeros((stack_rows(cfg), grid.n_r + 1))
     Q_dot = np.zeros_like(Q)
     Q[0], Q_dot[0] = V, V_dot
     _pin_boundaries(Q, Q_dot)
@@ -305,15 +331,16 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
 
 class _Views:
     """The views of one C-contiguous (rows, W) stack that a step reads:
-    the flat stencil slices, the V row, the P row and the mode rows, the
-    boundary columns as one strided view, and the guard columns' bits."""
+    the flat stencil slices, the V row, the P row and the mode rows (None
+    and no rows on a one-row stack), the boundary columns as one strided
+    view, and the guard columns' bits."""
 
     __slots__ = ("inner", "right", "left", "V", "P", "X", "edges", "guard")
 
     def __init__(self, Y: np.ndarray):
         flat = Y.reshape(-1)
         self.inner, self.right, self.left = flat[1:-1], flat[2:], flat[:-2]
-        self.V, self.P, self.X = Y[0], Y[1], Y[2:]
+        self.V, self.P, self.X = Y[0], Y[1] if len(Y) > 1 else None, Y[2:]
         self.edges = Y[:, ::Y.shape[1] - 1]
         self.guard = Y[:, -GUARD:].view(np.uint64)
 
@@ -335,18 +362,21 @@ class _Rows:
 class _Workspace:
     """Grid quantities, buffers and views for the RK4 march of one stack.
 
-    The stage buffers are flat, of the full stack's size (m+2)(n_r+1),
-    and are reused by every step, so a step allocates nothing of that
-    size.  A march in the column window [0, W) takes each (m+2, W) stage
-    array from the first (m+2)W elements, and likewise each state from
-    one of the march's two flat (Q, Q_dot) pairs and, on a stack with
-    modes, the stencil's centre coefficients from a flat buffer of their
-    own.  The sources, the memory term and the V row's stage velocities
-    go into full-width row buffers (`_Rows`), so the step allocates no
-    grid row of its own either (module docstring).  `set_width` builds those windows, their `_Views`
-    and the rows' `_Rows` once per width; `views` and `row_buffers` hand
-    out the built ones, and build those of any other array or width (a
-    state in fresh arrays, the diagnostics' full width) on the spot.
+    The stack has `rows` rows (`stack_rows`: m + 2 with m memory modes,
+    1 without).  The stage buffers are flat, of the full stack's size
+    rows*(n_r+1), and are reused by every step, so a step allocates
+    nothing of that size.  A march in the column window [0, W) takes
+    each (rows, W) stage array from the first rows*W elements, and
+    likewise each state from one of the march's two flat (Q, Q_dot)
+    pairs and, on a stack with modes, the stencil's centre coefficients
+    from a flat buffer of their own.  The sources, the memory term and
+    the V row's stage velocities go into full-width row buffers
+    (`_Rows`), so the step allocates no grid row of its own either
+    (module docstring).  `set_width` builds those windows, their
+    `_Views` and the rows' `_Rows` once per width; `views` and
+    `row_buffers` hand out the built ones, and build those of any other
+    array or width (a state in fresh arrays, the diagnostics' full
+    width) on the spot.
     """
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
@@ -360,10 +390,10 @@ class _Workspace:
         quad = cfg.quad
         self.w = np.zeros(0) if quad is None else quad.weights
         mu = np.zeros(0) if quad is None else quad.nodes
-        self.rows = len(self.w) + 2
-        # no source reaches any row: march the bare stencil (module
+        self.rows = stack_rows(cfg)
+        # no source reaches the one row: march the bare stencil (module
         # docstring); the bits decide, so a -0.0 coupling is not free
-        self.free = self.rows == 2 and not np.array(
+        self.free = self.rows == 1 and not np.array(
             [cfg.a_null, cfg.b_bad]).view(np.uint64).any()
         # dr^2 times the centre coefficient of Q_rr - mu Q, per row; the
         # one number -2.0 on a stack without modes.  With modes,
@@ -498,8 +528,8 @@ class _Workspace:
         inner += q.right
         inner += q.left
         if self.free:
-            # as adding the zero sources to rows V and P would: -0.0
-            # becomes +0.0
+            # as adding the zero sources to row V would: -0.0 becomes
+            # +0.0
             out += 0.0
         else:
             _, _, _, F, N2 = self.sources(q.V, v, t)
@@ -507,8 +537,9 @@ class _Workspace:
             rs = self.rs[:Q.shape[-1]]
             tmp = self.row_buffers(Q.shape[-1]).tmp
             o.V += np.multiply(rs, np.add(F, M, out=tmp), out=tmp)
-            o.P += np.multiply(rs, M, out=tmp)
-            o.X += np.multiply(rs, N2, out=tmp)
+            if o.P is not None:
+                o.P += np.multiply(rs, M, out=tmp)
+                o.X += np.multiply(rs, N2, out=tmp)
         o.edges.fill(0.0)
         return out
 
@@ -791,7 +822,7 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     return RunOutput(cfg, grid, dt, records, np.array(mprofs), snapshots,
                      not blow_up, blow_up.get("time"), blow_up.get("radius"),
                      n, cfg.stiffness_guard(grid, dt), ws.column_steps,
-                     march_s, diagnose_s)
+                     ws.rows, march_s, diagnose_s)
 
 
 def free_wave_exact(cfg: ModelConfig, r: np.ndarray, t: float) -> np.ndarray:

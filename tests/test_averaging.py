@@ -72,6 +72,25 @@ class TestDecayBound:
         i200 = list(report.t_grid).index(200.0)
         assert sup[i200] <= 0.5 * sup[i100] * 1.2
 
+    def test_one_tail_search_per_call(self, report, monkeypatch):
+        # the tail cut depends on rho and tol only: one search serves
+        # all 60 (t, xi) pairs, each of whose symbols stays the value
+        # averaged_symbol gives with its own search
+        calls = []
+        mass_above = PowerLawExp.mass_above
+        monkeypatch.setattr(PowerLawExp, "mass_above", lambda self, mu: (
+            calls.append(mu), mass_above(self, mu))[1])
+        averaged_symbol(UNIT, 1.0, 0.0)
+        one_search = list(calls)
+        calls.clear()
+        again = decay_bound_check(UNIT, spectral_constants(UNIT))
+        assert one_search and calls == one_search
+        assert again.symbol.tobytes() == report.symbol.tobytes()
+        monkeypatch.undo()
+        assert all(report.symbol[i, j] == averaged_symbol(UNIT, t, xi)
+                   for i, t in enumerate(report.t_grid)
+                   for j, xi in enumerate(report.xi_grid))
+
     def test_atoms_rejected(self):
         comb = DiracComb(((1.0, 1.0),))
         with pytest.raises(S5RequiredError):

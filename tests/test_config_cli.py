@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cetlab import PowerLawExp, ValidationError, config, evolve
+from cetlab import PowerLawExp, ValidationError, cli, config, evolve
 from cetlab.cli import _density_from_args, _dumps, build_parser, main, \
     write_json
 from cetlab.config import FAMILIES, parse_config_text
@@ -450,6 +451,32 @@ class TestCli:
         value_steps = summary["column_steps"] * (summary["n_modes"] + 2)
         assert timings["ns_per_value_step"] == pytest.approx(
             1e9 * timings["march_s"] / value_steps, rel=1e-12)
+
+    def test_free_run_timings_count_its_one_row(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a run file always names a density, so the run drops its rule
+        # and couplings here: a stack without memory modes marches the V
+        # row alone, and ns_per_value_step divides by that one row
+        runs = []
+
+        def free_evolve(cfg, grid, **kw):
+            cfg = dataclasses.replace(cfg, quad=None, a_null=0.0,
+                                      c_grad=0.0, d_quad=0.0)
+            runs.append(evolve(cfg, grid, **kw))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve", free_evolve)
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.format(out=d))
+        assert main(["evolve", "--config", str(cfgfile)]) == 0
+        capsys.readouterr()
+        summary = strict_loads((d / "summary.json").read_text())
+        timings = strict_loads((d / "timings.json").read_text())
+        (out,) = runs
+        assert out.rows == 1 and out.column_steps == summary["column_steps"]
+        assert timings["ns_per_value_step"] == pytest.approx(
+            1e9 * timings["march_s"] / summary["column_steps"], rel=1e-12)
 
     def test_scatter_writes_timings_apart(self, tmp_path, capsys):
         d = tmp_path / "out"

@@ -134,7 +134,8 @@ OLD_ARITHMETIC = (old_laplacian, old_memory_term)
 def all_terms_accel(ws, t, Q, v, out):
     """`_Workspace.accel` before it skipped the source terms a stack
     never reads and before its sources moved into row buffers: F, M and
-    N2 from the allocating oracle, added on every stack, and the centre
+    N2 from the allocating oracle, added on every stack (row P and the
+    mode rows are empty slices on a one-row stack), and the centre
     coefficients broadcast from their column.  The skipping, buffered
     march must match it bit for bit (TestSourceSkip,
     TestInPlaceSources)."""
@@ -146,7 +147,7 @@ def all_terms_accel(ws, t, Q, v, out):
     inner += y[2:]
     inner += y[:-2]
     out[0] += rs * (F + M)
-    out[1] += rs * M
+    out[1:2] += rs * M
     out[2:] += rs * N2
     radial._pin_boundaries(out)
     return out
@@ -161,7 +162,7 @@ def reference_accel(ws, t, Q, Q_dot, laplacian=reference_laplacian,
     if quad is not None:
         acc[2:] -= quad.nodes[:, None] * Q[2:]
     acc[0] += ws.r * (F + M)
-    acc[1] += ws.r * M
+    acc[1:2] += ws.r * M
     acc[2:] += ws.r * N2
     acc[:, 0] = acc[:, -1] = 0.0
     return acc
@@ -237,7 +238,8 @@ def stack_input(kind, n_r=256):
                           quad=quad, cfl=0.4, t_final=10.0,
                           n2_override=separable_override(grid))
     st = initialize(cfg, grid)
-    # smooth nonzero rows everywhere, the memory modes included
+    # smooth nonzero rows everywhere, the memory modes included (a
+    # free stack has the V row only)
     bump = grid.r * np.exp(-((grid.r - 6.0) / 2.0) ** 2)
     st.Q[1:] = 1e-3 * rng.standard_normal((len(st.Q) - 1, 1)) * bump
     st.Q_dot[1:] = 1e-3 * rng.standard_normal((len(st.Q) - 1, 1)) * bump
@@ -357,6 +359,26 @@ class TestStep:
                                   ("X_dot", st.Q_dot, slice(2, None))):
             view = getattr(st, name)
             assert view.base is stack and np.array_equal(view, stack[rows])
+
+    @pytest.mark.parametrize("quad", [None, "empty"])
+    def test_mode_less_stack_is_the_V_row(self, quad):
+        # without memory modes P stays +0.0 and is not marched: the
+        # stack is V alone, and P, P_dot read +0.0 rows of its width
+        if quad == "empty":
+            quad = MassQuadrature(np.zeros(0), np.zeros(0), "diraccomb")
+        for cfg in (free_cfg(quad=quad), free_cfg(quad=quad, a_null=1.0)):
+            grid = Grid(21.0, 128)
+            ws = _Workspace(cfg, grid)
+            assert ws.rows == radial.stack_rows(cfg) == 1
+            assert ws.free == (cfg.a_null == 0.0)
+            st = step(initialize(cfg, grid), cfg, grid)
+            assert st.Q.shape == st.Q_dot.shape == (1, grid.n_r + 1)
+            assert st.X.shape == st.X_dot.shape == (0, grid.n_r + 1)
+            for name in ("P", "P_dot"):
+                row = getattr(st, name)
+                assert same_bits(row, np.zeros(grid.n_r + 1))
+                assert not np.shares_memory(row, st.Q) and \
+                    not np.shares_memory(row, st.Q_dot)
 
     def test_stiffness_guard(self):
         stiff = MassQuadrature(np.array([1e6]), np.array([1.0]), "diraccomb")
@@ -525,7 +547,12 @@ class TestBufferedStep:
                 full_width_march(_Workspace(cfg, grid), ref, dt, 20)),
                 start=1):
             assert new.t == ref.t
-            assert same_bits(new.Q, ref.Q) and same_bits(new.Q_dot, ref.Q_dot)
+            # a free stack is the V row alone, whose data leave the
+            # march a narrower window: +0.0 lies beyond it
+            padded = [np.stack([radial._pad(row, grid.n_r + 1) for row in Y])
+                      for Y in (new.Q, new.Q_dot)]
+            assert same_bits(padded[0], ref.Q) and same_bits(padded[1],
+                                                             ref.Q_dot)
         assert n == 20
         assert kind == "free" or np.all(np.abs(ref.X).max(axis=1) > 0.0)
 
@@ -559,7 +586,7 @@ class TestBufferedStep:
         assert not same_bits(new.Q, Q)
 
     def test_buffered_step_allocates_no_stack(self):
-        # desk-sized stacks, 34 x 2049 and 2 x 2049; what a step may
+        # desk-sized stacks, 34 x 2049 and 1 x 2049; what a step may
         # allocate is a few grid rows and numpy's 64 KiB ufunc buffer,
         # and a free step no grid row
         for kind in ("modes32", "free"):
@@ -735,6 +762,38 @@ def growing_input(kind):
     return cfg, Grid(padded_r_max(cfg), 512)
 
 
+def mode_less_input(kind):
+    """(cfg, grid) of a run without memory modes whose window grows: a
+    free time-symmetric and a free ingoing run, and one with F on."""
+    if kind == "F_on":
+        cfg = ModelConfig(epsilon=0.05, quad=None, t_final=16.0)
+        return cfg, Grid(padded_r_max(cfg), 512)
+    cfg, grid = growing_input("free")
+    return dataclasses.replace(cfg, velocity_mode=kind), grid
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("time-symmetric",
+     "5df1a84d2f75e5e0d853cdb321b3af5097d587cc39d49ab2dffb99b91cf3d261"),
+    ("ingoing",
+     "9270c0dba0507af980311df30b569870ae287ec684834e36de8822d91b749027"),
+    ("F_on",
+     "c2636d76a7dac6b4bc106b50d83ec48a26f6ba3ef5f97b4b97708dabb862dd0d"),
+])
+def test_mode_less_run_arrays_pinned(kind, digest):
+    # pinned while these stacks still marched a P row (numpy 2.4 with
+    # its bundled OpenBLAS, x86-64): dropping that row changes no bit
+    cfg, grid = mode_less_input(kind)
+    out = evolve(cfg, grid, cadence=5, snapshot_times=(
+        0.0, cfg.t_final / 4, cfg.t_final / 2, cfg.t_final))
+    assert out.completed and len(out.snapshots) == 4
+    assert 0 < out.column_steps < out.n_steps * (grid.n_r + 1)
+    assert run_digest(out) == digest
+    for snap in out.snapshots.values():
+        for name in ("P", "P_dot", "Phi"):
+            assert same_bits(snap[name], np.zeros(grid.n_r + 1)), name
+
+
 class TestViewsPerWidth:
     @pytest.mark.parametrize("kind", ["free", "modes21"])
     def test_views_built_once_per_width(self, kind, monkeypatch):
@@ -830,13 +889,13 @@ class TestSourceSkip:
         assert skipping.completed == (kind != "blow_up")
 
     def test_free_accel_keeps_the_signed_zeros(self):
-        # rows 0 and 1 read -0.0, +0.0, -0.0 around column 10, so the
-        # bare stencil leaves -0.0 there, which the all-terms sum made
-        # +0.0
+        # row 0, the free stack's one row, reads -0.0, +0.0, -0.0
+        # around column 10, so the bare stencil leaves -0.0 there,
+        # which the all-terms sum made +0.0
         cfg = free_cfg()
         grid = Grid(21.0, 64)
         ws = _Workspace(cfg, grid)
-        assert ws.free
+        assert ws.free and ws.rows == 1
         rng = np.random.default_rng(5)
         Y = 1e-3 * rng.standard_normal((ws.rows, grid.n_r + 1))
         v = 1e-3 * rng.standard_normal(grid.n_r + 1)
@@ -1098,7 +1157,7 @@ class TestEvolve:
             evolve(cfg, Grid(21.0, 128))
         assert padded_r_max(cfg) == pytest.approx(61.0)
         # initialize only builds the data
-        assert initialize(cfg, Grid(21.0, 128)).Q.shape == (2, 129)
+        assert initialize(cfg, Grid(21.0, 128)).Q.shape == (1, 129)
 
     def test_stiffness_guard_checked_at_the_run_dt(self):
         # a step of cfl*dr would have the guard 0.8 pi > 2.5, but the run

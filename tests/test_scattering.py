@@ -15,13 +15,13 @@ from cetlab.selftest import RESIDUAL_EXPONENT_MIN
 
 def march_free_evolve(run, W, W_dot, n_steps):
     """The oracle for the sine-transform propagator: `n_steps` RK4 steps
-    of the run's own march with every coupling off, on a (W, 0) stack."""
+    of the run's own march with every coupling off, on the one-row stack
+    (W,) of a run without memory modes."""
     free_cfg = dataclasses.replace(run.cfg, a_null=0.0, b_bad=0.0,
                                    c_grad=0.0, d_quad=0.0, quad=None,
                                    n2_override=None)
     ws = _Workspace(free_cfg, run.grid)
-    zero = np.zeros_like(W)
-    st = FieldState(0.0, np.stack([W, zero]), np.stack([W_dot, zero]))
+    st = FieldState(0.0, W[None].copy(), W_dot[None].copy())
     for st in _march(ws, st, run.dt, n_steps):
         pass
     # the march's last state may hold only a window of the grid
