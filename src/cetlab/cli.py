@@ -252,20 +252,16 @@ def _cmd_dispersion(a) -> int:
     return 0
 
 
-def _usable_base_times(times, snapshot_times) -> list:
-    """The base times t of `times` whose t and 2t are both snapshots."""
-    return [b for b in times if b in snapshot_times
-            and 2.0 * b in snapshot_times]
-
-
-def _march_run(path, base_times=None):
+def _march_run(path, base_times=None, required=False):
     """Parse the run file at `path`, which needs both sections, march it
     and make its output directory: the run of `evolve` and `scatter`.
 
-    The planned snapshots must hold two of `base_times`, if given,
-    before any step.  Returns the run config, the RunOutput, the run
-    summary and its wall-clock facts for timings.json (`init_s`, the
-    parse's, includes building the rule).
+    The usable base times are those t of `base_times`, if given, whose t
+    and 2t are both planned snapshots; when `required`, two must be
+    usable before any step.  Returns the run config, the RunOutput, the
+    run summary, its wall-clock facts for timings.json (`init_s`, the
+    parse's, includes building the rule) and the usable base times
+    (None without `base_times`).
     """
     t0 = time.perf_counter()
     rc = parse_config(path)
@@ -275,11 +271,15 @@ def _march_run(path, base_times=None):
     if rc.model is None:
         raise ValidationError(f"{path}: [solver] section is required")
     cfg, grid, cadence, snaps = rc.model
+    usable = None
     if base_times is not None:
         # the snapshot times are known before the march: a fit that
         # cannot be made fails before any step
         planned = set(march_schedule(cfg, grid, snaps)[2].values())
-        require_two_base_times(_usable_base_times(base_times, planned))
+        usable = [b for b in base_times
+                  if b in planned and 2.0 * b in planned]
+        if required:
+            require_two_base_times(usable)
     try:
         out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
     except ValidationError as exc:
@@ -287,14 +287,13 @@ def _march_run(path, base_times=None):
         # are checked after the parse: name the file, keep the error
         exc.args = (f"{path}: {exc}",)
         raise
-    n_modes, dropped = (0, 0) if cfg.quad is None else \
-        (len(cfg.quad), cfg.quad.moment_report["dropped_nodes"])
     summary = {"completed": out.completed,
                "integrated_flux": out.integrated_flux,
                "n_records": len(out.records), "dt": out.dt,
                "n_steps": out.n_steps, "column_steps": out.column_steps,
                "stiffness_guard": out.stiffness_guard,
-               "n_modes": n_modes, "dropped_nodes": dropped}
+               "n_modes": len(cfg.quad),
+               "dropped_nodes": cfg.quad.moment_report["dropped_nodes"]}
     if out.blow_up_time is not None:
         summary["blow_up_time"] = out.blow_up_time
         summary["blow_up_radius"] = out.blow_up_radius
@@ -306,7 +305,7 @@ def _march_run(path, base_times=None):
                "us_per_step": 1e6 * out.march_s / out.n_steps
                if out.n_steps else None}
     os.makedirs(rc.output_dir, exist_ok=True)
-    return rc, out, summary, timings
+    return rc, out, summary, timings, usable
 
 
 def _end_run(rc, summary, timings, t_out, doc=None) -> int:
@@ -326,7 +325,7 @@ def _end_run(rc, summary, timings, t_out, doc=None) -> int:
 
 
 def _cmd_evolve(a) -> int:
-    rc, out, summary, timings = _march_run(a.config)
+    rc, out, summary, timings, _ = _march_run(a.config)
     t0 = time.perf_counter()
     src = rc.source_text
     if "csv" in rc.formats:
@@ -343,9 +342,10 @@ def _cmd_evolve(a) -> int:
 
 
 def _cmd_scatter(a) -> int:
-    times = DEFAULT_RESIDUAL_TIMES if a.residual_times is None \
-        else a.residual_times
-    rc, out, summary, timings = _march_run(a.config, a.residual_times)
+    given = a.residual_times is not None
+    rc, out, summary, timings, usable = _march_run(
+        a.config, a.residual_times if given else DEFAULT_RESIDUAL_TIMES,
+        required=given)
     t0 = time.perf_counter()
     if not out.completed:
         # no analysis of a partial run: the blow-up is the outcome
@@ -360,10 +360,9 @@ def _cmd_scatter(a) -> int:
               "node_beat_period": rep.beat_period,
               "m_inf_window": rep.m_inf_window,
               "decay_fits": fits}
-    usable = _usable_base_times(times, out.snapshots)
     # base times given on the command line must yield the fit; the
     # default ones add it only where the run holds two of them
-    if a.residual_times is not None or len(set(usable)) >= 2:
+    if given or len(set(usable)) >= 2:
         sfit = scattering_residual_fit(out, usable)
         result["scattering_residual_fit"] = sfit.as_dict()
     t1 = time.perf_counter()

@@ -61,6 +61,12 @@ class MassQuadrature:
                               self.source_family, dict(self.moment_report))
 
 
+# the rule without nodes: a model with no memory modes.  One shared
+# instance, never mutated, so mode-less configurations compare equal
+EMPTY_RULE = MassQuadrature(np.zeros(0), np.zeros(0), "none",
+                            {"dropped_nodes": 0})
+
+
 def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for weight x**beta * exp(-x) on (0, inf).
 

@@ -53,28 +53,26 @@ The march builds every view it reads once per window width
 (`_Workspace.set_width`), not per stage or step: the windows of the
 stage buffers and of both (Q, Q_dot) pairs, with their flat stencil
 slices, their rows, their boundary columns as one strided view and
-their guard columns; the windows of the row buffers; and, on a stack
-with modes, a C-contiguous (rows, W) window of the stencil's centre
-coefficients, which numpy multiplies without buffering a broadcast of
-their (rows, 1) column.  A non-free step computes its sources, memory
-term and stage velocities in those full-width row buffers, with `out=`
-ufuncs and the operands of the allocating formulas, each square formed
-once, so its bits are the formulas'.  Three desk-sized 21-mode steps
-(n_r = 2048) peak at 3.1 grid rows of temporaries, numpy's buffer for
-the N2 row broadcast over the mode rows, where the allocating sources
-peaked at 11.2.  A free step (n_r = 256: 245 values) costs mostly its
-numpy calls, 44 of them; a non-free step makes 257, against 305 with
-the allocating sources (counting ufunc calls, array operators,
-indexing, array methods and numpy scalar operations, and the march's
-two guard counts).  `evolve` ignores overflow and invalid operations
-for the whole run, not per step; the march itself leaves numpy's error
-state alone.
+their guard columns; the windows of the row buffers; and a C-contiguous
+(rows, W) window of the stencil's centre coefficients, which numpy
+multiplies without buffering a broadcast of their (rows, 1) column.  A
+non-free step computes its sources, memory term and stage velocities in
+those full-width row buffers, with `out=` ufuncs and the operands of the
+allocating formulas, each square formed once, so its bits are the
+formulas'.  Three desk-sized 21-mode steps (n_r = 2048) peak at 3.1 grid
+rows of temporaries, numpy's buffer for the N2 row broadcast over the
+mode rows.  A free step (n_r = 256: 245 values) costs mostly its numpy
+calls, 44 of them; a non-free step makes 257 (counting ufunc calls,
+array operators, indexing, array methods and numpy scalar operations,
+and the march's two guard counts).  `evolve` ignores overflow and
+invalid operations for the whole run, not per step; the march itself
+leaves numpy's error state alone.
 
-The memory sum is one BLAS matvec, w @ X.  OpenBLAS (measured for every
-W up to 2048 at 21 to 90 rows, with one thread or two) sums every column
-of w @ X[:, :W] as at full width except the last W mod 4, and those lie
-in the +0.0 band, where any order gives +0.0; so the window stays
-bitwise.
+The memory sum is one BLAS matvec, w @ X, which is +0.0 on a stack
+without mode rows.  OpenBLAS (measured for every W up to 2048 at 21 to
+90 rows, with one thread or two) sums every column of w @ X[:, :W] as at
+full width except the last W mod 4, and those lie in the +0.0 band,
+where any order gives +0.0; so the window stays bitwise.
 
 Diagnostics per record: plain and ghost-weighted derivative energies,
 the light-cone flux generated by the weight, sup |u|, the origin trace,
@@ -91,7 +89,7 @@ import numpy as np
 
 from .errors import (BlowUpError, PaddingViolatedError, StiffnessGuardError,
                      ValidationError)
-from .quadrature import MassQuadrature
+from .quadrature import EMPTY_RULE, MassQuadrature
 
 STIFFNESS_LIMIT = 2.5
 # columns at the window's edge that must stay +0.0, and the columns the
@@ -147,6 +145,7 @@ class ModelConfig:
     # tiny static branch (~eps^4) that pollutes late-time memory
     # estimates, so the default keeps it subdominant.
     d_quad: float = 0.25
+    # None stands for EMPTY_RULE, which __post_init__ puts in its place
     quad: MassQuadrature | None = None
     cfl: float = 0.5
     t_final: float = 100.0
@@ -159,6 +158,8 @@ class ModelConfig:
     n2_override: object = None
 
     def __post_init__(self):
+        if self.quad is None:
+            object.__setattr__(self, "quad", EMPTY_RULE)
         if self.epsilon < 0:
             raise ValidationError("epsilon must be nonnegative")
         if not (0.0 < self.cfl <= 0.9):
@@ -178,9 +179,7 @@ class ModelConfig:
         return self.r_c + 4.0 * self.sigma
 
     def mu_max(self) -> float:
-        if self.quad is None or len(self.quad) == 0:
-            return 0.0
-        return float(self.quad.nodes.max())
+        return float(self.quad.nodes.max(initial=0.0))
 
     def stiffness_guard(self, grid: Grid, dt: float) -> float:
         """dt * sqrt(mu_max + (pi/dr)^2): dt times the grid's top frequency."""
@@ -208,7 +207,7 @@ def padded_r_max(cfg: ModelConfig) -> float:
 def stack_rows(cfg: ModelConfig) -> int:
     """Rows of the marched stack: 1 (V) without memory modes, m + 2
     (V, P, X_0 .. X_{m-1}) with m (module docstring)."""
-    m = 0 if cfg.quad is None else len(cfg.quad)
+    m = len(cfg.quad)
     return m + 2 if m else 1
 
 
@@ -368,15 +367,14 @@ class _Workspace:
     nothing of that size.  A march in the column window [0, W) takes
     each (rows, W) stage array from the first rows*W elements, and
     likewise each state from one of the march's two flat (Q, Q_dot)
-    pairs and, on a stack with modes, the stencil's centre coefficients
-    from a flat buffer of their own.  The sources, the memory term and
-    the V row's stage velocities go into full-width row buffers
-    (`_Rows`), so the step allocates no grid row of its own either
-    (module docstring).  `set_width` builds those windows, their
-    `_Views` and the rows' `_Rows` once per width; `views` and
-    `row_buffers` hand out the built ones, and build those of any other
-    array or width (a state in fresh arrays, the diagnostics' full
-    width) on the spot.
+    pairs and the stencil's centre coefficients from a flat buffer of
+    their own.  The sources, the memory term and the V row's stage
+    velocities go into full-width row buffers (`_Rows`), so the step
+    allocates no grid row of its own either (module docstring).
+    `set_width` builds those windows, their `_Views` and the rows'
+    `_Rows` once per width; `views` and `row_buffers` hand out the built
+    ones, and build those of any other array or width (a state in fresh
+    arrays, the diagnostics' full width) on the spot.
     """
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
@@ -387,45 +385,36 @@ class _Workspace:
         self.inv_r = np.zeros_like(self.r)
         self.inv_r[1:] = 1.0 / self.r[1:]
         self.rs = grid.dr ** 2 * self.r      # the sources' factor, dr^2 r
-        quad = cfg.quad
-        self.w = np.zeros(0) if quad is None else quad.weights
-        mu = np.zeros(0) if quad is None else quad.nodes
+        self.w = cfg.quad.weights
         self.rows = stack_rows(cfg)
         # no source reaches the one row: march the bare stencil (module
         # docstring); the bits decide, so a -0.0 coupling is not free
         self.free = self.rows == 1 and not np.array(
             [cfg.a_null, cfg.b_bad]).view(np.uint64).any()
-        # dr^2 times the centre coefficient of Q_rr - mu Q, per row; the
-        # one number -2.0 on a stack without modes.  With modes,
-        # `set_width` spreads the column over a C-contiguous window, as
+        # dr^2 times the centre coefficient of Q_rr - mu Q, as a (rows, 1)
+        # column; `set_width` spreads it over a C-contiguous window, as
         # numpy would buffer the broadcast column over the whole stack
-        self.centre = np.concatenate(
-            ([-2.0, -2.0], -2.0 - mu * grid.dr ** 2))[:, None] \
-            if len(mu) else -2.0
-        self.centre_window = self.centre
+        self.centre = np.full((self.rows, 1), -2.0)
+        self.centre[2:, 0] -= cfg.quad.nodes * grid.dr ** 2
         size = self.rows * (grid.n_r + 1)
-        self._centre_flat = np.empty(size) if len(mu) else None
+        self._centre_flat = np.empty(size)
         self._flat = [np.empty(size) for _ in range(3)]
         self._row_buffers = np.empty((len(_Rows.BUFFERS), grid.n_r + 1))
-        self._pairs = ()
         self.set_width(grid.n_r + 1)
         self.column_steps = 0
 
-    def set_width(self, width: int, pairs=None) -> None:
+    def set_width(self, width: int, pairs=()) -> None:
         """Build the windows at column width `width` of the stage
         buffers (stage field S, stage accelerations B and a), of the
-        flat (Q, Q_dot) pairs `pairs` (the last call's when None) and of
-        the centre coefficients, their views and the row buffers'."""
-        if pairs is not None:
-            self._pairs = pairs
+        flat (Q, Q_dot) pairs `pairs` and of the centre coefficients,
+        their views and the row buffers'."""
         self.S, self.B, self.a = (
             _window(flat, self.rows, width) for flat in self._flat)
         self.pair_windows = tuple(
             tuple(_window(flat, self.rows, width) for flat in pair)
-            for pair in self._pairs)
-        if self._centre_flat is not None:
-            self.centre_window = _window(self._centre_flat, self.rows, width)
-            self.centre_window[...] = self.centre
+            for pair in pairs)
+        self.centre_window = _window(self._centre_flat, self.rows, width)
+        self.centre_window[...] = self.centre
         stacks = (self.S, self.B, self.a, *(Y for pair in self.pair_windows
                                              for Y in pair))
         # keyed by id: the workspace holds each of these stacks until the
@@ -473,9 +462,6 @@ class _Workspace:
         next call."""
         width = X.shape[-1]
         M = self.row_buffers(width).M
-        if self.w.size == 0:
-            M.fill(0.0)
-            return M
         # BLAS orders this sum alike at any width (module docstring)
         S = np.matmul(self.w, X, out=M)
         origin = S[1] / self.dr         # L'Hopital at the origin
@@ -675,7 +661,7 @@ def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
         if width < full and (np.count_nonzero(ws.views(st.Q).guard)
                              or np.count_nonzero(ws.views(st.Q_dot).guard)):
             width = min(full, width + GROWTH)
-            ws.set_width(width)
+            ws.set_width(width, pairs)
             st, spare = _relayout(st, ws.pair_windows[spare]), 1 - spare
         yield st
 

@@ -108,7 +108,7 @@ def memory_limit(run: RunOutput) -> MemoryLimitReport:
     m_inf_norm = _l2_r2(run.grid, m_inf)
     r_obs = run.cfg.support_radius + 10.0
     beat = math.inf
-    if run.cfg.quad is not None and len(run.cfg.quad) > 1:
+    if len(run.cfg.quad) > 1:
         om = np.sqrt(run.cfg.quad.nodes)
         beat = 2.0 * math.pi / float(np.min(np.diff(om)))
     second_half = (t >= 0.5 * t_end) & (t < 0.9 * t_end)

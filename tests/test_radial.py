@@ -794,6 +794,45 @@ def test_mode_less_run_arrays_pinned(kind, digest):
             assert same_bits(snap[name], np.zeros(grid.n_r + 1)), name
 
 
+class TestNoModesIsTheEmptyRule:
+    """`quad=None` and an empty rule are one configuration: the config
+    holds the rule without nodes either way, and both march the same
+    bits."""
+
+    @pytest.mark.parametrize("kind", ["time-symmetric", "F_on"])
+    def test_none_and_empty_rule_are_one_run(self, kind):
+        cfg, grid = mode_less_input(kind)
+        empty = MassQuadrature(np.zeros(0), np.zeros(0), "diraccomb")
+        runs = [evolve(dataclasses.replace(cfg, quad=quad), grid, cadence=5,
+                       snapshot_times=(0.0, cfg.t_final / 2, cfg.t_final))
+                for quad in (None, empty)]
+        arrays = [run_arrays(out) for out in runs]
+        assert arrays[0].keys() == arrays[1].keys()
+        for name, value in arrays[0].items():
+            assert same_bits(value, arrays[1][name]), name
+        for name in ("rows", "column_steps", "stiffness_guard"):
+            assert getattr(runs[0], name) == getattr(runs[1], name), name
+        assert runs[0].completed and runs[0].rows == 1
+
+    def test_none_is_the_rule_without_nodes(self):
+        cfg = ModelConfig(epsilon=1e-2, quad=None)
+        assert len(cfg.quad) == 0 and cfg.quad.nodes.size == 0
+        assert cfg.mu_max() == 0.0
+        # one shared rule: mode-less configs still compare equal
+        assert cfg.quad is ModelConfig(epsilon=0.5).quad
+        assert cfg == ModelConfig(epsilon=1e-2)
+
+    def test_replacing_the_rule_by_none_marches_one_row(self):
+        modes, _ = growing_input("modes21")
+        cfg = dataclasses.replace(modes, quad=None, t_final=2.0)
+        assert len(cfg.quad) == 0 and cfg.mu_max() == 0.0
+        grid = Grid(padded_r_max(cfg), 256)
+        out = evolve(cfg, grid, snapshot_times=(cfg.t_final,))
+        assert out.completed and out.rows == radial.stack_rows(cfg) == 1
+        assert same_bits(out.snapshots[cfg.t_final]["P"],
+                         np.zeros(grid.n_r + 1))
+
+
 class TestViewsPerWidth:
     @pytest.mark.parametrize("kind", ["free", "modes21"])
     def test_views_built_once_per_width(self, kind, monkeypatch):

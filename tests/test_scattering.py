@@ -38,6 +38,24 @@ def memory_run():
                   snapshot_times=(25.0, 50.0, 100.0))
 
 
+def test_fit_reads_the_residual_through_the_module(memory_run,
+                                                 monkeypatch):
+    # a caller that replaces scattering.scattering_residual (as the
+    # benchmark does to record D(t, 2t)) must see every base time: the
+    # fit looks the function up in its module on each call
+    inner, seen = scattering.scattering_residual, []
+
+    def recording(run, t1, t2, *args, **kwargs):
+        value = inner(run, t1, t2, *args, **kwargs)
+        seen.append((t1, t2, value))
+        return value
+
+    monkeypatch.setattr(scattering, "scattering_residual", recording)
+    fit = scattering_residual_fit(memory_run, (25.0, 50.0))
+    assert [(t1, t2) for t1, t2, _ in seen] == [(25.0, 50.0), (50.0, 100.0)]
+    assert fit.points == tuple((t1, value) for t1, _, value in seen)
+
+
 @pytest.fixture(scope="module")
 def linear_run():
     # single outgoing pulse (no origin reflection inside the fit window)
