@@ -31,7 +31,8 @@ from .averaging import atomic_no_decay_check, decay_bound_check
 from .config import (DENSITY_PARAMS, FAMILIES, finite_float, float_list,
                      make_density, parse_config)
 from .dispersion import DEFAULT_K_GRID, mode_stability_scan, solve_branch
-from .errors import BlowUpError, CetlabError, NumericalError, ValidationError
+from .errors import (BlowUpError, CetlabError, InsufficientSamplesError,
+                     NumericalError, ValidationError)
 from .pheno import signature_report
 from .quadrature import DEFAULT_N_NODES, build_quadrature
 from .radial import DiagnosticsRecord, evolve, march_schedule
@@ -272,16 +273,18 @@ def _march_run(path, base_times=None, required=False):
         raise ValidationError(f"{path}: [solver] section is required")
     cfg, grid, cadence, snaps = rc.model
     usable = None
-    if base_times is not None:
-        # the snapshot times are known before the march: a fit that
-        # cannot be made fails before any step
-        planned = set(march_schedule(cfg, grid, snaps)[2].values())
-        usable = [b for b in base_times
-                  if b in planned and 2.0 * b in planned]
-        if required:
-            require_two_base_times(usable)
     try:
+        if base_times is not None:
+            # the schedule checks the run and plans its snapshots before
+            # the march: a fit that cannot be made fails before any step
+            planned = set(march_schedule(cfg, grid, snaps)[2].values())
+            usable = [b for b in base_times
+                      if b in planned and 2.0 * b in planned]
+            if required:
+                require_two_base_times(usable)
         out = evolve(cfg, grid, cadence=cadence, snapshot_times=snaps)
+    except InsufficientSamplesError:
+        raise                   # a refusal of the base times, not the file
     except ValidationError as exc:
         # the run-level invariants (padding, stiffness guard, cadence)
         # are checked after the parse: name the file, keep the error

@@ -29,7 +29,7 @@ from .spectral import (DEFAULT_TOL, BreitWigner, DiracComb, PowerLawExp,
 DEFAULT_N_NODES = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)      # rules compare by identity
 class MassQuadrature:
     nodes: np.ndarray
     weights: np.ndarray

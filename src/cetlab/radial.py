@@ -87,7 +87,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import (BlowUpError, PaddingViolatedError, StiffnessGuardError,
+from .errors import (PaddingViolatedError, StiffnessGuardError,
                      ValidationError)
 from .quadrature import EMPTY_RULE, MassQuadrature
 
@@ -124,6 +124,13 @@ class Grid:
             raise ValidationError("n_r must be at least 64")
         if self.r_max <= 0:
             raise ValidationError("r_max must be positive")
+        try:
+            dr = self.dr
+        except OverflowError:           # an n_r past the double range
+            dr = 0.0
+        if not 0.0 < dr < math.inf:
+            raise ValidationError("r_max/n_r must be a positive finite "
+                                  "grid spacing")
 
     @property
     def dr(self) -> float:
@@ -184,19 +191,6 @@ class ModelConfig:
     def stiffness_guard(self, grid: Grid, dt: float) -> float:
         """dt * sqrt(mu_max + (pi/dr)^2): dt times the grid's top frequency."""
         return dt * math.sqrt(self.mu_max() + (math.pi / grid.dr) ** 2)
-
-    def validate_against(self, grid: Grid, dt: float) -> None:
-        """Raise unless `grid` pads the run and dt passes the guard."""
-        need = padded_r_max(self)
-        if grid.r_max + 1e-9 < need:
-            raise PaddingViolatedError(f"padding-violated: need r_max >= "
-                                       f"{need:.6g}, got {grid.r_max:.6g}")
-        guard = self.stiffness_guard(grid, dt)
-        if guard > STIFFNESS_LIMIT:
-            # shortest round-trip digits: never equal to the limit's
-            raise StiffnessGuardError(
-                f"stiffness-guard-violated: dt*sqrt(mu_max + (pi/dr)^2) = "
-                f"{guard} > {STIFFNESS_LIMIT}")
 
 
 def padded_r_max(cfg: ModelConfig) -> float:
@@ -641,19 +635,17 @@ def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
     Two flat (Q, Q_dot) pairs alternate, `st`'s own arrays and a spare
     pair, and each (rows, W) state takes the first rows*W elements of
     one of them; `ws.set_width` builds both pairs' windows and views
-    at the start and at each growth.  So `st` may be overwritten from
-    the first step on, and a yielded state holds only until the next
-    one is yielded.
+    at the start and at each growth, and the start state is laid out in
+    the spare pair's window.  So `st` may be overwritten from the first
+    step on, and a yielded state holds only until the next one is
+    yielded.
     """
     full = st.Q.shape[1]
     pairs = ((st.Q.reshape(-1), st.Q_dot.reshape(-1)),
              (np.empty(st.Q.size), np.empty(st.Q.size)))
     width = full if ws.cfg.n2_override is not None else _start_width(st)
     ws.set_width(width, pairs)
-    if width < full:
-        st, spare = _relayout(st, ws.pair_windows[1]), 0
-    else:
-        st, spare = FieldState(st.t, *ws.pair_windows[0]), 1
+    st, spare = _relayout(st, ws.pair_windows[1]), 0
     for _ in range(n_steps):
         st, spare = _rk4_step(ws, st, dt, ws.pair_windows[spare]), 1 - spare
         ws.column_steps += width
@@ -666,32 +658,27 @@ def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
         yield st
 
 
-def _check_finite(st: FieldState, grid: Grid) -> None:
+def _check_finite(st: FieldState, grid: Grid):
+    """None if `st` is finite, else its blow-up's (time, radius): the
+    radius of the first nonfinite V value, None where V is finite."""
     # X_dot is left out: a nonfinite mode velocity reaches X a step later
     if np.isfinite(st.Q).all() and np.isfinite(st.Q_dot[:2]).all():
-        return
+        return None
     bad = ~np.isfinite(st.V)
-    if bad.any():
-        radius = float(grid.r[int(np.argmax(bad))])
-        raise BlowUpError(
-            f"blow-up-detected: nonfinite value at t={st.t:.6g}, "
-            f"r={radius:.6g}", time=st.t, radius=radius)
-    rest_finite = np.isfinite(st.P).all() and np.isfinite(st.Q_dot[:2]).all()
-    what = "memory mode" if rest_finite else "value"
-    raise BlowUpError(f"blow-up-detected: nonfinite {what} at t={st.t:.6g}",
-                      time=st.t, radius=None)
+    return st.t, float(grid.r[int(np.argmax(bad))]) if bad.any() else None
 
 
-def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig
-              ) -> tuple[DiagnosticsRecord, np.ndarray]:
-    """The diagnostics record of `st` and its memory term M.
+def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig,
+              M: np.ndarray) -> DiagnosticsRecord:
+    """The diagnostics record of `st`; its memory term goes into the
+    +0.0 full-grid row `M`.
 
     The rows are padded with +0.0 to the full grid, so the sums run over
     the arrays of the full-width march whatever the window.
     """
     r = ws.r
     V, V_dot = _pad(st.V, len(r)), _pad(st.V_dot, len(r))
-    M = _pad(ws.memory_term(st.X), len(r))
+    M[:st.Q.shape[1]] = ws.memory_term(st.X)
     u, ud, ur, F, N2 = ws.sources(V, V_dot, st.t)
     # second time derivative of u via the evolution equation
     rFM = r * (F + M)
@@ -720,7 +707,7 @@ def _diagnose(ws: _Workspace, st: FieldState, cfg: ModelConfig
     return DiagnosticsRecord(
         t=st.t, E_std=E_std, E_ghost=E_ghost, flux=flux,
         sup_u=float(np.max(np.abs(u))), u_origin=float(u[0]),
-        mem_norm=math.sqrt(norm2(M)), src_norm=math.sqrt(norm2(N2))), M
+        mem_norm=math.sqrt(norm2(M)), src_norm=math.sqrt(norm2(N2)))
 
 
 def _snapshot(ws: _Workspace, st: FieldState) -> dict:
@@ -734,18 +721,31 @@ def _snapshot(ws: _Workspace, st: FieldState) -> dict:
 
 def march_schedule(cfg: ModelConfig, grid: Grid,
                    snapshot_times=()) -> tuple[int, float, dict]:
-    """(n_steps, dt, snapshot steps) of `evolve`, known before any step.
+    """(n_steps, dt, snapshot steps) of `evolve`, known before any step,
+    and the one check of a run: the padding, then the stiffness guard at
+    that dt.
 
-    dt is cfl*dr shrunk so that an even number of steps lands exactly on
-    t_final (resolution studies compare fields at matching times).  The
-    dict maps each step that takes a snapshot to the first of
+    The steps are counted once `grid` pads the run.  dt is cfl*dr shrunk
+    so that an even number of steps lands exactly on t_final
+    (resolution studies compare fields at matching times).  The dict
+    maps each step that takes a snapshot to the first of
     `snapshot_times` that rounds to it; a run to t_final = 0 has only
     the initial state, as its snapshot at 0.
     """
+    need = padded_r_max(cfg)
+    if grid.r_max + 1e-9 < need:
+        raise PaddingViolatedError(f"padding-violated: need r_max >= "
+                                   f"{need:.6g}, got {grid.r_max:.6g}")
     if cfg.t_final == 0.0:
         return 0, 0.0, {0: 0.0}
     n_steps = 2 * max(1, math.ceil(cfg.t_final / (2.0 * cfg.cfl * grid.dr)))
     dt = cfg.t_final / n_steps
+    guard = cfg.stiffness_guard(grid, dt)
+    if guard > STIFFNESS_LIMIT:
+        # shortest round-trip digits: never equal to the limit's
+        raise StiffnessGuardError(
+            f"stiffness-guard-violated: dt*sqrt(mu_max + (pi/dr)^2) = "
+            f"{guard} > {STIFFNESS_LIMIT}")
     snap_steps = {}
     for ts in snapshot_times:
         idx = int(round(ts / dt))
@@ -758,37 +758,35 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
            snapshot_times=()) -> RunOutput:
     """March to t_final recording diagnostics every `cadence` steps.
 
-    The steps, dt and snapshot steps are `march_schedule`'s, and the
-    padding and the stiffness guard are checked here, once, at that dt.
-    A detected blow-up terminates the march and returns the partial
-    output with the failure time recorded.
+    The steps, dt and snapshot steps are `march_schedule`'s, which checks
+    the run.  A detected blow-up terminates the march and returns the
+    partial output with the failure time recorded.
     """
     if cadence < 1:
         raise ValidationError("cadence must be a positive integer")
     n_steps, dt, snap_steps = march_schedule(cfg, grid, snapshot_times)
-    cfg.validate_against(grid, dt)
     ws = _Workspace(cfg, grid)
     st = initialize(cfg, grid)
 
-    records, mprofs = [], []
-    snapshots = {}
+    records, snapshots = [], {}
     diagnose_s = 0.0
     due = {*range(0, n_steps + 1, cadence), n_steps}     # record steps
     stops = due | snap_steps.keys()
+    # one memory profile per record, written in place
+    m_profiles = np.zeros((len(due), grid.n_r + 1))
 
     def record(st: FieldState, n: int) -> None:
         nonlocal diagnose_s
         start = perf_counter()
         if n in due:
-            rec, M = _diagnose(ws, st, cfg)
-            records.append(rec)
-            mprofs.append(M)
+            records.append(_diagnose(ws, st, cfg,
+                                     m_profiles[len(records)]))
         if n in snap_steps:
             snapshots[snap_steps[n]] = _snapshot(ws, st)
         diagnose_s += perf_counter() - start
 
     start = perf_counter()
-    blow_up = {}                # the BlowUpError detail: time and radius
+    blow_up = None              # (time, radius) of a detected blow-up
     n = 0
     # overflow during a developing blow-up is expected and detected
     # afterwards, and the last state before it may overflow in the
@@ -796,17 +794,15 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     with np.errstate(over="ignore", invalid="ignore"):
         record(st, 0)
         for n, st in enumerate(_march(ws, st, dt, n_steps), start=1):
-            try:
-                _check_finite(st, grid)
-            except BlowUpError as exc:
-                blow_up = exc.detail
+            blow_up = _check_finite(st, grid)
+            if blow_up is not None:
                 break
             if n in stops:
                 record(st, n)
     march_s = perf_counter() - start - diagnose_s
 
-    return RunOutput(cfg, grid, dt, records, np.array(mprofs), snapshots,
-                     not blow_up, blow_up.get("time"), blow_up.get("radius"),
+    return RunOutput(cfg, grid, dt, records, m_profiles[:len(records)],
+                     snapshots, blow_up is None, *(blow_up or (None, None)),
                      n, cfg.stiffness_guard(grid, dt), ws.column_steps,
                      ws.rows, march_s, diagnose_s)
 

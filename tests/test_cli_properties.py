@@ -171,6 +171,9 @@ def test_cli_exit_codes_total(argv):
 @example(text="[density]\nalpha = 1\n")
 @example(text="[solver]\ncfl = 0.5\n[density]\nbeta = 1\nlambda = 1\n")
 @example(text="[solver]\nepsilon = 1" + "0" * 400 + "\n")
+# an n_r past the double range: the grid spacing is no finite double
+@example(text="[solver]\nepsilon = 0.01\nr_max = 100\nt_final = 10\n"
+              "n_r = 1" + "0" * 400 + "\n")
 def test_config_errors_are_coded(text):
     try:
         rc = parse_config_text(text)

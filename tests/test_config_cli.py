@@ -564,9 +564,11 @@ class TestCli:
         assert ("scattering_residual_fit" in result) == fitted
         assert captured.err == ""
 
-    @pytest.mark.parametrize("cfl, code", [("0.8", 0), ("0.9", 2)])
+    @pytest.mark.parametrize("cfl, code, command", [
+        ("0.8", 0, "evolve"), ("0.9", 2, "evolve"), ("0.9", 2, "scatter")],
+        ids=["0.8-0", "0.9-2", "0.9-2-scatter"])
     def test_stiffness_guard_checked_at_the_run_dt(self, tmp_path, capsys,
-                                                   cfl, code):
+                                                   cfl, code, command):
         # dr = 21/256: a step of cfl*dr would have the guard 2.51 at cfl
         # 0.8, but the run steps 16 times by 0.0625 (guard 2.39); at cfl
         # 0.9 it steps 14 times by 1/14, and that guard is over 2.5
@@ -575,7 +577,7 @@ class TestCli:
         cfgfile.write_text(ONE_ATOM_RUN.format(
             out=d, cfl=cfl, epsilon="0.01", b_bad="0", r_max="21",
             t_final="1"))
-        assert main(["evolve", "--config", str(cfgfile)]) == code
+        assert main([command, "--config", str(cfgfile)]) == code
         captured = capsys.readouterr()
         if code == 0:
             summary = strict_loads(captured.out)
@@ -591,18 +593,55 @@ class TestCli:
                                       "dt*sqrt(mu_max + (pi/dr)^2) = "
                                       f"{guard!r} > 2.5")
 
-    def test_padding_violation_names_the_run_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_padding_violation_names_the_run_file(self, tmp_path, capsys,
+                                                  command):
         # padded_r_max = r_c + 4 sigma + t_final + 2 = 31 > r_max = 21;
-        # evolve checks it after the parse, and the error names the file
+        # both commands check it after the parse, and the error names
+        # the file
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(ONE_ATOM_RUN.format(
             out=tmp_path / "out", cfl="0.5", epsilon="0.01", b_bad="0",
             r_max="21", t_final="20"))
-        assert main(["evolve", "--config", str(cfgfile)]) == 2
+        assert main([command, "--config", str(cfgfile)]) == 2
         err = strict_loads(capsys.readouterr().err)
         assert err["error"] == "padding-violated"
         assert err["message"] == (f"{cfgfile}: padding-violated: "
                                   "need r_max >= 31, got 21")
+
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_padding_checked_before_the_step_count(self, tmp_path, capsys,
+                                                   command):
+        # t_final/(2 cfl dr) = 1e311 overflows a float, but the padding
+        # fails first: a coded error, not a traceback
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(ONE_ATOM_RUN.format(
+            out=d, cfl="0.5", epsilon="0.01", b_bad="0", r_max="1",
+            t_final="1e305").replace("n_r = 256", "n_r = 1000000"))
+        assert main([command, "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "padding-violated"
+        assert err["message"] == (f"{cfgfile}: padding-violated: "
+                                  "need r_max >= 1e+305, got 1")
+        assert captured.out == "" and not d.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_grid_spacing_refused_at_the_parse(self, tmp_path, capsys,
+                                               command):
+        # r_max/n_r with n_r = 10^400 is no double: the parse refuses
+        # it, before any schedule
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(ONE_ATOM_RUN.format(
+            out=tmp_path / "out", cfl="0.5", epsilon="0.01", b_bad="0",
+            r_max="100", t_final="10").replace("n_r = 256",
+                                               "n_r = 1" + "0" * 400))
+        assert main([command, "--config", str(cfgfile)]) == 2
+        err = strict_loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert err["message"] == (f"{cfgfile}: r_max/n_r must be a positive "
+                                  "finite grid spacing")
 
     @pytest.mark.parametrize("command", ["evolve", "scatter"])
     def test_blow_up_exit_3(self, tmp_path, capsys, command):

@@ -37,18 +37,29 @@ def fresh_step(ws, st, dt):
     return _rk4_step(ws, st, dt, (np.empty(st.Q.shape), np.empty(st.Q.shape)))
 
 
-def step(state, cfg, grid, dt=None):
-    """One RK4 step of the full system into fresh arrays; raises on
-    nonfinite values."""
-    dt = cfg.cfl * grid.dr if dt is None else dt
-    cfg.validate_against(grid, dt)
-    new = fresh_step(_Workspace(cfg, grid), state, dt)
-    _check_finite(new, grid)
+def step(state, cfg, grid):
+    """One RK4 step of cfl*dr of the full system into fresh arrays, for
+    a run that `march_schedule` admits; fails on nonfinite values."""
+    march_schedule(cfg, grid)
+    new = fresh_step(_Workspace(cfg, grid), state, cfg.cfl * grid.dr)
+    assert _check_finite(new, grid) is None
     return new
 
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_profiles_match_records(out):
+    """`out.m_profiles` holds one row per record, and each row's
+    L2(r^2 dr) norm is its record's `mem_norm`, bit for bit."""
+    grid = out.grid
+    assert out.m_profiles.shape == (len(out.records), grid.n_r + 1)
+    r2 = grid.r * grid.r
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [math.sqrt(float(np.trapezoid(M * M * r2, dx=grid.dr)))
+                 for M in out.m_profiles]
+    assert same_bits(np.array(norms), out.series("mem_norm"))
 
 
 # The sources and the memory term as allocating formulas, each on fresh
@@ -259,6 +270,16 @@ def run_arrays(out):
     return arrays
 
 
+@pytest.mark.parametrize("r_max, n_r", [
+    (100.0, 10 ** 400),       # r_max/n_r overflows converting n_r
+    (1e-300, 10 ** 30),       # a spacing that underflows to 0
+    (math.inf, 64), (math.nan, 64)],
+    ids=["n_r-past-double", "underflow", "r_max-inf", "r_max-nan"])
+def test_grid_refuses_a_spacing_that_is_no_finite_double(r_max, n_r):
+    with pytest.raises(ValidationError, match="grid spacing"):
+        Grid(r_max, n_r)
+
+
 class TestGhostWeight:
     def test_plateaus_exact(self):
         s = np.array([-5.0, -1.0, 1.0, 3.0])
@@ -387,19 +408,26 @@ class TestStep:
         with pytest.raises(ValidationError, match="stiffness"):
             step(initialize(free_cfg(t_final=1.0), grid), cfg, grid)
         # a huge guard value prints in a few digits, not a few hundred
+        huge = MassQuadrature(np.array([1e300]), np.array([1.0]),
+                              "diraccomb")
         with pytest.raises(ValidationError, match="stiffness") as exc:
-            step(initialize(free_cfg(t_final=1.0), grid), cfg, grid,
-                 dt=1e200)
+            step(initialize(free_cfg(t_final=1.0), grid),
+                 free_cfg(quad=huge, t_final=1.0), grid)
         assert len(str(exc.value)) < 100
 
     def test_stiffness_message_separates_value_from_limit(self):
-        cfg, grid = free_cfg(t_final=1.0), Grid(21.0, 128)
-        # a guard just over 2.5 would print as the limit 2.5 in 3 digits
-        dt = 2.5000001 / (math.pi / grid.dr)
+        grid = Grid(21.0, 128)
+        # the run steps 14 times by 1/14; one mass node puts the guard
+        # at that dt just over 2.5, which would print as the limit 2.5 in
+        # 3 digits
+        dt = march_schedule(free_cfg(t_final=1.0), grid)[1]
+        mu = (2.5000001 / dt) ** 2 - (math.pi / grid.dr) ** 2
+        cfg = free_cfg(quad=MassQuadrature(np.array([mu]), np.array([1.0]),
+                                           "diraccomb"), t_final=1.0)
         guard = cfg.stiffness_guard(grid, dt)
         assert 2.5 < guard < 2.5001
         with pytest.raises(ValidationError, match="stiffness") as exc:
-            cfg.validate_against(grid, dt)
+            march_schedule(cfg, grid)
         assert f"= {guard!r} > 2.5" in str(exc.value)
         assert len(str(exc.value)) < 100
 
@@ -821,6 +849,17 @@ class TestNoModesIsTheEmptyRule:
         # one shared rule: mode-less configs still compare equal
         assert cfg.quad is ModelConfig(epsilon=0.5).quad
         assert cfg == ModelConfig(epsilon=1e-2)
+
+    def test_configs_compare_rules_by_identity(self):
+        # two equal rules in distinct arrays are distinct rules: the
+        # configs compare unequal, without comparing arrays
+        q1, q2 = (build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
+                  for _ in range(2))
+        assert np.array_equal(q1.nodes, q2.nodes) and q1 is not q2
+        a, b = ModelConfig(0.01, quad=q1), ModelConfig(0.01, quad=q2)
+        assert a != b and not a == b
+        assert a == a and a == ModelConfig(0.01, quad=q1)
+        assert ModelConfig(0.01) == ModelConfig(0.01, quad=None)
 
     def test_replacing_the_rule_by_none_marches_one_row(self):
         modes, _ = growing_input("modes21")
@@ -1290,6 +1329,7 @@ class TestEvolve:
         assert np.any(a.m_profiles != 0.0)
         assert same_bits(a.m_profiles, b.m_profiles)
         assert a.records == b.records
+        assert_profiles_match_records(a)
 
     def test_cfl_independence(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
@@ -1315,6 +1355,8 @@ class TestEvolve:
         assert {(out.completed, out.blow_up_time, out.n_steps)
                 for out in outs} == {(False, outs[0].blow_up_time, 15)}
         assert not math.isfinite(outs[0].records[-1].E_std)
+        for out in outs:
+            assert_profiles_match_records(out)
 
     def test_blow_up_reported_not_raised(self):
         # strong bad-derivative self-forcing at order-one amplitude
