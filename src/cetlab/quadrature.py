@@ -33,7 +33,6 @@ DEFAULT_N_NODES = 32
 class MassQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
-    source_family: str
     moment_report: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -58,13 +57,12 @@ class MassQuadrature:
 
     def scaled(self, c: float) -> "MassQuadrature":
         return MassQuadrature(self.nodes, c * self.weights,
-                              self.source_family, dict(self.moment_report))
+                              dict(self.moment_report))
 
 
 # the rule without nodes: a model with no memory modes.  One shared
 # instance, never mutated, so mode-less configurations compare equal
-EMPTY_RULE = MassQuadrature(np.zeros(0), np.zeros(0), "none",
-                            {"dropped_nodes": 0})
+EMPTY_RULE = MassQuadrature(np.zeros(0), np.zeros(0), {"dropped_nodes": 0})
 
 
 def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +159,7 @@ def build_quadrature(rho: SpectralDensity, n_nodes: int = DEFAULT_N_NODES,
     nodes, weights = rule(rho, n_nodes, tol)
     consts = spectral_constants(rho, min(tol, DEFAULT_TOL))
     keep = weights > np.finfo(float).eps * consts.l1
-    quad = MassQuadrature(nodes[keep], weights[keep], rho.family)
+    quad = MassQuadrature(nodes[keep], weights[keep])
     quad.moment_report.update(validate_moments(quad, consts),
                               dropped_nodes=int(keep.size - keep.sum()))
     return quad

@@ -49,24 +49,26 @@ full-width march would hold +0.0 at every column >= W - 4 after it, and
 the window's edge rules write exactly that.  The windowed march is
 therefore bitwise the full-width one.
 
-The march builds every view it reads once per window width
-(`_Workspace.set_width`), not per stage or step: the windows of the
-stage buffers and of both (Q, Q_dot) pairs, with their flat stencil
-slices, their rows, their boundary columns as one strided view and
-their guard columns; the windows of the row buffers; and a C-contiguous
-(rows, W) window of the stencil's centre coefficients, which numpy
-multiplies without buffering a broadcast of their (rows, 1) column.  A
-non-free step computes its sources, memory term and stage velocities in
-those full-width row buffers, with `out=` ufuncs and the operands of the
-allocating formulas, each square formed once, so its bits are the
-formulas'.  Three desk-sized 21-mode steps (n_r = 2048) peak at 3.1 grid
-rows of temporaries, numpy's buffer for the N2 row broadcast over the
-mode rows.  A free step (n_r = 256: 245 values) costs mostly its numpy
-calls, 44 of them; a non-free step makes 257 (counting ufunc calls,
-array operators, indexing, array methods and numpy scalar operations,
-and the march's two guard counts).  `evolve` ignores overflow and
-invalid operations for the whole run, not per step; the march itself
-leaves numpy's error state alone.
+The march steps one state, in place, in the arrays that `initialize`
+made, and builds every view it reads once per window width
+(`_Workspace.set_width`), not per stage or step: the windows of the five
+stage buffers and of the state, with their flat stencil slices, their
+rows, their boundary columns as one strided view and their guard
+columns; the windows of the row buffers; and a C-contiguous (rows, W)
+window of the stencil's centre coefficients, which numpy multiplies
+without buffering a broadcast of their (rows, 1) column.  When the
+window grows, the state is laid out again at the new width through a
+stage buffer.  A non-free step computes its sources, memory term and
+stage velocities in those full-width row buffers, with `out=` ufuncs
+and the operands of the allocating formulas, each square formed once,
+so its bits are the formulas'.  Three desk-sized 21-mode steps
+(n_r = 2048) peak at 3.1 grid rows of temporaries, numpy's buffer for
+the N2 row broadcast over the mode rows.  A free step (n_r = 256: 245
+values) costs mostly its numpy calls, 44 of them; a non-free step makes
+257 (counting ufunc calls, array operators, indexing, array methods and
+numpy scalar operations, and the march's two guard counts).  `evolve`
+ignores overflow and invalid operations for the whole run, not per
+step; the march itself leaves numpy's error state alone.
 
 The memory sum is one BLAS matvec, w @ X, which is +0.0 on a stack
 without mode rows.  OpenBLAS (measured for every W up to 2048 at 21 to
@@ -90,8 +92,8 @@ import numpy as np
 from .errors import (PaddingViolatedError, StiffnessGuardError,
                      ValidationError)
 from .quadrature import EMPTY_RULE, MassQuadrature
+from .resolvent import STABILITY_LIMIT
 
-STIFFNESS_LIMIT = 2.5
 # columns at the window's edge that must stay +0.0, and the columns the
 # window grows by when a step leaves anything else there
 GUARD = 8
@@ -323,14 +325,16 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
 
 
 class _Views:
-    """The views of one C-contiguous (rows, W) stack that a step reads:
-    the flat stencil slices, the V row, the P row and the mode rows (None
-    and no rows on a one-row stack), the boundary columns as one strided
-    view, and the guard columns' bits."""
+    """One C-contiguous (rows, W) stack `Y` and the views of it that a
+    step reads: the flat stencil slices, the V row, the P row and the
+    mode rows (None and no rows on a one-row stack), the boundary columns
+    as one strided view, and the guard columns' bits."""
 
-    __slots__ = ("inner", "right", "left", "V", "P", "X", "edges", "guard")
+    __slots__ = ("Y", "inner", "right", "left", "V", "P", "X", "edges",
+                 "guard")
 
     def __init__(self, Y: np.ndarray):
+        self.Y = Y
         flat = Y.reshape(-1)
         self.inner, self.right, self.left = flat[1:-1], flat[2:], flat[:-2]
         self.V, self.P, self.X = Y[0], Y[1] if len(Y) > 1 else None, Y[2:]
@@ -344,31 +348,31 @@ class _Rows:
     velocity."""
 
     BUFFERS = ("u", "ud", "ur", "ud2", "ur2", "F", "N2", "M", "tmp", "v")
-    __slots__ = (*BUFFERS, "width")
+    __slots__ = BUFFERS
 
     def __init__(self, buffers: np.ndarray, width: int):
         for name, row in zip(self.BUFFERS, buffers[:, :width]):
             setattr(self, name, row)
-        self.width = width
 
 
 class _Workspace:
-    """Grid quantities, buffers and views for the RK4 march of one stack.
+    """Grid quantities, buffers, views and the marched state of one stack.
 
     The stack has `rows` rows (`stack_rows`: m + 2 with m memory modes,
-    1 without).  The stage buffers are flat, of the full stack's size
-    rows*(n_r+1), and are reused by every step, so a step allocates
-    nothing of that size.  A march in the column window [0, W) takes
-    each (rows, W) stage array from the first rows*W elements, and
-    likewise each state from one of the march's two flat (Q, Q_dot)
-    pairs and the stencil's centre coefficients from a flat buffer of
-    their own.  The sources, the memory term and the V row's stage
-    velocities go into full-width row buffers (`_Rows`), so the step
-    allocates no grid row of its own either (module docstring).
-    `set_width` builds those windows, their `_Views` and the rows'
-    `_Rows` once per width; `views` and `row_buffers` hand out the built
-    ones, and build those of any other array or width (a state in fresh
-    arrays, the diagnostics' full width) on the spot.
+    1 without).  The five stage buffers are flat, of the full stack's
+    size rows*(n_r+1), and are reused by every step; the state is the
+    (Q, Q_dot) arrays of the full-width state that `hold` hands over,
+    held flat and stepped in place.  At column width W each (rows, W)
+    stack, stage array or state, is the first rows*W elements of its
+    flat array, and the stencil's centre coefficients have a flat buffer
+    of their own.  The sources, the memory term and the V row's stage
+    velocities go into full-width row buffers (`_Rows`), so a step
+    allocates no stack and no grid row (module docstring).  `set_width`
+    builds the windows once per width, as `_Views` S (stage field), B
+    and a (stage accelerations), K and A (stage sums), and Q and Q_dot
+    once a state is held, and as the rows' `_Rows`; `row_buffers` hands
+    those out, and builds the rows of any other width (the diagnostics'
+    full width) on the spot.
     """
 
     def __init__(self, cfg: ModelConfig, grid: Grid):
@@ -392,39 +396,44 @@ class _Workspace:
         self.centre[2:, 0] -= cfg.quad.nodes * grid.dr ** 2
         size = self.rows * (grid.n_r + 1)
         self._centre_flat = np.empty(size)
-        self._flat = [np.empty(size) for _ in range(3)]
+        self._flat = [np.empty(size) for _ in range(5)]
+        self._state = ()            # the held (Q, Q_dot), flat
         self._row_buffers = np.empty((len(_Rows.BUFFERS), grid.n_r + 1))
-        self.set_width(grid.n_r + 1)
+        self.width = grid.n_r + 1
+        self.set_width(self.width)
         self.column_steps = 0
 
-    def set_width(self, width: int, pairs=()) -> None:
-        """Build the windows at column width `width` of the stage
-        buffers (stage field S, stage accelerations B and a), of the
-        flat (Q, Q_dot) pairs `pairs` and of the centre coefficients,
-        their views and the row buffers'."""
-        self.S, self.B, self.a = (
-            _window(flat, self.rows, width) for flat in self._flat)
-        self.pair_windows = tuple(
-            tuple(_window(flat, self.rows, width) for flat in pair)
-            for pair in pairs)
-        self.centre_window = _window(self._centre_flat, self.rows, width)
-        self.centre_window[...] = self.centre
-        stacks = (self.S, self.B, self.a, *(Y for pair in self.pair_windows
-                                             for Y in pair))
-        # keyed by id: the workspace holds each of these stacks until the
-        # next call replaces them and the dict together, so no other
-        # array can carry the id of an entry
-        self._views = {id(Y): _Views(Y) for Y in stacks}
-        self._rows = _Rows(self._row_buffers, width)
+    def hold(self, st: FieldState, width: int) -> None:
+        """March the arrays of the full-width state `st` from now on,
+        laid out at column width `width`."""
+        self._state = (st.Q.reshape(-1), st.Q_dot.reshape(-1))
+        self.width = st.Q.shape[1]
+        self.set_width(width)
 
-    def views(self, Y: np.ndarray) -> _Views:
-        v = self._views.get(id(Y))
-        return _Views(Y) if v is None else v
+    def set_width(self, width: int) -> None:
+        """Lay the stacks out at column width `width` and build their
+        views and the row buffers' windows.  The held state keeps its
+        first columns, bit for bit, and reads +0.0 in any new ones; it
+        moves through the stage field's buffer, free between steps."""
+        rows, keep = self.rows, min(self.width, width)
+        buffer = _window(self._flat[0], rows, self.width)
+        for flat in self._state:
+            np.copyto(buffer, _window(flat, rows, self.width))
+            Y = _window(flat, rows, width)
+            Y[:, :keep] = buffer[:, :keep]
+            Y[:, keep:] = 0.0
+        self.S, self.B, self.a, self.K, self.A, *state = (
+            _Views(_window(flat, rows, width))
+            for flat in (*self._flat, *self._state))
+        self.Q, self.Q_dot = state or (None, None)
+        self.centre_window = _window(self._centre_flat, rows, width)
+        self.centre_window[...] = self.centre
+        self._rows = _Rows(self._row_buffers, width)
+        self.width = width
 
     def row_buffers(self, width: int) -> _Rows:
-        rows = self._rows
-        return rows if rows.width == width else _Rows(self._row_buffers,
-                                                       width)
+        return self._rows if width == self.width else _Rows(
+            self._row_buffers, width)
 
     def laplacian(self, y: np.ndarray) -> np.ndarray:
         """Centered second difference of one row, zero at both ends."""
@@ -490,9 +499,10 @@ class _Workspace:
             N2 += np.multiply(cfg.d_quad, u2, out=u2)
         return u, ud, ur, F, N2
 
-    def accel(self, t: float, Q: np.ndarray, v: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-        """dr^2 Q_tt of every row into the C-contiguous `out`.
+    def accel(self, t: float, q: _Views, v: np.ndarray,
+              o: _Views) -> None:
+        """dr^2 Q_tt of every row of the stack `q.Y` into `o.Y`, both at
+        the workspace's width.
 
         `v` is the stage velocity of the V row, the only velocity the
         sources read; a free stack evaluates no source and never reads
@@ -502,26 +512,23 @@ class _Workspace:
         product is -0.0 there, and adding the +0.0 neighbours makes it
         +0.0 again.  The source terms go through the scratch row.
         """
-        q, o = self.views(Q), self.views(out)
-        np.multiply(self.centre_window, Q, out=out)
+        np.multiply(self.centre_window, q.Y, out=o.Y)
         inner = o.inner
         inner += q.right
         inner += q.left
         if self.free:
             # as adding the zero sources to row V would: -0.0 becomes
             # +0.0
-            out += 0.0
+            o.Y += 0.0
         else:
             _, _, _, F, N2 = self.sources(q.V, v, t)
             M = self.memory_term(q.X)
-            rs = self.rs[:Q.shape[-1]]
-            tmp = self.row_buffers(Q.shape[-1]).tmp
+            rs, tmp = self.rs[:self.width], self._rows.tmp
             o.V += np.multiply(rs, np.add(F, M, out=tmp), out=tmp)
             if o.P is not None:
                 o.P += np.multiply(rs, M, out=tmp)
                 o.X += np.multiply(rs, N2, out=tmp)
         o.edges.fill(0.0)
-        return out
 
 
 def _window(flat: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -546,24 +553,14 @@ def _start_width(st: FieldState) -> int:
     return min(st.Q.shape[1], end + GROWTH)
 
 
-def _relayout(st: FieldState, pair: tuple) -> FieldState:
-    """`st` copied into the (Q, Q_dot) arrays `pair`, with +0.0 in any
-    columns past its own."""
-    keep = min(st.Q.shape[1], pair[0].shape[1])
-    for Y, out in zip((st.Q, st.Q_dot), pair):
-        out[:, :keep] = Y[:, :keep]
-        out[:, keep:] = 0.0
-    return FieldState(st.t, *pair)
-
-
 def _pin_boundaries(*stacks: np.ndarray) -> None:
     for Y in stacks:
         Y[:, 0] = Y[:, -1] = 0.0
 
 
-def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
-              out: tuple) -> FieldState:
-    """Classical RK4 on Q_tt = f(t, Q, V_dot), in Nystrom form.
+def _rk4_step(ws: _Workspace, t: float, dt: float) -> None:
+    """Classical RK4 on Q_tt = f(t, Q, V_dot), in Nystrom form, from time
+    `t` on the workspace's state (Q, Qd), in place.
 
     With h = dt/2, s = 1/dr^2 and the scaled accelerations a_i of
     `_Workspace.accel` (a_i = dr^2 Q_tt at stage i), the stage fields
@@ -575,32 +572,31 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
         Q_new  = Q + dt Qd + (dt^2 s/6) (a1 + a2 + a3)
         Qd_new = Qd + (dt s/6) (a1 + 2 a2 + 2 a3 + a4),
 
-    the written-out RK4 step with its stage velocities substituted.  The
-    new (Q, Q_dot) is written into the pair `out`; `st` is never written.
-    Overflow is not trapped here: `evolve` runs the march with
-    overflow and invalid operations ignored.
+    the written-out RK4 step with its stage velocities substituted; the
+    sums build up in the stage buffers K and A, and only the last two
+    additions write the state.  Overflow is not trapped here: `evolve`
+    runs the march with overflow and invalid operations ignored.
     """
-    t, Q, Qd = st.t, st.Q, st.Q_dot
-    K, A = out
-    S, B, a = ws.S, ws.B, ws.a
+    Q, Qd = ws.Q.Y, ws.Q_dot.Y
+    S, B, a, K, A = ws.S.Y, ws.B.Y, ws.a.Y, ws.K.Y, ws.A.Y
     h, s = 0.5 * dt, ws.inv_dr2
     v = v2 = v3 = v4 = Qd[0]
     free = ws.free
     if not free:
-        w = ws.row_buffers(Q.shape[1]).v       # each stage velocity
-    ws.accel(t, Q, v, a)                        # a = a1
+        w = ws.row_buffers(ws.width).v          # each stage velocity
+    ws.accel(t, ws.Q, v, ws.a)                  # a = a1
     np.multiply(Qd, h, out=S)
     S += Q                                      # S = Q + h Qd
     if not free:
         v2 = np.add(v, np.multiply(h * s, a[0], out=w), out=w)
-    ws.accel(t + h, S, v2, B)                   # B = a2
+    ws.accel(t + h, ws.S, v2, ws.B)             # B = a2
     S += np.multiply(a, h * h * s, out=K)       # S = stage-3 field
     np.multiply(B, 2.0, out=A)
     A += a                                      # A = a1 + 2 a2
     np.add(a, B, out=K)                         # K = a1 + a2
     if not free:
         v3 = np.add(v, np.multiply(h * s, B[0], out=w), out=w)
-    ws.accel(t + h, S, v3, a)                   # a = a3
+    ws.accel(t + h, ws.S, v3, ws.a)             # a = a3
     if not free:                                # before a is doubled
         v4 = np.add(v, np.multiply(dt * s, a[0], out=w), out=w)
     np.multiply(Qd, dt, out=S)
@@ -609,15 +605,14 @@ def _rk4_step(ws: _Workspace, st: FieldState, dt: float,
     B += S                                      # B = stage-4 field
     K += a                                      # K = a1 + a2 + a3
     A += np.multiply(a, 2.0, out=a)             # A = a1 + 2 a2 + 2 a3
-    ws.accel(t + dt, B, v4, a)                  # a = a4
+    ws.accel(t + dt, ws.B, v4, ws.a)            # a = a4
     A += a
     K *= dt * dt * s / 6.0
-    K += S
+    np.add(K, S, out=Q)
     A *= dt * s / 6.0
-    A += Qd
-    ws.views(K).edges.fill(0.0)
-    ws.views(A).edges.fill(0.0)
-    return FieldState(t + dt, K, A)
+    np.add(A, Qd, out=Qd)
+    ws.Q.edges.fill(0.0)
+    ws.Q_dot.edges.fill(0.0)
 
 
 def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
@@ -632,30 +627,24 @@ def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):
     `n2_override` the window is the full grid.  `ws.column_steps` adds
     up W over the steps.
 
-    Two flat (Q, Q_dot) pairs alternate, `st`'s own arrays and a spare
-    pair, and each (rows, W) state takes the first rows*W elements of
-    one of them; `ws.set_width` builds both pairs' windows and views
-    at the start and at each growth, and the start state is laid out in
-    the spare pair's window.  So `st` may be overwritten from the first
-    step on, and a yielded state holds only until the next one is
-    yielded.
+    The workspace holds the one marched state in `st`'s own arrays
+    (`_Workspace.hold`), laid out at the start width; each step writes
+    it in place, and each growth lays it out again at the new width.
+    So `st` is overwritten once the march starts, and a yielded state
+    holds only until the next one is yielded.
     """
     full = st.Q.shape[1]
-    pairs = ((st.Q.reshape(-1), st.Q_dot.reshape(-1)),
-             (np.empty(st.Q.size), np.empty(st.Q.size)))
-    width = full if ws.cfg.n2_override is not None else _start_width(st)
-    ws.set_width(width, pairs)
-    st, spare = _relayout(st, ws.pair_windows[1]), 0
+    ws.hold(st, full if ws.cfg.n2_override is not None else _start_width(st))
+    t = st.t
     for _ in range(n_steps):
-        st, spare = _rk4_step(ws, st, dt, ws.pair_windows[spare]), 1 - spare
-        ws.column_steps += width
+        _rk4_step(ws, t, dt)
+        t += dt
+        ws.column_steps += ws.width
         # the guard's bits decide: -0.0 and NaN count as nonzero
-        if width < full and (np.count_nonzero(ws.views(st.Q).guard)
-                             or np.count_nonzero(ws.views(st.Q_dot).guard)):
-            width = min(full, width + GROWTH)
-            ws.set_width(width, pairs)
-            st, spare = _relayout(st, ws.pair_windows[spare]), 1 - spare
-        yield st
+        if ws.width < full and (np.count_nonzero(ws.Q.guard)
+                                or np.count_nonzero(ws.Q_dot.guard)):
+            ws.set_width(min(full, ws.width + GROWTH))
+        yield FieldState(t, ws.Q.Y, ws.Q_dot.Y)
 
 
 def _check_finite(st: FieldState, grid: Grid):
@@ -722,8 +711,8 @@ def _snapshot(ws: _Workspace, st: FieldState) -> dict:
 def march_schedule(cfg: ModelConfig, grid: Grid,
                    snapshot_times=()) -> tuple[int, float, dict]:
     """(n_steps, dt, snapshot steps) of `evolve`, known before any step,
-    and the one check of a run: the padding, then the stiffness guard at
-    that dt.
+    and the one check of a run: the padding, a finite step count, then
+    the stiffness guard at that dt.
 
     The steps are counted once `grid` pads the run.  dt is cfl*dr shrunk
     so that an even number of steps lands exactly on t_final
@@ -738,14 +727,21 @@ def march_schedule(cfg: ModelConfig, grid: Grid,
                                    f"{need:.6g}, got {grid.r_max:.6g}")
     if cfg.t_final == 0.0:
         return 0, 0.0, {0: 0.0}
-    n_steps = 2 * max(1, math.ceil(cfg.t_final / (2.0 * cfg.cfl * grid.dr)))
+    # padding bounds the count only by about n_r/(2 cfl): a tiny cfl
+    # can still make it infinite, or make 2 cfl dr underflow to 0
+    span = 2.0 * cfg.cfl * grid.dr
+    half_steps = cfg.t_final / span if span else math.inf
+    if not half_steps < math.inf:
+        raise ValidationError(f"t_final/(2*cfl*dr) = {half_steps} is no "
+                              f"finite step count")
+    n_steps = 2 * max(1, math.ceil(half_steps))
     dt = cfg.t_final / n_steps
     guard = cfg.stiffness_guard(grid, dt)
-    if guard > STIFFNESS_LIMIT:
+    if guard > STABILITY_LIMIT:
         # shortest round-trip digits: never equal to the limit's
         raise StiffnessGuardError(
             f"stiffness-guard-violated: dt*sqrt(mu_max + (pi/dr)^2) = "
-            f"{guard} > {STIFFNESS_LIMIT}")
+            f"{guard} > {STABILITY_LIMIT}")
     snap_steps = {}
     for ts in snapshot_times:
         idx = int(round(ts / dt))

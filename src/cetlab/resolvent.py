@@ -36,7 +36,8 @@ from .errors import (CommutatorInputError, ModeStepUnstableError,
 from .quadrature import MassQuadrature
 
 # RK4 covers |omega * dt| up to 2*sqrt(2) on the oscillator axis; the
-# guard leaves margin for the source terms.
+# guard leaves margin for the source terms.  The mode solves and the
+# radial march's stiffness guard both hold to it.
 STABILITY_LIMIT = 2.5
 # allowance over sqrt(2) for the O(dt^2) error of the discrete response
 _BOUND_SLACK = 0.02

@@ -627,6 +627,28 @@ class TestCli:
                                   "need r_max >= 1e+305, got 1")
         assert captured.out == "" and not d.exists()
 
+    @pytest.mark.parametrize("cfl, n_r, steps", [
+        ("1e-300", 10 ** 12, "inf"),        # t_final/(2 cfl dr) overflows
+        ("1e-200", 2 * 10 ** 125, "inf"),   # 2 cfl dr underflows to 0
+    ], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_step_count_checked_before_the_march(self, tmp_path, capsys,
+                                                 command, cfl, n_r, steps):
+        # padded runs whose step count is no finite number: a coded
+        # error naming the file, before any stack is allocated
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(ONE_ATOM_RUN.format(
+            out=d, cfl=cfl, epsilon="0.01", b_bad="0", r_max="21",
+            t_final="10").replace("n_r = 256", f"n_r = {n_r}"))
+        assert main([command, "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "validation-error"
+        assert err["message"] == (f"{cfgfile}: t_final/(2*cfl*dr) = {steps} "
+                                  "is no finite step count")
+        assert captured.out == "" and not d.exists()
+
     @pytest.mark.parametrize("command", ["evolve", "scatter"])
     def test_grid_spacing_refused_at_the_parse(self, tmp_path, capsys,
                                                command):

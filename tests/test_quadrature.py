@@ -105,8 +105,7 @@ class TestKernelOracle:
         return j0(np.sqrt(quad.nodes)[:, None] * tau).T @ quad.weights
 
     def test_pruned_kernel_matches_full_rule_and_closed_form(self):
-        full = MassQuadrature(*gauss_laguerre_generalized(32, 1.0),
-                              "powerlaw")
+        full = MassQuadrature(*gauss_laguerre_generalized(32, 1.0))
         pruned = build_quadrature(UNIT, 32)
         tau = np.linspace(0.0, 60.0, 6001)
         k_full, k_pruned = self.kernel(full, tau), self.kernel(pruned, tau)

@@ -22,7 +22,8 @@ from cetlab.quadrature import gauss_laguerre_generalized
 from cetlab.radial import (FieldState, _check_finite, _march, _rk4_step,
                            _Workspace, ghost_q, ghost_q_prime,
                            march_schedule)
-from cetlab.resolvent import ModeParams, TimeSeries, kg_retarded
+from cetlab.resolvent import (STABILITY_LIMIT, ModeParams, TimeSeries,
+                              kg_retarded)
 
 
 def free_cfg(**kw):
@@ -33,12 +34,32 @@ def free_cfg(**kw):
 
 
 def fresh_step(ws, st, dt):
-    """`_rk4_step` into a fresh (Q, Q_dot) pair."""
-    return _rk4_step(ws, st, dt, (np.empty(st.Q.shape), np.empty(st.Q.shape)))
+    """`_rk4_step` on a fresh copy of `st`, held at its own width."""
+    new = FieldState(st.t + dt, st.Q.copy(), st.Q_dot.copy())
+    ws.hold(new, new.Q.shape[1])
+    _rk4_step(ws, st.t, dt)
+    return new
+
+
+def step_on_a_copy(ws, t, dt):
+    """A `_rk4_step` replacement: the step on a fresh full-width copy of
+    the workspace's state, held at the workspace's width."""
+    n = len(ws.r)
+    ws.hold(FieldState(t, *(np.stack([radial._pad(row, n) for row in Y])
+                            for Y in (ws.Q.Y, ws.Q_dot.Y))), ws.width)
+    _rk4_step(ws, t, dt)
+
+
+def accel_of(accel, ws, t, Q, v):
+    """`accel` (`_Workspace.accel` or an oracle of its signature) of the
+    stack `Q` with V-row velocity `v`, into a fresh array."""
+    out = np.empty_like(Q)
+    accel(ws, t, radial._Views(Q), v, radial._Views(out))
+    return out
 
 
 def step(state, cfg, grid):
-    """One RK4 step of cfl*dr of the full system into fresh arrays, for
+    """One RK4 step of cfl*dr of the full system on a fresh copy, for
     a run that `march_schedule` admits; fails on nonfinite values."""
     march_schedule(cfg, grid)
     new = fresh_step(_Workspace(cfg, grid), state, cfg.cfl * grid.dr)
@@ -142,7 +163,7 @@ def old_memory_term(ws, X):
 OLD_ARITHMETIC = (old_laplacian, old_memory_term)
 
 
-def all_terms_accel(ws, t, Q, v, out):
+def all_terms_accel(ws, t, q, v, o):
     """`_Workspace.accel` before it skipped the source terms a stack
     never reads and before its sources moved into row buffers: F, M and
     N2 from the allocating oracle, added on every stack (row P and the
@@ -150,6 +171,7 @@ def all_terms_accel(ws, t, Q, v, out):
     coefficients broadcast from their column.  The skipping, buffered
     march must match it bit for bit (TestSourceSkip,
     TestInPlaceSources)."""
+    Q, out = q.Y, o.Y
     _, _, _, F, N2 = reference_sources(ws, Q[0], v, t)
     M = reference_memory_term(ws, Q[2:])
     rs = ws.rs[:Q.shape[-1]]
@@ -161,7 +183,6 @@ def all_terms_accel(ws, t, Q, v, out):
     out[1:2] += rs * M
     out[2:] += rs * N2
     radial._pin_boundaries(out)
-    return out
 
 
 def reference_accel(ws, t, Q, Q_dot, laplacian=reference_laplacian,
@@ -211,9 +232,9 @@ def reference_march(arithmetic=()):
 
 
 def full_width_march(ws, st, dt, n_steps):
-    """`_rk4_step` after `_rk4_step` on the full grid, into fresh arrays:
-    the oracle the windowed, buffered march must match bit for bit."""
-    ws.set_width(st.Q.shape[1])
+    """`_rk4_step` after `_rk4_step` on the full grid, each on a fresh
+    copy of the state: the oracle the windowed march, which steps one
+    state in place, must match bit for bit."""
     for _ in range(n_steps):
         st = fresh_step(ws, st, dt)
         yield st
@@ -242,8 +263,7 @@ def stack_input(kind, n_r=256):
     elif kind == "free":
         cfg, grid = free_cfg(), Grid(21.0, n_r)
     else:
-        quad = MassQuadrature(np.array([0.7, 2.5]), np.array([0.4, 0.2]),
-                              "diraccomb")
+        quad = MassQuadrature(np.array([0.7, 2.5]), np.array([0.4, 0.2]))
         grid = Grid(21.0, 256)
         cfg = ModelConfig(epsilon=0.02, a_null=1.0, c_grad=0.0, d_quad=0.0,
                           quad=quad, cfl=0.4, t_final=10.0,
@@ -386,7 +406,7 @@ class TestStep:
         # without memory modes P stays +0.0 and is not marched: the
         # stack is V alone, and P, P_dot read +0.0 rows of its width
         if quad == "empty":
-            quad = MassQuadrature(np.zeros(0), np.zeros(0), "diraccomb")
+            quad = MassQuadrature(np.zeros(0), np.zeros(0))
         for cfg in (free_cfg(quad=quad), free_cfg(quad=quad, a_null=1.0)):
             grid = Grid(21.0, 128)
             ws = _Workspace(cfg, grid)
@@ -402,14 +422,13 @@ class TestStep:
                     not np.shares_memory(row, st.Q_dot)
 
     def test_stiffness_guard(self):
-        stiff = MassQuadrature(np.array([1e6]), np.array([1.0]), "diraccomb")
+        stiff = MassQuadrature(np.array([1e6]), np.array([1.0]))
         cfg = free_cfg(quad=stiff, t_final=1.0)
         grid = Grid(21.0, 128)
         with pytest.raises(ValidationError, match="stiffness"):
             step(initialize(free_cfg(t_final=1.0), grid), cfg, grid)
         # a huge guard value prints in a few digits, not a few hundred
-        huge = MassQuadrature(np.array([1e300]), np.array([1.0]),
-                              "diraccomb")
+        huge = MassQuadrature(np.array([1e300]), np.array([1.0]))
         with pytest.raises(ValidationError, match="stiffness") as exc:
             step(initialize(free_cfg(t_final=1.0), grid),
                  free_cfg(quad=huge, t_final=1.0), grid)
@@ -422,8 +441,8 @@ class TestStep:
         # 3 digits
         dt = march_schedule(free_cfg(t_final=1.0), grid)[1]
         mu = (2.5000001 / dt) ** 2 - (math.pi / grid.dr) ** 2
-        cfg = free_cfg(quad=MassQuadrature(np.array([mu]), np.array([1.0]),
-                                           "diraccomb"), t_final=1.0)
+        cfg = free_cfg(quad=MassQuadrature(np.array([mu]), np.array([1.0])),
+                       t_final=1.0)
         guard = cfg.stiffness_guard(grid, dt)
         assert 2.5 < guard < 2.5001
         with pytest.raises(ValidationError, match="stiffness") as exc:
@@ -435,7 +454,7 @@ class TestStep:
 class TestLaplacian:
     def test_flat_stencil_matches_rows_and_nothing_crosses(self):
         quad = MassQuadrature(np.array([0.5, 1.0, 2.0, 4.0]),
-                              np.array([0.1, 0.2, 0.3, 0.4]), "diraccomb")
+                              np.array([0.1, 0.2, 0.3, 0.4]))
         cfg = free_cfg(a_null=1.0, b_bad=0.5, c_grad=1.0, d_quad=0.25,
                        quad=quad)
         grid = Grid(21.0, 64)
@@ -448,9 +467,8 @@ class TestLaplacian:
         Y[1, -1] = np.inf
         Y[3, 0] = np.nan
         Y[1, 5] = -np.inf
-        got = np.empty_like(Y)
         with np.errstate(invalid="ignore"):
-            ws.accel(0.5, Y, v, got)
+            got = accel_of(_Workspace.accel, ws, 0.5, Y, v)
             want = np.zeros_like(Y)
             for i, row in enumerate(Y):
                 want[i, 1:-1] = ws.centre[i, 0] * row[1:-1] + row[2:] \
@@ -530,9 +548,8 @@ class TestInPlaceSources:
     def test_accel_matches_oracle(self, kind, width):
         ws, Q, v = source_input(kind)
         Q, v = self.cut(ws, Q, v, width)
-        got, want = np.empty_like(Q), np.empty_like(Q)
-        ws.accel(0.5, Q, v, got)
-        all_terms_accel(ws, 0.5, Q, v, want)
+        got = accel_of(_Workspace.accel, ws, 0.5, Q, v)
+        want = accel_of(all_terms_accel, ws, 0.5, Q, v)
         self.assert_same(got, want, kind)
         assert not ws.free and (got[2:] != 0.0).any(axis=1).all()
 
@@ -593,9 +610,8 @@ class TestBufferedStep:
             return evolve(cfg, grid, cadence=3, snapshot_times=(2.0, 6.0))
 
         buffered = run()
-        # the same step into fresh arrays
-        monkeypatch.setattr(radial, "_rk4_step",
-                            lambda ws, st, dt, out: fresh_step(ws, st, dt))
+        # the same step on a fresh copy of each state
+        monkeypatch.setattr(radial, "_rk4_step", step_on_a_copy)
         reference = run()
         got, want = run_arrays(buffered), run_arrays(reference)
         assert got.keys() == want.keys() and len(want) == 2 + 2 * 7
@@ -604,36 +620,61 @@ class TestBufferedStep:
         assert (buffered.dt, buffered.completed, buffered.n_steps) == \
             (reference.dt, reference.completed, reference.n_steps)
 
-    def test_step_leaves_its_input_alone(self):
+    def test_step_writes_the_start_state(self):
+        # the march steps the start state's own arrays in place, and no
+        # stage buffer shares their memory
         cfg, grid, st = stack_input("modes32")
         Q, Q_dot = st.Q.copy(), st.Q_dot.copy()
-        new = step(st, cfg, grid)
-        assert same_bits(st.Q, Q) and same_bits(st.Q_dot, Q_dot)
-        assert not np.shares_memory(new.Q, st.Q)
-        assert not np.shares_memory(new.Q_dot, st.Q_dot)
-        assert not same_bits(new.Q, Q)
+        ws = _Workspace(cfg, grid)
+        new = next(_march(ws, st, cfg.cfl * grid.dr, 1))
+        assert new.Q.shape == Q.shape       # the data fill the grid
+        assert np.shares_memory(new.Q, st.Q)
+        assert np.shares_memory(new.Q_dot, st.Q_dot)
+        assert not same_bits(new.Q, Q) and not same_bits(new.Q_dot, Q_dot)
+        for stage in (ws.S, ws.B, ws.a, ws.K, ws.A):
+            assert not np.shares_memory(stage.Y, st.Q)
+            assert not np.shares_memory(stage.Y, st.Q_dot)
+
+    @staticmethod
+    def traced_march(cfg, grid, st, n_steps):
+        """The peak of traced memory over `n_steps` steps of `_march`,
+        from its start, and the window widths it stepped at."""
+        march = _march(_Workspace(cfg, grid), st, cfg.cfl * grid.dr, n_steps)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            widths = {new.Q.shape[1] for new in march}
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak, widths
 
     def test_buffered_step_allocates_no_stack(self):
-        # desk-sized stacks, 34 x 2049 and 1 x 2049; what a step may
-        # allocate is a few grid rows and numpy's 64 KiB ufunc buffer,
-        # and a free step no grid row
+        # desk-sized stacks, 23 x 2049 and 1 x 2049, traced from the
+        # march's start; what a step may allocate is a few grid rows and
+        # numpy's 64 KiB ufunc buffer, and a free step no grid row
         for kind in ("modes32", "free"):
             cfg, grid, st = stack_input(kind, n_r=2048)
-            march = _march(_Workspace(cfg, grid), st, cfg.cfl * grid.dr, 4)
-            next(march)                 # the spare pair is allocated here
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                assert sum(1 for _ in march) == 3
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            peak, _ = self.traced_march(cfg, grid, st, 4)
             assert peak < st.Q.nbytes, kind
             if kind == "modes32":
                 # the sources, the memory term and the stage velocities
                 # go into row buffers; what is left is numpy's buffer for
                 # the N2 row broadcast over the mode rows
                 assert peak < 4 * st.Q[0].nbytes
+        # a 21-mode stack from compact data, across the window's first
+        # growths: laying the state out again allocates nothing either.
+        # In a window numpy's buffer for the N2 broadcast is its full
+        # 64 KiB, and a copy of the state would take 23 x 747 values or
+        # more.  (A free stack's window, about 8 KB, weighs what the views
+        # a growth builds weigh, so tracemalloc cannot tell a copy of it
+        # apart; TestGrowth checks its bits.)
+        cfg, grid = growing_input("modes21")
+        grid = Grid(grid.r_max, 2048)
+        st = initialize(cfg, grid)
+        peak, widths = self.traced_march(cfg, grid, st, 200)
+        assert len(widths) >= 4 and max(widths) < grid.n_r + 1
+        assert peak < 2 ** 16 + st.Q[0].nbytes
 
     def test_run_arrays_share_no_memory(self):
         quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 8)
@@ -830,7 +871,7 @@ class TestNoModesIsTheEmptyRule:
     @pytest.mark.parametrize("kind", ["time-symmetric", "F_on"])
     def test_none_and_empty_rule_are_one_run(self, kind):
         cfg, grid = mode_less_input(kind)
-        empty = MassQuadrature(np.zeros(0), np.zeros(0), "diraccomb")
+        empty = MassQuadrature(np.zeros(0), np.zeros(0))
         runs = [evolve(dataclasses.replace(cfg, quad=quad), grid, cadence=5,
                        snapshot_times=(0.0, cfg.t_final / 2, cfg.t_final))
                 for quad in (None, empty)]
@@ -890,11 +931,41 @@ class TestViewsPerWidth:
         assert len(marched) == n_steps
         growths = sum(b > a for a, b in zip(marched, marched[1:]))
         assert growths >= 3
-        # one build at the start and one per growth; the stage buffers
-        # and both (Q, Q_dot) pairs, and nothing built during a step
+        # one build at the start and one per growth; the five stage
+        # buffers and the state (Q, Q_dot), and nothing built during a
+        # step
         assert len(widths) == growths + 1
         assert widths == sorted(set(marched))
         assert len(built) == 7 * len(widths)
+
+
+class TestGrowth:
+    """A growth lays the held state out again at the new width: every old
+    column keeps its bits, and every new column is +0.0."""
+
+    @pytest.mark.parametrize("kind", ["free", "modes21"])
+    def test_growth_keeps_every_bit(self, kind):
+        cfg, grid = growing_input(kind)
+        ws = _Workspace(cfg, grid)
+        st = initialize(cfg, grid)
+        width = 100
+        ws.hold(st, width)
+        rng = np.random.default_rng(13)
+        nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+        for Y in (ws.Q.Y, ws.Q_dot.Y):
+            Y[...] = rng.standard_normal(Y.shape)
+            Y[:, [3, 50, -1]] = [-0.0, nan, -np.inf]
+            Y[0, 7] = np.inf
+        old = [ws.Q.Y.copy(), ws.Q_dot.Y.copy()]
+        # what the flat arrays held past the window is not carried over
+        for Y in (st.Q, st.Q_dot):
+            Y.reshape(-1)[ws.rows * width:] = np.nan
+        ws.set_width(width + radial.GROWTH)
+        assert ws.Q.Y.shape == (ws.rows, width + radial.GROWTH)
+        for Y, before in zip((ws.Q.Y, ws.Q_dot.Y), old):
+            assert np.shares_memory(Y, st.Q) or np.shares_memory(Y, st.Q_dot)
+            assert same_bits(Y[:, :width], before)
+            assert same_bits(Y[:, width:], np.zeros((ws.rows, radial.GROWTH)))
 
 
 class TestErrorState:
@@ -982,9 +1053,8 @@ class TestSourceSkip:
         bare = ws.centre * Y
         bare[:, 1:-1] += Y[:, 2:] + Y[:, :-2]
         assert np.signbit(bare[:, 10]).all() and (bare[:, 10] == 0.0).all()
-        got, want = np.empty_like(Y), np.empty_like(Y)
-        ws.accel(0.5, Y, v, got)
-        all_terms_accel(ws, 0.5, Y, v, want)
+        got = accel_of(_Workspace.accel, ws, 0.5, Y, v)
+        want = accel_of(all_terms_accel, ws, 0.5, Y, v)
         assert same_bits(got, want)
         assert not np.signbit(got[:, 10]).any()
 
@@ -1227,7 +1297,7 @@ class TestEvolve:
         guard = out.dt * math.sqrt(quad.nodes.max()
                                    + (math.pi / grid.dr) ** 2)
         assert out.stiffness_guard == guard
-        assert 0.0 < out.stiffness_guard <= radial.STIFFNESS_LIMIT
+        assert 0.0 < out.stiffness_guard <= STABILITY_LIMIT
 
     def test_padding_enforced(self):
         cfg = free_cfg(t_final=50.0)
@@ -1289,8 +1359,7 @@ class TestEvolve:
         # the 11 GL-32 nodes with weight below eps * l1 move no output
         # beyond round-off; they only raised mu_max
         pruned = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
-        full = MassQuadrature(*gauss_laguerre_generalized(32, 1.0),
-                              "powerlaw")
+        full = MassQuadrature(*gauss_laguerre_generalized(32, 1.0))
         outs = []
         for quad in (pruned, full):
             cfg = ModelConfig(epsilon=0.05, quad=quad, t_final=16.0)
@@ -1374,8 +1443,7 @@ class TestEvolve:
 
 class TestSeparableSourceOracle:
     def test_memory_modes_match_resolvent_route(self):
-        quad = MassQuadrature(np.array([0.7, 2.5]), np.array([0.4, 0.2]),
-                              "diraccomb")
+        quad = MassQuadrature(np.array([0.7, 2.5]), np.array([0.4, 0.2]))
         grid = Grid(21.0, 256)
         kk = 3 * math.pi / grid.r_max
         cfg = ModelConfig(epsilon=0.0, a_null=0.0, b_bad=0.0, c_grad=0.0,

@@ -15,7 +15,7 @@ from cetlab.errors import CommutatorInputError, ModeStepUnstableError
 from cetlab.resolvent import (ModeParams, TimeSeries, _kg_solve, _midpoints,
                               _rk4_increment, _terminal_phasor, _unit_step)
 
-ONE_ATOM = MassQuadrature(np.array([1.0]), np.array([1.0]), "diraccomb")
+ONE_ATOM = MassQuadrature(np.array([1.0]), np.array([1.0]))
 
 
 def kg_retarded_with_velocity(params, f):
