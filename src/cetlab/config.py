@@ -27,7 +27,7 @@ import inspect
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ValidationError
+from .errors import CetlabError, ValidationError
 from .quadrature import DEFAULT_N_NODES, build_quadrature
 from .radial import Grid, ModelConfig, evolve, padded_r_max
 from .spectral import (DEFAULT_TOL, BreitWigner, DiracComb, PowerLawExp,
@@ -246,8 +246,10 @@ def _build(sections, lines, path, text) -> RunConfig:
     if solver:
         try:
             cfgobj.model = cfgobj.build_model()
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        except CetlabError as exc:
+            # name the file, keep the error's class, code and detail
+            exc.args = (f"{path}: {exc}",)
+            raise
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: invalid [solver] section: {exc}")
     return cfgobj

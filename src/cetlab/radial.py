@@ -84,6 +84,7 @@ and L2(r^2 dr) norms of the memory term and its source.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from time import perf_counter
 
@@ -755,12 +756,25 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     """March to t_final recording diagnostics every `cadence` steps.
 
     The steps, dt and snapshot steps are `march_schedule`'s, which checks
-    the run.  A detected blow-up terminates the march and returns the
-    partial output with the failure time recorded.
+    the run; a run whose arrays would not fit in the host's memory is
+    then refused before any is allocated.  A detected blow-up
+    terminates the march and returns the partial output with the
+    failure time recorded.
     """
     if cadence < 1:
         raise ValidationError("cadence must be a positive integer")
     n_steps, dt, snap_steps = march_schedule(cfg, grid, snapshot_times)
+    # the grid rows made before the first step: eight stacks (five
+    # stage buffers, the centre window, Q and Q_dot), the row buffers,
+    # the workspace's three grid rows and one memory profile per record
+    n_records = -(-n_steps // cadence) + 1
+    need = 8 * (grid.n_r + 1) * (8 * stack_rows(cfg) + len(_Rows.BUFFERS)
+                                 + 3 + n_records)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValidationError(f"{n_steps} steps on {grid.n_r + 1} columns "
+                              f"need {need} bytes up front; the host has "
+                              f"{have}")
     ws = _Workspace(cfg, grid)
     st = initialize(cfg, grid)
 

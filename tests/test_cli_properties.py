@@ -174,6 +174,11 @@ def test_cli_exit_codes_total(argv):
 # an n_r past the double range: the grid spacing is no finite double
 @example(text="[solver]\nepsilon = 0.01\nr_max = 100\nt_final = 10\n"
               "n_r = 1" + "0" * 400 + "\n")
+# a grid past any host's memory: the parse allocates none of it (evolve
+# refuses it with a coded error, tests/test_config_cli.py)
+@example(text="[density]\nfamily = powerlaw\nalpha = 1\nbeta = 1\n"
+              "lambda = 1\n[solver]\nepsilon = 0.01\nt_final = 10\n"
+              "n_r = 1000000000000\n")
 def test_config_errors_are_coded(text):
     try:
         rc = parse_config_text(text)

@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from cetlab import PowerLawExp, ValidationError, cli, config, evolve
+from cetlab import PowerLawExp, ValidationError, cli, config, evolve, radial
 from cetlab.cli import _density_from_args, _dumps, build_parser, main, \
     write_json
 from cetlab.config import FAMILIES, parse_config_text
@@ -72,6 +73,42 @@ d_quad = 0
 [output]
 directory = {out}
 formats = csv, json
+"""
+
+# powerlaw 1 1 1 on 10^12 + 1 columns: a run past any host's memory
+HUGE_RUN = """
+[density]
+family = powerlaw
+alpha = 1
+beta = 1
+lambda = 1
+
+[solver]
+epsilon = 0.01
+t_final = 10
+n_r = 1000000000000
+
+[output]
+directory = {out}
+"""
+
+# a Breit-Wigner rule whose tol leaves no domain
+EMPTY_DOMAIN_RUN = """
+[density]
+family = breitwigner
+alpha = 1
+gamma = 1
+mu0 = 2
+
+[quadrature]
+tol = 10
+
+[solver]
+epsilon = 0.01
+t_final = 10
+
+[output]
+directory = {out}
 """
 
 
@@ -647,6 +684,46 @@ class TestCli:
         assert err["error"] == "validation-error"
         assert err["message"] == (f"{cfgfile}: t_final/(2*cfl*dr) = {steps} "
                                   "is no finite step count")
+        assert captured.out == "" and not d.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_run_larger_than_the_host_refused(self, tmp_path, capsys,
+                                              command):
+        # n_r = 10^12 plans 952380952382 steps and 8 TB a stack: refused
+        # with the bytes it needs and the host's, before any array
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(HUGE_RUN.format(out=d))
+        assert main([command, "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "validation-error"
+        cfg, grid, cadence, _ = config.parse_config(str(cfgfile)).model
+        n_steps = radial.march_schedule(cfg, grid)[0]
+        records = n_steps // cadence + 1 + (n_steps % cadence > 0)
+        rows = 8 * radial.stack_rows(cfg) + 10 + 3 + records
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert n_steps == 952380952382
+        assert err["message"] == (
+            f"{cfgfile}: {n_steps} steps on {10 ** 12 + 1} columns need "
+            f"{8 * rows * (10 ** 12 + 1)} bytes up front; the host has "
+            f"{have}")
+        assert captured.out == "" and not d.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_numerical_error_at_the_parse_names_the_run_file(
+            self, tmp_path, capsys, command):
+        # tol = 10 truncates the Breit-Wigner rule's domain to nothing:
+        # the rule's own error, exit 3, naming the file
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(EMPTY_DOMAIN_RUN.format(out=d))
+        assert main([command, "--config", str(cfgfile)]) == 3
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "quadrature-construction-failed"
+        assert err["message"] == (f"{cfgfile}: quadrature-construction-"
+                                  "failed: empty truncated domain")
         assert captured.out == "" and not d.exists()
 
     @pytest.mark.parametrize("command", ["evolve", "scatter"])

@@ -10,7 +10,9 @@ import pytest
 from cetlab import (MassQuadrature, PowerLawExp, ValidationError,
                     apply_memory, apply_memory2, build_quadrature,
                     commutator_residual, duhamel_ratio, kg_retarded,
-                    mass_weighted_bound_check, positivity_functional)
+                    mass_weighted_bound_check, positivity_functional,
+                    scaling_derivative)
+from cetlab import resolvent
 from cetlab.errors import CommutatorInputError, ModeStepUnstableError
 from cetlab.resolvent import (ModeParams, TimeSeries, _kg_solve, _midpoints,
                               _rk4_increment, _terminal_phasor, _unit_step)
@@ -313,11 +315,68 @@ class TestDoubleResolvent:
         assert out.sup() <= c_p1 * f.l1() * t[-1]
 
 
+def ladder_bump(dt):
+    """Criterion 4's input at step dt: a unit bump at t = 4 on [0, 12]."""
+    n = int(round(12.0 / dt)) + 1
+    t = dt * np.arange(n)
+    return TimeSeries(0.0, dt, smooth_bump(t, 4.0, 1.0))
+
+
 class TestCommutator:
     def test_zero_signal(self):
         f = series(1e-3, 2000, np.zeros_like)
         chk = commutator_residual(1.0, f)
         assert chk.residual == 0.0
+        assert chk.sign == -1
+
+    def test_two_mode_solves(self, monkeypatch):
+        calls = []
+
+        def counted(params, f):
+            calls.append(params)
+            return kg_retarded(params, f)
+
+        monkeypatch.setattr(resolvent, "kg_retarded", counted)
+        for mu in (0.5, 2.0):
+            commutator_residual(mu, ladder_bump(4e-3))
+        assert calls == [ModeParams(0.5, 0.0)] * 2 + [ModeParams(2.0, 0.0)] * 2
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_residual_is_the_stated_identity(self, mu):
+        # max |S(R f) - 2 R f - R(S f - 2 mu R f)|, recomputed here
+        f = ladder_bump(2e-3)
+        params = ModeParams(mu, 0.0)
+        rf = kg_retarded(params, f)
+        sf = scaling_derivative(f).samples
+        rest = kg_retarded(params, TimeSeries(0.0, f.dt,
+                                              sf - 2.0 * mu * rf.samples))
+        want = np.max(np.abs(scaling_derivative(rf).samples
+                             - 2.0 * rf.samples - rest.samples))
+        chk = commutator_residual(mu, f)
+        assert chk.sign == -1 and chk.scale == f.sup()
+        assert abs(chk.residual - want) <= 1e-12 * chk.scale
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_flipped_identity_does_not_converge(self, mu):
+        # on criterion 4's ladder, S(R f) - R(S f) + 2 R f - 2 mu R^2 f,
+        # the other orientation, stays O(1): the orientation is checked
+        params = ModeParams(mu, 0.0)
+        flipped, stated = [], []
+        for dt in (4e-3, 2e-3, 1e-3):
+            f = ladder_bump(dt)
+            rf = kg_retarded(params, f)
+            rrf = kg_retarded(params, rf)
+            rsf = kg_retarded(params, scaling_derivative(f))
+            lhs = scaling_derivative(rf).samples - rsf.samples
+            flipped.append(np.max(np.abs(lhs + 2.0 * rf.samples
+                                         - 2.0 * mu * rrf.samples)))
+            stated.append(commutator_residual(mu, f).residual)
+
+        def orders(res):
+            return [math.log2(res[0] / res[1]), math.log2(res[1] / res[2])]
+
+        assert max(orders(flipped)) < 1.0
+        assert min(orders(stated)) >= 2.0
 
     def test_residual_small_and_sign_stable(self):
         signs = set()
@@ -352,6 +411,31 @@ class TestPositivity:
     def test_zero(self):
         f = series(0.01, 500, np.zeros_like)
         assert positivity_functional(ONE_ATOM, f) == 0.0
+
+    def test_causality_keeps_the_power_positive(self):
+        # criterion 3's 100 sign sources (GL-32, dt 0.01): the trapezoid
+        # power int f d/dt(K f) dt over |f|_1^2 is positive for the
+        # retarded operator (4.6e-5 at least), and the advanced one, K
+        # applied to the time-reversed signal and reversed back, flips
+        # its sign on every source; 1e-5 keeps both clear of the
+        # trapezoid's noise (their half-sum is within 2e-7)
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        dt = 0.01
+
+        def power(f, kf):
+            return np.trapezoid(f * np.gradient(kf, dt), dx=dt)
+
+        retarded, advanced = [], []
+        for s in range(100):
+            rng = np.random.default_rng(1000 + s)
+            f = TimeSeries(0.0, dt, rng.choice([-1.0, 1.0], size=800))
+            reverse = TimeSeries(0.0, dt, f.samples[::-1])
+            kf = apply_memory(quad, 0.0, f).samples
+            kf_adv = apply_memory(quad, 0.0, reverse).samples[::-1]
+            retarded.append(power(f.samples, kf) / f.l1() ** 2)
+            advanced.append(power(f.samples, kf_adv) / f.l1() ** 2)
+        assert min(retarded) > 1e-5
+        assert max(advanced) < -1e-5
 
     def test_energy_identity_oracle(self):
         dt = 0.005
