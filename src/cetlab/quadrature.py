@@ -24,7 +24,8 @@ import numpy as np
 from .errors import QuadratureConstructionError, ValidationError
 from .integrals import leggauss, panel_rule
 from .spectral import (DEFAULT_TOL, BreitWigner, DiracComb, PowerLawExp,
-                       SpectralConstants, SpectralDensity, spectral_constants)
+                       SpectralConstants, SpectralDensity, _check_tol,
+                       spectral_constants)
 
 DEFAULT_N_NODES = 32
 
@@ -153,6 +154,7 @@ def build_quadrature(rho: SpectralDensity, n_nodes: int = DEFAULT_N_NODES,
     """
     if not (1 <= n_nodes <= 512):
         raise ValidationError("n_nodes must lie in [1, 512]")
+    _check_tol(tol)
     rule = _RULES.get(type(rho))
     if rule is None:
         raise ValidationError(f"unknown density {type(rho).__name__}")

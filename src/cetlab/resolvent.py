@@ -17,7 +17,10 @@ double-resolvent variant applies each mode response twice with weight
 w_j * mu_j.  The positivity functional needs only each mode's last
 phasor.  Both it and the memory kernel are power sums of the
 recurrence, read from two power tables of O(sqrt(n)) rows
-(`_power_tables`), so neither solves a trajectory.
+(`_power_tables`), so neither solves a trajectory.  A rule's RK4 step
+(`_unit_step`) and its power tables are built once per key, the input
+array's bytes and the step or count, and shared read-only by every
+call that repeats the last key (`_cache_last`).
 Midpoint source values for RK4 come from a cubic stencil that never
 looks past the landing sample, so signals that vanish on an initial
 segment produce outputs that are bitwise zero there.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -153,6 +157,29 @@ def _recurrence(a, u: np.ndarray) -> np.ndarray:
     return local.reshape(-1)[:n]
 
 
+def _cache_last(build):
+    """Cache build(array, scalar) for the last (array bytes, scalar) key.
+
+    The tuple of arrays it returns is kept read-only, as
+    `integrals.leggauss` keeps its rule, so a caller can share but not
+    change it.  The array is taken as 1-d.
+    """
+    @lru_cache(maxsize=1)
+    def cached(data: bytes, dtype: np.dtype, scalar):
+        out = build(np.frombuffer(data, dtype), scalar)
+        for array in out:
+            array.flags.writeable = False
+        return out
+
+    @wraps(build)
+    def lookup(array, scalar):
+        array = np.asarray(array)
+        return cached(array.tobytes(), array.dtype, scalar)
+
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
 class _UnitStep(NamedTuple):
     """One RK4 step of v'' + omega2 v = f on unit inputs, per mode.
 
@@ -172,6 +199,7 @@ class _UnitStep(NamedTuple):
     c1: np.ndarray
 
 
+@_cache_last
 def _unit_step(omega2: np.ndarray, dt: float) -> _UnitStep:
     """`_UnitStep` from one `_rk4_increment` on the five unit inputs."""
     omega = np.sqrt(omega2)
@@ -225,6 +253,7 @@ def _kg_solve(omega2: np.ndarray, f: np.ndarray,
     return v, vd
 
 
+@_cache_last
 def _power_tables(rot: np.ndarray, count: int):
     """Blocked power tables of each mode's rot for the exponents p < count.
 

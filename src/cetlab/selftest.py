@@ -177,7 +177,7 @@ def criterion_4() -> CriterionResult:
         order_min = min(orders)
         ok = order_min >= 2.0 and len(signs) == 1
         return ok, {"orders": orders, "signs": sorted(signs)}
-    return _timed(4, "scaling-field commutator identity holds to a sign",
+    return _timed(4, "commutator identity [S, R_mu] = 2 R_mu - 2 mu R_mu^2",
                   check)
 
 

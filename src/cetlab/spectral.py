@@ -295,9 +295,13 @@ def spectral_constants(rho: SpectralDensity,
     """Compute (l1, c_m1, c_p1, c_prime, c_mhalf) for a spectral density:
     sums over atoms, closed forms for the power law, and
     `adaptive_constants` for the Lorentzian."""
+    _check_tol(tol)
+    return rho.constants(tol)
+
+
+def _check_tol(tol: float) -> None:
     if not (0.0 < tol <= 1e-4):
         raise ValidationError("tol must lie in (0, 1e-4]")
-    return rho.constants(tol)
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,23 @@ n_r = 1000000000000
 directory = {out}
 """
 
-# a Breit-Wigner rule whose tol leaves no domain
-EMPTY_DOMAIN_RUN = """
+# a Breit-Wigner line too narrow for its rule's nodes to stay apart
+NARROW_LINE_RUN = """
+[density]
+family = breitwigner
+alpha = 1
+gamma = 1e-300
+mu0 = 1
+
+[solver]
+epsilon = 0.01
+t_final = 10
+
+[output]
+directory = {out}
+"""
+# a quadrature tol outside (0, 1e-4]
+WIDE_TOL_RUN = """
 [density]
 family = breitwigner
 alpha = 1
@@ -713,17 +728,32 @@ class TestCli:
     @pytest.mark.parametrize("command", ["evolve", "scatter"])
     def test_numerical_error_at_the_parse_names_the_run_file(
             self, tmp_path, capsys, command):
-        # tol = 10 truncates the Breit-Wigner rule's domain to nothing:
+        # gamma = 1e-300 squeezes the Breit-Wigner rule's nodes onto mu0:
         # the rule's own error, exit 3, naming the file
         d = tmp_path / "out"
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(EMPTY_DOMAIN_RUN.format(out=d))
+        cfgfile.write_text(NARROW_LINE_RUN.format(out=d))
         assert main([command, "--config", str(cfgfile)]) == 3
         captured = capsys.readouterr()
         err = strict_loads(captured.err)
         assert err["error"] == "quadrature-construction-failed"
         assert err["message"] == (f"{cfgfile}: quadrature-construction-"
-                                  "failed: empty truncated domain")
+                                  "failed: nodes not positive ascending")
+        assert captured.out == "" and not d.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_quadrature_tol_out_of_range_refused(self, tmp_path, capsys,
+                                                 command):
+        # tol = 10 lies outside (0, 1e-4]: refused before the rule is
+        # built, not clamped into range
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(WIDE_TOL_RUN.format(out=d))
+        assert main([command, "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "validation-error"
+        assert err["message"] == f"{cfgfile}: tol must lie in (0, 1e-4]"
         assert captured.out == "" and not d.exists()
 
     @pytest.mark.parametrize("command", ["evolve", "scatter"])

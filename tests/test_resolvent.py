@@ -15,7 +15,8 @@ from cetlab import (MassQuadrature, PowerLawExp, ValidationError,
 from cetlab import resolvent
 from cetlab.errors import CommutatorInputError, ModeStepUnstableError
 from cetlab.resolvent import (ModeParams, TimeSeries, _kg_solve, _midpoints,
-                              _rk4_increment, _terminal_phasor, _unit_step)
+                              _power_tables, _rk4_increment, _terminal_phasor,
+                              _unit_step)
 
 ONE_ATOM = MassQuadrature(np.array([1.0]), np.array([1.0]))
 
@@ -315,11 +316,16 @@ class TestDoubleResolvent:
         assert out.sup() <= c_p1 * f.l1() * t[-1]
 
 
-def ladder_bump(dt):
-    """Criterion 4's input at step dt: a unit bump at t = 4 on [0, 12]."""
-    n = int(round(12.0 / dt)) + 1
+def ladder_bump(dt, t_end=12.0):
+    """Criterion 4's input at step dt: a unit bump at t = 4 on [0, t_end]."""
+    n = int(round(t_end / dt)) + 1
     t = dt * np.arange(n)
     return TimeSeries(0.0, dt, smooth_bump(t, 4.0, 1.0))
+
+
+def ladder_orders(res):
+    """Observed orders between successive rungs of a halving ladder."""
+    return [math.log2(res[0] / res[1]), math.log2(res[1] / res[2])]
 
 
 class TestCommutator:
@@ -371,12 +377,8 @@ class TestCommutator:
             flipped.append(np.max(np.abs(lhs + 2.0 * rf.samples
                                          - 2.0 * mu * rrf.samples)))
             stated.append(commutator_residual(mu, f).residual)
-
-        def orders(res):
-            return [math.log2(res[0] / res[1]), math.log2(res[1] / res[2])]
-
-        assert max(orders(flipped)) < 1.0
-        assert min(orders(stated)) >= 2.0
+        assert max(ladder_orders(flipped)) < 1.0
+        assert min(ladder_orders(stated)) >= 2.0
 
     def test_residual_small_and_sign_stable(self):
         signs = set()
@@ -405,6 +407,134 @@ class TestCommutator:
         f = TimeSeries(0.0, 1e-3, rng.choice([-1.0, 1.0], size=2000))
         with pytest.raises(CommutatorInputError):
             commutator_residual(1.0, f)
+
+
+def operator_commutator(quad, f):
+    """[S, K^-1] f = S(K^-1 f) - K^-1(S f) on the rule, S = t d/dt."""
+    return (scaling_derivative(apply_memory(quad, 0.0, f)).samples
+            - apply_memory(quad, 0.0, scaling_derivative(f)).samples)
+
+
+class TestOperatorCommutator:
+    """The mode identity summed over the rule, and over the density."""
+
+    @pytest.mark.parametrize("n_nodes", [8, 32])
+    def test_rule_identity_converges(self, n_nodes):
+        # [S, K^-1] f = 2 K^-1 f - 2 K_2 f, K_2 = apply_memory2, on
+        # criterion 4's ladder: residuals 4.04e-10, 2.52e-11, 1.72e-12;
+        # the flipped sign stays at 1.58 (GL-8) and 0.767 (GL-32)
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), n_nodes)
+        stated, flipped = [], []
+        for dt in (4e-3, 2e-3, 1e-3):
+            f = ladder_bump(dt)
+            comm = operator_commutator(quad, f)
+            rhs = 2.0 * (apply_memory(quad, 0.0, f).samples
+                         - apply_memory2(quad, 0.0, f).samples)
+            stated.append(np.max(np.abs(comm - rhs)))
+            flipped.append(np.max(np.abs(comm + rhs)))
+        assert min(ladder_orders(stated)) >= 3.5
+        assert max(ladder_orders(flipped)) < 1.0
+
+    @staticmethod
+    def density_sides(n_nodes, t_end):
+        """[S, K^-1] f for rho = mu e^-mu, and K^-1 f for -2 mu rho'.
+
+        -2 mu rho' = 2 mu^2 e^-mu - 2 mu e^-mu: the commutator is the
+        memory operator of that signed density, each part on its own
+        GL-n_nodes rule, at dt 1e-3 on criterion 4's bump.
+        """
+        f = ladder_bump(1e-3, t_end)
+
+        def memory(alpha, beta):
+            quad = build_quadrature(PowerLawExp(alpha, beta, 1.0), n_nodes)
+            return apply_memory(quad, 0.0, f).samples
+
+        comm = operator_commutator(
+            build_quadrature(PowerLawExp(1.0, 1.0, 1.0), n_nodes), f)
+        return comm, memory(2.0, 2.0) - memory(2.0, 1.0)
+
+    @pytest.mark.parametrize("n_nodes", [32, 64, 128, 256, 512])
+    def test_density_identity_inside_the_horizon(self, n_nodes):
+        # T = 12: residual 1.6e-12 to 1.7e-12 against a size of 0.384
+        comm, density = self.density_sides(n_nodes, 12.0)
+        assert np.max(np.abs(comm - density)) <= 1e-10 * np.max(np.abs(comm))
+
+    def test_gl32_density_identity_fails_past_its_horizon(self):
+        # finding: at T = 40, past GL-32's time horizon, the rule's
+        # commutator is wrong by more than its own size (GL-128 still
+        # holds it to 5.9e-7)
+        comm, density = self.density_sides(32, 40.0)
+        size = np.max(np.abs(comm))
+        residual = np.max(np.abs(comm - density))
+        assert size == pytest.approx(7.62, abs=5e-3)
+        assert residual == pytest.approx(7.64, abs=5e-3)
+        assert residual > size
+
+
+def criterion_3_sources():
+    """Criterion 3's 100 seeded sign sources at dt 0.01."""
+    return [TimeSeries(0.0, 0.01, np.random.default_rng(1000 + s).choice(
+        [-1.0, 1.0], size=800)) for s in range(100)]
+
+
+def clear_rule_caches():
+    _unit_step.cache_clear()
+    _power_tables.cache_clear()
+
+
+def cold_positivity(quad, f):
+    """`positivity_functional` with the step and table caches cleared."""
+    clear_rule_caches()
+    return positivity_functional(quad, f)
+
+
+class TestRuleCache:
+    """A rule's unit step and power tables are built once per key."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_rule_caches()
+
+    def test_one_step_for_criterion_3(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return _rk4_increment(*args)
+
+        monkeypatch.setattr(resolvent, "_rk4_increment", counted)
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        for f in criterion_3_sources():
+            positivity_functional(quad, f)
+        assert calls == [0.01]
+
+    def test_warm_values_are_the_cold_ones_bitwise(self):
+        quad = build_quadrature(PowerLawExp(1.0, 1.0, 1.0), 32)
+        sources = criterion_3_sources()
+        warm = [positivity_functional(quad, f).hex() for f in sources]
+        assert warm == [cold_positivity(quad, f).hex() for f in sources]
+
+    def test_alternating_keys_take_no_stale_tables(self):
+        # GL-8 and GL-32 on one source, then GL-32 at another dt and on
+        # a shorter source: each key gives its own cold value
+        f = criterion_3_sources()[0]
+        gl8, gl32 = (build_quadrature(PowerLawExp(1.0, 1.0, 1.0), n)
+                     for n in (8, 32))
+        calls = [(gl8, f), (gl32, f),
+                 (gl32, TimeSeries(0.0, 0.005, f.samples)),
+                 (gl32, TimeSeries(0.0, 0.01, f.samples[:400]))]
+        cold = [cold_positivity(quad, g) for quad, g in calls]
+        assert len(set(cold)) == len(cold)
+        for _ in range(3):
+            for (quad, g), want in zip(calls, cold):
+                assert positivity_functional(quad, g).hex() == want.hex()
+
+    def test_tables_are_read_only(self):
+        unit = _unit_step(np.array(OMEGA2_GRID), DT)
+        tables = _power_tables(unit.rot, 100)
+        for array in (*unit, *tables):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestPositivity:
