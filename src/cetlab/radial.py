@@ -308,16 +308,26 @@ def _profile_derivative(cfg: ModelConfig, s: np.ndarray) -> np.ndarray:
 def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
     """Wave data on the grid; memory modes and profile start at zero."""
     r = grid.r
-    u0 = _profile(cfg, r)
-    V = r * u0
-    if cfg.velocity_mode == "time-symmetric":
-        V_dot = np.zeros_like(V)
-    else:
-        # u1 = -du0/dr - u0/r, i.e. V_dot = -dV/dr, evaluated analytically
-        V_dot = -(u0 + r * _profile_derivative(cfg, r))
-        # the expression is -0.0 outside the support; + 0.0 makes that
-        # +0.0, as the march's window needs, and leaves the rest alone
-        V_dot += 0.0
+    try:
+        # a bump too narrow for doubles on this grid (sigma = 1e-300), or
+        # too large, overflows here: refused rather than marched as inf
+        with np.errstate(over="raise"):
+            u0 = _profile(cfg, r)
+            V = r * u0
+            if cfg.velocity_mode == "time-symmetric":
+                V_dot = np.zeros_like(V)
+            else:
+                # u1 = -du0/dr - u0/r, i.e. V_dot = -dV/dr, analytically
+                V_dot = -(u0 + r * _profile_derivative(cfg, r))
+                # the expression is -0.0 outside the support; + 0.0 makes
+                # that +0.0, as the march's window needs, and leaves the
+                # rest alone
+                V_dot += 0.0
+    except FloatingPointError:
+        raise ValidationError(
+            f"initial data overflows double precision: epsilon = "
+            f"{cfg.epsilon!r}, r_c = {cfg.r_c!r}, sigma = {cfg.sigma!r}"
+        ) from None
     Q = np.zeros((stack_rows(cfg), grid.n_r + 1))
     Q_dot = np.zeros_like(Q)
     Q[0], Q_dot[0] = V, V_dot
@@ -737,6 +747,8 @@ def march_schedule(cfg: ModelConfig, grid: Grid,
                               f"finite step count")
     n_steps = 2 * max(1, math.ceil(half_steps))
     dt = cfg.t_final / n_steps
+    if dt == 0.0:               # a subnormal t_final halves to 0
+        raise ValidationError(f"dt = t_final/{n_steps} underflows to 0")
     guard = cfg.stiffness_guard(grid, dt)
     if guard > STABILITY_LIMIT:
         # shortest round-trip digits: never equal to the limit's
@@ -764,12 +776,13 @@ def evolve(cfg: ModelConfig, grid: Grid, cadence: int = 10,
     if cadence < 1:
         raise ValidationError("cadence must be a positive integer")
     n_steps, dt, snap_steps = march_schedule(cfg, grid, snapshot_times)
-    # the grid rows made before the first step: eight stacks (five
-    # stage buffers, the centre window, Q and Q_dot), the row buffers,
-    # the workspace's three grid rows and one memory profile per record
+    # the grid rows a run holds: eight stacks (five stage buffers, the
+    # centre window, Q and Q_dot), the row buffers, the workspace's three
+    # grid rows, one memory profile per record and seven full-grid rows
+    # (V, V_dot, P, P_dot, u, M, Phi) per snapshot
     n_records = -(-n_steps // cadence) + 1
     need = 8 * (grid.n_r + 1) * (8 * stack_rows(cfg) + len(_Rows.BUFFERS)
-                                 + 3 + n_records)
+                                 + 3 + n_records + 7 * len(snap_steps))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValidationError(f"{n_steps} steps on {grid.n_r + 1} columns "

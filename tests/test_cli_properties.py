@@ -4,14 +4,16 @@
 nonzero exit must print a JSON object with an `error` code on stderr.
 Values come from a fixed token set of small numbers, one huge finite
 number, signs, non-finite words, garbage and empty strings, so no
-generated run is heavy; the evolve, scatter and selftest commands are
-left out for the same reason.  A nonzero exit must not come with a
-numpy `RuntimeWarning`, which a real process would print on stderr
-(ahead of the JSON object on a nonzero exit), and no error message may
-run to hundreds of characters.  A message that starts with an error
-code and ": " must come with that code in the `error` field, and
-`test_message_codes_match_their_class` checks the same of every
-`raise` in the source.
+generated command is heavy; run files also take the finite extremes
+(+-1e300, +-1e-300, 5e-324, +-0.0).  `cetlab evolve` runs every
+generated run file whose march is planned small (the plan is checked
+first), and the scatter and selftest commands are left out.  A nonzero
+exit must not come with a numpy `RuntimeWarning`, which a real process
+would print on stderr (ahead of the JSON object on a nonzero exit), and
+no error message may run to hundreds of characters.  A message that
+starts with an error code and ": " must come with that code in the
+`error` field, and `test_message_codes_match_their_class` checks the
+same of every `raise` in the source.
 """
 
 import ast
@@ -19,6 +21,7 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from cetlab import errors
 from cetlab.cli import main
 from cetlab.config import parse_config_text
 from cetlab.errors import CetlabError
+from cetlab.radial import march_schedule
 
 # every error class of the library by name, and every code they carry
 ERROR_CLASSES = {name: cls for name, cls in vars(errors).items()
@@ -73,8 +77,11 @@ CONFIG_KEYS = tuple(sorted(CONFIG)) + (
     ("solver", "c_grad"), ("solver", "d_quad"), ("solver", "r_c"),
     ("solver", "sigma"), ("solver", "velocity_mode"), ("solver", "delta0"),
     ("solver", "bogus"))
+# run-file values add the finite extremes: the largest and smallest
+# magnitudes, the least subnormal and both zeros
 CONFIG_WORDS = TOKENS + ("powerlaw", "breitwigner", "diraccomb",
-                         "ingoing", "csv", "64")
+                         "ingoing", "csv", "64", "1e300", "-1e300", "1e-300",
+                         "-1e-300", "5e-324", "0.0", "-0.0")
 
 
 def _call(cmd, density=0, **changed):
@@ -111,18 +118,23 @@ def argvs(draw):
     return argv
 
 
-@st.composite
-def config_texts(draw):
-    values = dict(CONFIG)
-    values.update(draw(_mutations(CONFIG_KEYS, CONFIG_WORDS)))
+def _lines(changed):
+    """The run file's lines: CONFIG with `changed` (section, key) values
+    replaced or, where DROP, left out."""
     lines, section = [], None
-    for (sec, key), value in sorted(values.items()):
+    for (sec, key), value in sorted({**CONFIG, **changed}.items()):
         if value is DROP:
             continue
         if sec != section:
             lines.append(f"[{sec}]")
             section = sec
         lines.append(f"{key} = {value}")
+    return lines
+
+
+@st.composite
+def config_texts(draw):
+    lines = _lines(draw(_mutations(CONFIG_KEYS, CONFIG_WORDS)))
     if draw(st.integers(0, 9)) == 9:
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(("[turbo]", "junk", "x = 1", "["))))
@@ -189,6 +201,52 @@ def test_config_errors_are_coded(text):
     numbers = [rc.quad_tol, *rc.solver.get("snapshot_times", ())]
     numbers += [v for v in rc.solver.values() if isinstance(v, (int, float))]
     assert all(math.isfinite(v) for v in numbers)
+
+
+# the largest march `test_config_runs_end_in_coded_exits` makes
+MAX_STEPS, MAX_COLUMNS = 2000, 1025
+
+
+def _config_text(**changed):
+    """The well-formed run file with some solver or output values
+    replaced."""
+    return "\n".join(_lines({
+        ("output" if key == "directory" else "solver", key): value
+        for key, value in changed.items()})) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:beta = 0")
+@settings(PROFILE, max_examples=200)
+@given(text=config_texts())
+# a subnormal t_final: dt = t_final/2 underflows to 0
+@example(text=_config_text(t_final="5e-324"))
+# bumps too narrow for doubles: the profile's square, or its quotient,
+# overflows
+@example(text=_config_text(sigma="1e-300"))
+@example(text=_config_text(sigma="5e-324", velocity_mode="ingoing"))
+# an output directory that cannot be made
+@example(text=_config_text(directory=""))
+def test_config_runs_end_in_coded_exits(text):
+    """`cetlab evolve` on a generated run file exits 0, 2 or 3, with a
+    coded JSON error on a nonzero exit; a file whose plan is larger than
+    MAX_STEPS steps on MAX_COLUMNS columns is not run."""
+    try:
+        rc = parse_config_text(text)
+        if rc.density is not None and rc.model is not None:
+            cfg, grid, _, snaps = rc.model
+            n_steps = march_schedule(cfg, grid, snaps)[0]
+            if n_steps > MAX_STEPS or grid.n_r + 1 > MAX_COLUMNS:
+                return
+    except CetlabError:
+        pass                    # evolve stops at the same check
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        Path("run.cfg").write_text(text)
+        code = main(["evolve", "--config", "run.cfg"])
+    assert code in (0, 2, 3)
+    if code:
+        assert json.loads(err.getvalue())["error"] in CODES
 
 
 def _leading_text(node):

@@ -726,6 +726,59 @@ class TestCli:
         assert captured.out == "" and not d.exists()
 
     @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_snapshots_counted_by_the_memory_check(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        # each planned snapshot holds seven full-grid rows: a host with
+        # room for the stacks and records but not the snapshots refuses
+        # the run before any array, naming the file
+        d = tmp_path / "out"
+        cfgfile = tmp_path / "run.cfg"
+        times = ", ".join(f"{0.5 * k:g}" for k in range(1, 9))
+        cfgfile.write_text(GOOD.format(out=d).replace(
+            "snapshot_times = 2.0, 4.0", f"snapshot_times = {times}"))
+        cfg, grid, cadence, snaps = config.parse_config(str(cfgfile)).model
+        n_steps, _, snap_steps = radial.march_schedule(cfg, grid, snaps)
+        assert len(snap_steps) == 8
+        records = n_steps // cadence + 1 + (n_steps % cadence > 0)
+        rows = 8 * radial.stack_rows(cfg) + 10 + 3 + records
+        without = 8 * (grid.n_r + 1) * rows
+        need = without + 8 * (grid.n_r + 1) * 7 * len(snap_steps)
+        have = (without + need) // 2
+        monkeypatch.setattr(os, "sysconf", lambda name: (
+            have if name == "SC_PHYS_PAGES" else 1))
+        assert main([command, "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "validation-error"
+        assert err["message"] == (
+            f"{cfgfile}: {n_steps} steps on {grid.n_r + 1} columns need "
+            f"{need} bytes up front; the host has {have}")
+        assert captured.out == "" and not d.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("t_final = 4.0", "t_final = 5e-324",
+         "dt = t_final/2 underflows to 0"),
+        ("sigma = 1.0", "sigma = 1e-300",
+         "initial data overflows double precision: epsilon = 0.01, "
+         "r_c = 5.0, sigma = 1e-300"),
+        ("directory = {out}", "directory =",
+         "cannot make output directory '': No such file or directory"),
+    ], ids=["subnormal_t_final", "narrow_bump", "empty_directory"])
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
+    def test_extreme_values_refused_naming_the_run_file(
+            self, tmp_path, capsys, monkeypatch, command, old, new, message):
+        # finite values the march cannot take: a coded error, no traceback
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(GOOD.replace(old, new).format(out="out"))
+        assert main([command, "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        err = strict_loads(captured.err)
+        assert err["error"] == "validation-error"
+        assert err["message"] == f"{cfgfile}: {message}"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "scatter"])
     def test_numerical_error_at_the_parse_names_the_run_file(
             self, tmp_path, capsys, command):
         # gamma = 1e-300 squeezes the Breit-Wigner rule's nodes onto mu0:

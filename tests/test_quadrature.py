@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import j0, roots_genlaguerre
 
 from cetlab import (BreitWigner, DiracComb, MassQuadrature, PowerLawExp,
@@ -21,6 +22,20 @@ class TestGaussLaguerre:
         xs, ws = roots_genlaguerre(n, beta)
         assert np.max(np.abs(x - xs)) < 1e-11
         assert np.max(np.abs(w - ws) / ws) < 1e-11
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-12, 0.5, 1.0, 3.7, 99.5,
+                                      170.0])
+    def test_nodes_bitwise_those_of_the_tridiagonal_solver(self, beta):
+        # up to 64 nodes the dense eigvalsh route must give the bits of
+        # eigh_tridiagonal, which the run pins were made with (beta stops
+        # at 170: Gamma(beta + 1) overflows above it)
+        for n in range(1, 66):
+            k = np.arange(n, dtype=float)
+            ref = eigh_tridiagonal(2.0 * k + 1.0 + beta,
+                                   np.sqrt(k[1:] * (k[1:] + beta)),
+                                   eigvals_only=True)
+            x = gauss_laguerre_generalized(n, beta)[0]
+            assert x.tobytes() == np.sort(ref).tobytes(), n
 
     def test_polynomial_moments_exact(self):
         # a Gauss rule with n nodes integrates mu^p exactly up to 2n-1

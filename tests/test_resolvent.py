@@ -696,6 +696,16 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(path, "w") as fh:
         fh.write("[density]\\nfamily = powerlaw\\nalpha = oops\\n")
     assert cetlab.cli.main(["evolve", "--config", path]) == 2
+    assert len(cetlab.build_quadrature(cetlab.PowerLawExp(1, 1, 1), 32)) == 21
+    assert cetlab.cli.main(["quad", "--family", "powerlaw", "--alpha", "1",
+                            "--beta", "1", "--lambda", "1",
+                            "--n-nodes", "32"]) == 0
+    with open(path, "w") as fh:
+        fh.write("[density]\\nfamily = powerlaw\\nalpha = 1\\nbeta = 1\\n"
+                 "lambda = 1\\n[solver]\\nn_r = 128\\nt_final = 4\\n"
+                 "epsilon = 0.01\\n[output]\\ndirectory = "
+                 + os.path.join(tmp, "out") + "\\n")
+    assert cetlab.cli.main(["evolve", "--config", path]) == 0
 cfg = cetlab.ModelConfig(epsilon=1e-2, a_null=0.0, b_bad=0.0, c_grad=0.0,
                          d_quad=0.0, quad=None, cfl=0.5, t_final=2.0,
                          r_c=5.0, sigma=1.0)
@@ -706,10 +716,12 @@ print(json.dumps([after_import, loaded()]))
 
 def test_free_paths_load_no_scipy():
     """Importing cetlab loads no scipy module, and nor do pheno, an exit-2
-    validation error or a free evolve: scipy.linalg (~0.3 s) and
-    scipy.special load only where a power-law rule or the averaging tail
-    search needs them, and scipy.signal and scipy.fft never (the solvers
-    and the scattering propagator are numpy only)."""
+    validation error, a free evolve, or the default power-law path: the
+    32-node rule, `cetlab quad` and a power-law `cetlab evolve`.
+    scipy.linalg (~0.2 s, 22 MB) loads only for a power-law rule of more
+    than 64 nodes and scipy.special only for the averaging tail search;
+    scipy.signal and scipy.fft never (the solvers and the scattering
+    propagator are numpy only)."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT], env=env,
