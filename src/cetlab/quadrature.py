@@ -76,6 +76,13 @@ def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndar
     the orthonormal recurrence (the eigenvector route underflows for the
     outermost nodes).
     """
+    try:
+        mu0 = math.gamma(beta + 1.0)
+    except OverflowError:           # beta >= 171
+        raise QuadratureConstructionError(
+            f"quadrature-construction-failed: the zeroth moment "
+            f"Gamma(beta + 1) overflows double precision at beta = "
+            f"{beta!r}") from None
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + 1.0 + beta
     off = np.sqrt((k[1:]) * (k[1:] + beta))
@@ -99,7 +106,6 @@ def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndar
         raise QuadratureConstructionError(
             "quadrature-construction-failed: eigenvalue solve failed") from exc
     x = np.sort(x)
-    mu0 = math.gamma(beta + 1.0)
     # Christoffel weights w_i = 1 / sum_k p_k(x_i)^2 over the orthonormal
     # recurrence; outer nodes overflow the kernel sum and come back 0/NaN,
     # set to 0 here and dropped by build_quadrature's weight floor (their

@@ -70,6 +70,18 @@ numpy scalar operations, and the march's two guard counts).  `evolve`
 ignores overflow and invalid operations for the whole run, not per
 step; the march itself leaves numpy's error state alone.
 
+Every array the march streams over starts on a 64-byte cache line
+(`_aligned`): Q and Q_dot as `initialize` makes them, the five stage
+buffers, the centre coefficients' buffer, each row of the row buffers
+(their row stride rounded up to whole lines), and the grid rows 1/r and
+dr^2 r.  A window is the first rows*W values of its flat buffer, so
+each stack window starts on a line at every width.  numpy otherwise
+places arrays this large 16 bytes past a page, and on a 2-core x86-64
+host a three-operand add over a desk-sized window (23 x 1483 doubles)
+took 10.8 us aligned against 26.2 us there (in place 9.6 against
+12.6 us).  The same ufuncs run in the same order on the same values, so
+the bits are those of any other placement; only the time moves.
+
 The memory sum is one BLAS matvec, w @ X, which is +0.0 on a stack
 without mode rows.  OpenBLAS (measured for every W up to 2048 at 21 to
 90 rows, with one thread or two) sums every column of w @ X[:, :W] as at
@@ -99,6 +111,9 @@ from .resolvent import STABILITY_LIMIT
 # window grows by when a step leaves anything else there
 GUARD = 8
 GROWTH = 64
+# doubles per 64-byte cache line, on which every array the march streams
+# over starts (`_aligned`)
+_LINE = 8
 
 
 def quintic_smoothstep(x):
@@ -328,8 +343,8 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
             f"initial data overflows double precision: epsilon = "
             f"{cfg.epsilon!r}, r_c = {cfg.r_c!r}, sigma = {cfg.sigma!r}"
         ) from None
-    Q = np.zeros((stack_rows(cfg), grid.n_r + 1))
-    Q_dot = np.zeros_like(Q)
+    rows, n = stack_rows(cfg), grid.n_r + 1
+    Q, Q_dot = (_aligned(rows * n).reshape(rows, n) for _ in range(2))
     Q[0], Q_dot[0] = V, V_dot
     _pin_boundaries(Q, Q_dot)
     return FieldState(0.0, Q, Q_dot)
@@ -391,9 +406,11 @@ class _Workspace:
         self.r = grid.r
         self.dr = grid.dr
         self.inv_dr2 = 1.0 / grid.dr ** 2
-        self.inv_r = np.zeros_like(self.r)
-        self.inv_r[1:] = 1.0 / self.r[1:]
-        self.rs = grid.dr ** 2 * self.r      # the sources' factor, dr^2 r
+        n = grid.n_r + 1
+        self.inv_r = _aligned(n)
+        np.divide(1.0, self.r[1:], out=self.inv_r[1:])
+        # the sources' factor, dr^2 r
+        self.rs = np.multiply(grid.dr ** 2, self.r, out=_aligned(n))
         self.w = cfg.quad.weights
         self.rows = stack_rows(cfg)
         # no source reaches the one row: march the bare stencil (module
@@ -405,12 +422,16 @@ class _Workspace:
         # numpy would buffer the broadcast column over the whole stack
         self.centre = np.full((self.rows, 1), -2.0)
         self.centre[2:, 0] -= cfg.quad.nodes * grid.dr ** 2
-        size = self.rows * (grid.n_r + 1)
-        self._centre_flat = np.empty(size)
-        self._flat = [np.empty(size) for _ in range(5)]
+        size = self.rows * n
+        self._centre_flat = _aligned(size)
+        self._flat = [_aligned(size) for _ in range(5)]
         self._state = ()            # the held (Q, Q_dot), flat
-        self._row_buffers = np.empty((len(_Rows.BUFFERS), grid.n_r + 1))
-        self.width = grid.n_r + 1
+        # each row starts on a cache line: the stride is n rounded up to
+        # whole lines
+        stride = -(-n // _LINE) * _LINE
+        self._row_buffers = _aligned(len(_Rows.BUFFERS) * stride).reshape(
+            len(_Rows.BUFFERS), stride)[:, :n]
+        self.width = n
         self.set_width(self.width)
         self.column_steps = 0
 
@@ -540,6 +561,14 @@ class _Workspace:
                 o.P += np.multiply(rs, M, out=tmp)
                 o.X += np.multiply(rs, N2, out=tmp)
         o.edges.fill(0.0)
+
+
+def _aligned(size: int) -> np.ndarray:
+    """+0.0 in a fresh 1-d array of `size` doubles that starts on a
+    64-byte cache line (module docstring)."""
+    base = np.zeros(size + _LINE)
+    skip = -base.ctypes.data % (8 * _LINE) // 8
+    return base[skip:skip + size]
 
 
 def _window(flat: np.ndarray, rows: int, width: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import j0, roots_genlaguerre
 from cetlab import (BreitWigner, DiracComb, MassQuadrature, PowerLawExp,
                     ValidationError, build_quadrature, spectral_constants,
                     validate_moments)
+from cetlab.errors import QuadratureConstructionError
 from cetlab.quadrature import gauss_laguerre_generalized
 
 UNIT = PowerLawExp(1.0, 1.0, 1.0)
@@ -36,6 +38,14 @@ class TestGaussLaguerre:
                                    eigvals_only=True)
             x = gauss_laguerre_generalized(n, beta)[0]
             assert x.tobytes() == np.sort(ref).tobytes(), n
+
+    @pytest.mark.parametrize("beta", [171.0, 1e3, 1e12])
+    def test_overflowing_zeroth_moment_is_a_construction_error(self, beta):
+        # Gamma(beta + 1) passes the double range from beta = 171 on
+        with pytest.raises(QuadratureConstructionError,
+                           match=r"Gamma\(beta \+ 1\) overflows .*"
+                                 + re.escape(repr(beta))):
+            gauss_laguerre_generalized(8, beta)
 
     def test_polynomial_moments_exact(self):
         # a Gauss rule with n nodes integrates mu^p exactly up to 2n-1

@@ -968,6 +968,90 @@ class TestGrowth:
             assert same_bits(Y[:, width:], np.zeros((ws.rows, radial.GROWTH)))
 
 
+def offset(Y, nbytes):
+    """A copy of `Y` whose first value lies `nbytes` past a cache line."""
+    base = np.zeros(Y.size + 8 + nbytes // 8)
+    skip = (-base.ctypes.data % 64 + nbytes) // 8
+    out = base[skip:skip + Y.size].reshape(Y.shape)
+    out[...] = Y
+    return out
+
+
+class TestAlignedBuffers:
+    """Every array the march streams over starts on a 64-byte cache line,
+    at every window width; the alignment changes the speed of the march,
+    never its bits."""
+
+    @staticmethod
+    def starts(ws):
+        """name -> first address of each array a step streams over."""
+        arrays = {"Q": ws.Q.Y, "Q_dot": ws.Q_dot.Y, "S": ws.S.Y, "B": ws.B.Y,
+                  "a": ws.a.Y, "K": ws.K.Y, "A": ws.A.Y,
+                  "centre": ws.centre_window, "inv_r": ws.inv_r, "rs": ws.rs}
+        for width in (ws.width, len(ws.r)):     # the march's and the records'
+            rows = ws.row_buffers(width)
+            arrays.update({f"{name}[:{width}]": getattr(rows, name)
+                           for name in radial._Rows.BUFFERS})
+        return {name: Y.ctypes.data for name, Y in arrays.items()}
+
+    @pytest.mark.parametrize("kind", ["free", "modes21"])
+    def test_every_buffer_starts_on_a_cache_line(self, kind):
+        # desk-shaped: 23 x 2049 with 21 modes, 1 x 2049 free
+        cfg, grid = growing_input(kind)
+        grid = Grid(grid.r_max, 2048)
+        ws, st = _Workspace(cfg, grid), initialize(cfg, grid)
+        assert st.Q.ctypes.data % 64 == st.Q_dot.ctypes.data % 64 == 0
+        widths = []
+        for new in _march(ws, st, cfg.cfl * grid.dr, 300):
+            if not widths or new.Q.shape[1] != widths[-1]:
+                widths.append(new.Q.shape[1])
+                starts = self.starts(ws)
+                assert len(starts) == 10 + 2 * len(radial._Rows.BUFFERS)
+                for name, address in starts.items():
+                    assert address % 64 == 0, (kind, widths[-1], name)
+        assert len(widths) >= 4 and widths[-1] < grid.n_r + 1
+
+    @pytest.mark.parametrize("kind", ["free", "modes21"])
+    def test_misaligned_start_state_marches_the_same_bits(self, kind):
+        cfg, grid = growing_input(kind)
+        n_steps, dt, _ = march_schedule(cfg, grid)
+        st = initialize(cfg, grid)
+        moved = FieldState(st.t, offset(st.Q, 8), offset(st.Q_dot, 8))
+        assert moved.Q.ctypes.data % 64 == moved.Q_dot.ctypes.data % 64 == 8
+        steps = 0
+        for want, got in zip(_march(_Workspace(cfg, grid), st, dt, n_steps),
+                             _march(_Workspace(cfg, grid), moved, dt,
+                                    n_steps)):
+            assert same_bits(got.Q, want.Q) and same_bits(got.Q_dot,
+                                                          want.Q_dot)
+            steps += 1
+        assert steps == n_steps
+
+    @pytest.mark.parametrize("kind", ["free", "modes21"])
+    def test_misaligned_buffers_run_the_same_bits(self, kind, monkeypatch):
+        cfg, grid = growing_input(kind)
+
+        def run():
+            return evolve(cfg, grid, cadence=5, snapshot_times=(
+                0.0, cfg.t_final / 2, cfg.t_final))
+
+        aligned = run()
+        # every buffer of the run 8 bytes past a cache line
+        made = []
+        monkeypatch.setattr(radial, "_aligned", lambda size: made.append(
+            offset(np.zeros(size), 8)) or made[-1])
+        moved = run()
+        # Q, Q_dot, inv_r, rs, the row buffers, five stage buffers and the
+        # centre's
+        assert len(made) == 11
+        assert all(Y.ctypes.data % 64 == 8 for Y in made)
+        got, want = run_arrays(moved), run_arrays(aligned)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+        assert moved.column_steps == aligned.column_steps
+
+
 class TestErrorState:
     """The march runs with overflow ignored, and numpy's error state is
     the caller's again once `evolve` returns or the march is closed."""
