@@ -110,7 +110,7 @@ def decay_bound_check(rho: SpectralDensity,
     if not rho.continuous:
         raise S5RequiredError(
             "S5-required: atomic spectra have no averaging decay")
-    if consts.c_prime is None or not math.isfinite(consts.c_prime):
+    if not consts.finite("c_prime"):
         raise S5RequiredError("S5-required: c_prime must be finite")
     t_grid = np.asarray(DEFAULT_T_GRID, dtype=float)
     xi_grid = np.asarray(XI_GRID, dtype=float)

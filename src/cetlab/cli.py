@@ -367,9 +367,9 @@ def _cmd_scatter(a) -> int:
               "node_beat_period": rep.beat_period,
               "m_inf_window": rep.m_inf_window,
               "decay_fits": fits}
-    # base times given on the command line must yield the fit; the
-    # default ones add it only where the run holds two of them
-    if given or len(set(usable)) >= 2:
+    # the fit needs two usable base times; `_march_run` has already
+    # required them of base times given on the command line
+    if len(set(usable)) >= 2:
         sfit = scattering_residual_fit(out, usable)
         result["scattering_residual_fit"] = sfit.as_dict()
     t1 = time.perf_counter()

@@ -69,12 +69,11 @@ def self_energy(rho: SpectralDensity, omega: float, k: float,
                 "principal-value-not-supported: denominator changes sign "
                 "across the atoms")
         return float(k * k * np.sum(rho.weights / dens))
-    if y <= 0.0 and -y < math.inf:
+    if -math.inf < y < 0.0:
         # continuous support is (0, inf): any y < 0 puts a pole inside it
-        if y < 0.0:
-            raise PrincipalValueError(
-                "principal-value-not-supported: pole at mu = "
-                f"{-y:.6g} inside the support")
+        raise PrincipalValueError(
+            "principal-value-not-supported: pole at mu = "
+            f"{-y:.6g} inside the support")
     edges = rho.core_edges()
     # k*k overflows for k beyond ~1e154; the integral then fails its
     # budget with a coded error, and numpy's warning would only add noise.

@@ -41,7 +41,7 @@ class MassQuadrature:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValidationError("nodes and weights must be 1-d and matched")
-        if nodes.size and (np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0)):
+        if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
             raise QuadratureConstructionError(
                 "quadrature-construction-failed: nodes not positive ascending")
         if np.any(weights <= 0):
@@ -116,7 +116,7 @@ def gauss_laguerre_generalized(n: int, beta: float) -> tuple[np.ndarray, np.ndar
         total = p_cur ** 2
         for j in range(n - 1):
             b_next = math.sqrt((j + 1.0) * (j + 1.0 + beta))
-            b_prev = math.sqrt(j * (j + beta)) if j > 0 else 0.0
+            b_prev = math.sqrt(j * (j + beta))
             p_next = ((x - diag[j]) * p_cur - b_prev * p_prev) / b_next
             total += p_next ** 2
             p_prev, p_cur = p_cur, p_next

@@ -20,7 +20,10 @@ The sources read only the V row's velocity, so only that row's stage
 velocities are formed, and 1/dr^2 rides in the stage coefficients.
 This is the classical RK4 step; against the written-out form on the
 pair (Q, Q_dot) the values differ by rounding, about 1e-16 of each
-row's sup on Q and 1e-14 on Q_dot per step.
+row's sup on Q and 1e-14 on Q_dot per step.  The boundary columns of
+Q and Q_dot start +0.0 and stay so with no pin in the step: `accel`
+pins each stage acceleration's, and a step only adds such columns and
+scales them by positive finite factors.
 
 A stack without memory modes marches the V row alone.  There M is
 +0.0, so P_tt = P_rr + r*M keeps P at +0.0, bit for bit, at every
@@ -64,8 +67,8 @@ and the operands of the allocating formulas, each square formed once,
 so its bits are the formulas'.  Three desk-sized 21-mode steps
 (n_r = 2048) peak at 3.1 grid rows of temporaries, numpy's buffer for
 the N2 row broadcast over the mode rows.  A free step (n_r = 256: 245
-values) costs mostly its numpy calls, 44 of them; a non-free step makes
-257 (counting ufunc calls, array operators, indexing, array methods and
+values) costs mostly its numpy calls, 42 of them; a non-free step makes
+255 (counting ufunc calls, array operators, indexing, array methods and
 numpy scalar operations, and the march's two guard counts).  `evolve`
 ignores overflow and invalid operations for the whole run, not per
 step; the march itself leaves numpy's error state alone.
@@ -352,9 +355,9 @@ def initialize(cfg: ModelConfig, grid: Grid) -> FieldState:
 
 class _Views:
     """One C-contiguous (rows, W) stack `Y` and the views of it that a
-    step reads: the flat stencil slices, the V row, the P row and the
-    mode rows (None and no rows on a one-row stack), the boundary columns
-    as one strided view, and the guard columns' bits."""
+    step reads: the flat stencil slices, the V row, the P and mode rows
+    as stacks (of no rows on a one-row stack), the boundary columns as
+    one strided view, and the guard columns' bits."""
 
     __slots__ = ("Y", "inner", "right", "left", "V", "P", "X", "edges",
                  "guard")
@@ -363,7 +366,7 @@ class _Views:
         self.Y = Y
         flat = Y.reshape(-1)
         self.inner, self.right, self.left = flat[1:-1], flat[2:], flat[:-2]
-        self.V, self.P, self.X = Y[0], Y[1] if len(Y) > 1 else None, Y[2:]
+        self.V, self.P, self.X = Y[0], Y[1:2], Y[2:]
         self.edges = Y[:, ::Y.shape[1] - 1]
         self.guard = Y[:, -GUARD:].view(np.uint64)
 
@@ -540,9 +543,11 @@ class _Workspace:
         sources read; a free stack evaluates no source and never reads
         it (module docstring).  The stencil runs over the flattened
         stack; only the boundary columns straddle two rows, and those
-        are pinned afterwards.  A +0.0 column stays +0.0: the centre
-        product is -0.0 there, and adding the +0.0 neighbours makes it
-        +0.0 again.  The source terms go through the scratch row.
+        are pinned to +0.0 afterwards, which keeps the state's +0.0
+        (`_rk4_step`).  A +0.0 column stays +0.0: the centre product is
+        -0.0 there, and adding the +0.0 neighbours makes it +0.0 again.
+        The source terms go through the scratch row; a one-row stack's
+        P and X have no rows.
         """
         np.multiply(self.centre_window, q.Y, out=o.Y)
         inner = o.inner
@@ -557,9 +562,8 @@ class _Workspace:
             M = self.memory_term(q.X)
             rs, tmp = self.rs[:self.width], self._rows.tmp
             o.V += np.multiply(rs, np.add(F, M, out=tmp), out=tmp)
-            if o.P is not None:
-                o.P += np.multiply(rs, M, out=tmp)
-                o.X += np.multiply(rs, N2, out=tmp)
+            o.P += np.multiply(rs, M, out=tmp)
+            o.X += np.multiply(rs, N2, out=tmp)
         o.edges.fill(0.0)
 
 
@@ -614,7 +618,9 @@ def _rk4_step(ws: _Workspace, t: float, dt: float) -> None:
 
     the written-out RK4 step with its stage velocities substituted; the
     sums build up in the stage buffers K and A, and only the last two
-    additions write the state.  Overflow is not trapped here: `evolve`
+    additions write the state.  The boundary columns of Q, Qd and each
+    a_i are +0.0, and h, dt and s are positive, so every write keeps
+    them +0.0 with no pin.  Overflow is not trapped here: `evolve`
     runs the march with overflow and invalid operations ignored.
     """
     Q, Qd = ws.Q.Y, ws.Q_dot.Y
@@ -651,8 +657,6 @@ def _rk4_step(ws: _Workspace, t: float, dt: float) -> None:
     np.add(K, S, out=Q)
     A *= dt * s / 6.0
     np.add(A, Qd, out=Qd)
-    ws.Q.edges.fill(0.0)
-    ws.Q_dot.edges.fill(0.0)
 
 
 def _march(ws: _Workspace, st: FieldState, dt: float, n_steps: int):

@@ -353,9 +353,8 @@ def _memory_omega2(quad: MassQuadrature, xi: float,
         omega2 = quad.nodes + xi ** 2
     except OverflowError:
         raise ValidationError("xi**2 overflows double precision") from None
-    if omega2.size:
-        _check_stability(f.dt, float(omega2.max()),
-                         label=f"node mu={float(quad.nodes.max()):.6g}")
+    _check_stability(f.dt, float(omega2.max(initial=0.0)),
+                     label=f"node mu={float(quad.nodes.max(initial=0.0)):.6g}")
     return omega2
 
 
@@ -394,8 +393,6 @@ def apply_memory(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
 
 def apply_memory2(quad: MassQuadrature, xi: float, f: TimeSeries) -> TimeSeries:
     """Double-resolvent operator: sum of w_j mu_j R_j(R_j f)."""
-    if not len(quad):
-        return TimeSeries(f.t0, f.dt, np.zeros_like(f.samples))
     omega2 = _memory_omega2(quad, xi, f)
     first, _ = _kg_solve(omega2, f.samples, f.dt)
     second, _ = _kg_solve(omega2, first, f.dt)
@@ -465,8 +462,6 @@ def positivity_functional(quad: MassQuadrature, f: TimeSeries) -> float:
     vdot**2 / 2 + omega**2 v**2 / 2 = |w_T|**2 / 2 comes from the mode's
     terminal phasor alone (`_terminal_phasor`), with no trajectory solve.
     """
-    if not len(quad):
-        return 0.0
     omega2 = _memory_omega2(quad, 0.0, f)
     w_end = _terminal_phasor(_unit_step(omega2, f.dt), f.samples)
     energies = 0.5 * (w_end.real ** 2 + w_end.imag ** 2)

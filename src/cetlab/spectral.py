@@ -76,8 +76,6 @@ class PowerLawExp:
         mu = np.asarray(mu, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.alpha * mu ** self.beta * np.exp(-mu / self.lam)
-        if self.beta == 0:
-            out = np.where(mu >= 0, self.alpha * np.exp(-mu / self.lam), out)
         return np.where(mu < 0, 0.0, out)
 
     def density_at_zero(self) -> float:
@@ -123,7 +121,7 @@ class PowerLawExp:
         c_mhalf = a * lam ** (b + 0.5) * gamma_fn(b + 0.5)
         # |rho'| integrates to 2*rho(peak) - rho(0+); the peak sits at
         # mu = b*lam.
-        peak = a * (b * lam) ** b * math.exp(-b) if b > 0 else a
+        peak = a * (b * lam) ** b * math.exp(-b)
         c_prime = 2.0 * peak - (a if b == 0 else 0.0)
         return SpectralConstants(l1, c_m1, c_p1, c_prime, c_mhalf)
 

@@ -98,3 +98,17 @@ def scalar_mode_scan(rho, k_grid):
         roots[k] = sorted(found, key=lambda z: (z.real, z.imag))
         rejected[k] = sorted(bad, key=lambda z: (z.real, z.imag))
     return StabilityScan(max_im, roots, rejected, tuple(gaps), unconverged)
+
+
+def polish_root(quad, z: complex, k: float, atol: float,
+                max_steps: int = 20) -> tuple[complex, int]:
+    """Undamped Newton on the node symbol with Python complex arithmetic,
+    from `z` until |g| <= atol: returns (root, steps taken).  Raises if
+    it has not converged after `max_steps` steps."""
+    z = complex(z)
+    for steps in range(max_steps + 1):
+        gz = z * z - k * k - _sigma_nodes(quad, z, k)
+        if abs(gz) <= atol:
+            return z, steps
+        z -= gz / (2.0 * z - _sigma_nodes_prime(quad, z, k))
+    raise ArithmeticError(f"no root within {atol} of |g| from {z} at k={k}")

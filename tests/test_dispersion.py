@@ -10,7 +10,7 @@ from cetlab import (DiracComb, PowerLawExp, build_quadrature,
 from cetlab.dispersion import _SCAN_SEEDS, DEFAULT_K_GRID, SCAN_NODES
 from cetlab.errors import PrincipalValueError, ValidationError
 
-from oracles import scalar_mode_scan, trapezoid_oracle
+from oracles import polish_root, scalar_mode_scan, trapezoid_oracle
 
 UNIT = PowerLawExp(1.0, 1.0, 1.0)
 
@@ -116,6 +116,42 @@ class TestStabilityScan:
         b = mode_stability_scan(UNIT, k_grid=(0.5, 1.0))
         assert a.max_im == b.max_im
         assert all(np.array_equal(a.roots[k], b.roots[k]) for k in a.roots)
+
+
+class TestScanAtLargeWeights:
+    """At alpha = 1e6 the scan accepts 6 to 10 roots per wavenumber and
+    reports max_im 4.46e-8, above criterion 6's 1e-8.  The node symbol
+    has only two roots off the rejected half-plane, both real: in
+    y = z^2 - k^2 its numerator is a real polynomial of degree m + 1
+    with one root below -mu_m, one between each pair of adjacent poles
+    -mu_j and one above -mu_1, the only positive one since g < 0 at
+    y = 0.  Every accepted root is one
+    of those two, spread over about 1e-7 by the scan's tolerance
+    (1e-11 (k^2 + l1), about 1e-5 in |g|), wider than the 1e-8 that
+    tells roots apart; max_im is that spread."""
+
+    RHO = PowerLawExp(1e6, 1.0, 1.0)
+    # accepted roots per wavenumber, pinned
+    COUNTS = {0.25: 10, 0.5: 10, 1.0: 6, 2.0: 7, 4.0: 6}
+
+    def test_extra_roots_are_tolerance_copies_of_two_real_roots(self):
+        scan = mode_stability_scan(self.RHO)
+        assert scan.max_im == pytest.approx(4.46e-8, rel=1e-2)
+        assert {k: len(r) for k, r in scan.roots.items()} == self.COUNTS
+        quad = build_quadrature(self.RHO, SCAN_NODES)
+        for k, roots in scan.roots.items():
+            polished = []
+            for z in roots:
+                root, steps = polish_root(quad, z, k, atol=1e-9)
+                # one Newton step at most, and no further than the spread
+                assert steps <= 1 and abs(root - z) < 2e-7, (k, z)
+                assert abs(root.imag) <= 1e-15 * abs(root.real), (k, z)
+                polished.append(root.real)
+            top = max(polished)
+            assert top > k
+            # every copy lands on +-top, to rounding
+            assert all(abs(abs(x) - top) <= 1e-14 * top for x in polished)
+            assert min(polished) < 0.0
 
 
 # the cases the batched sweep is checked on against the scalar loop:

@@ -968,6 +968,59 @@ class TestGrowth:
             assert same_bits(Y[:, width:], np.zeros((ws.rows, radial.GROWTH)))
 
 
+def boundary_input(kind):
+    """(cfg, grid, steps) of a march whose window grows at least three
+    times: desk-shaped free and 21-mode stacks (1 x 2049 and 23 x 2049),
+    and a run that overflows at step 109 and is marched on past it."""
+    if kind == "overflow":
+        cfg = ModelConfig(epsilon=1.0, a_null=0.0, b_bad=2.0, c_grad=0.0,
+                          d_quad=0.0, quad=None, t_final=16.0)
+        return cfg, Grid(padded_r_max(cfg), 1024), 200
+    cfg, grid = growing_input(kind)
+    return cfg, Grid(grid.r_max, 2048), 300
+
+
+class TestBoundaryColumns:
+    """The step pins no boundary column of the state: both are +0.0 from
+    `initialize` on, and every write of a step combines +0.0 columns
+    (each stage acceleration's are pinned by `accel`) by sums and by
+    products with positive finite factors."""
+
+    @pytest.mark.parametrize("kind", ["free", "modes21", "overflow"])
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_boundary_columns_stay_positive_zero(self, kind):
+        cfg, grid, n_steps = boundary_input(kind)
+        dt = march_schedule(cfg, grid)[1]
+        widths, overflowed = [], 0
+        for st in _march(_Workspace(cfg, grid), initialize(cfg, grid), dt,
+                         n_steps):
+            if not widths or st.Q.shape[1] != widths[-1]:
+                widths.append(st.Q.shape[1])
+            for Y in (st.Q, st.Q_dot):
+                edges = Y[:, ::Y.shape[1] - 1].view(np.uint64)
+                assert not edges.any(), (kind, st.t)
+            overflowed += not np.isfinite(st.Q).all()
+        assert len(widths) >= 4
+        assert (overflowed >= 50) == (kind == "overflow")
+
+    @pytest.mark.parametrize("kind", ["free", "modes21"])
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_any_interior_leaves_them_positive_zero(self, kind):
+        cfg, grid = growing_input(kind)
+        ws = _Workspace(cfg, grid)
+        st = initialize(cfg, grid)
+        ws.hold(st, 100)
+        rng = np.random.default_rng(17)
+        for Y in (ws.Q.Y, ws.Q_dot.Y):
+            Y[...] = rng.standard_normal(Y.shape)
+            Y[:, [0, 1, 50, -2, -1]] = [0.0, -0.0, np.nan, -np.inf, 0.0]
+            Y[0, 7] = np.inf
+        _rk4_step(ws, 0.0, march_schedule(cfg, grid)[1])
+        for Y in (ws.Q.Y, ws.Q_dot.Y):
+            assert not Y[:, [0, -1]].view(np.uint64).any()
+            assert not np.isfinite(Y).all()
+
+
 def offset(Y, nbytes):
     """A copy of `Y` whose first value lies `nbytes` past a cache line."""
     base = np.zeros(Y.size + 8 + nbytes // 8)

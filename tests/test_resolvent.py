@@ -14,6 +14,7 @@ from cetlab import (MassQuadrature, PowerLawExp, ValidationError,
                     scaling_derivative)
 from cetlab import resolvent
 from cetlab.errors import CommutatorInputError, ModeStepUnstableError
+from cetlab.quadrature import EMPTY_RULE
 from cetlab.resolvent import (ModeParams, TimeSeries, _kg_solve, _midpoints,
                               _power_tables, _rk4_increment, _terminal_phasor,
                               _unit_step)
@@ -294,6 +295,15 @@ class TestDoubleResolvent:
         out = apply_memory2(ONE_ATOM, 0.0, f)
         assert np.all(out.samples == 0.0)
 
+    @pytest.mark.parametrize("xi", [0.0, 2.0])
+    def test_empty_rule_gives_positive_zeros(self, xi):
+        # no mode: the weighted sum over the modes is an empty matmul,
+        # +0.0 at every sample
+        for f in memory_signals(501).values():
+            out = apply_memory2(EMPTY_RULE, xi, TimeSeries(0.0, DT, f))
+            assert out.samples.shape == f.shape
+            assert not out.samples.view(np.uint64).any()
+
     def test_cascade_matches_fine_reference(self):
         dt = 0.01
         n = 2001
@@ -541,6 +551,13 @@ class TestPositivity:
     def test_zero(self):
         f = series(0.01, 500, np.zeros_like)
         assert positivity_functional(ONE_ATOM, f) == 0.0
+
+    def test_empty_rule_is_positive_zero(self):
+        # no mode: an empty sum of terminal energies
+        for f in memory_signals(501).values():
+            power = positivity_functional(EMPTY_RULE, TimeSeries(0.0, DT, f))
+            assert type(power) is float
+            assert power == 0.0 and math.copysign(1.0, power) == 1.0
 
     def test_causality_keeps_the_power_positive(self):
         # criterion 3's 100 sign sources (GL-32, dt 0.01): the trapezoid

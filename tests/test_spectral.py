@@ -55,6 +55,22 @@ class TestPowerLaw:
         # monotone density: total variation equals the boundary value
         assert c.c_prime == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha, lam", [(1.0, 1.0), (2.5, 3.0),
+                                            (1e-3, 0.7)])
+    def test_beta_zero_is_the_exponential_bitwise(self, alpha, lam):
+        # mu ** 0.0 is 1.0 at every mu, so the power law's product is
+        # alpha * exp(-mu / lambda) to the bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rho = PowerLawExp(alpha, 0.0, lam)
+        mu = np.array([0.0, 1e-300, 1.0, 700.0, 1e308])
+        assert rho.density(mu).tobytes() == (
+            alpha * np.exp(-mu / lam)).tobytes()
+        below = rho.density(np.array([-1e-300, -1.0, -300.0]))
+        assert below.tobytes() == np.zeros(3).tobytes()
+        # the peak sits at mu = 0: c_prime = 2 rho(0+) - rho(0+)
+        assert spectral_constants(rho).c_prime == alpha
+
     def test_beta_zero_warns(self):
         with pytest.warns(UserWarning):
             PowerLawExp(1.0, 0.0, 1.0)
